@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -45,6 +45,8 @@ class CharTable:
     values: tuple[tuple[Cyclo, ...], ...]  # rows = irreps, columns = classes
     labels: tuple[str, ...]
     zeta_order: int
+    # (i, j) with i <= j -> row i tensor row j, filled on demand by reps.tensor
+    fusion_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -336,9 +338,7 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
     n = g.order
     p = _least_prime(e, n)
 
-    class_mats = [
-        [list(class_mult_coeffs(g, cd, i, j)) for j in range(r)] for i in range(r)
-    ]
+    class_mats = [class_mult_coeffs(g, cd, i) for i in range(r)]
     # (class_mats[i])[j][k] = a_ijk so that M_i omega = omega_i * omega
     omegas = _omega_vectors(class_mats, p, seed)
 
@@ -375,7 +375,7 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
         x = 0
         for _ in range(e):
             path.append(cd.class_of[x])
-            x = g.mult[x][rep]
+            x = g.mul(x, rep)
         class_of_power.append(path)
 
     e_inv = pow(e, -1, p)

@@ -301,7 +301,11 @@ def parse_frequency(text: str) -> Frequency:
     s = text.strip()
     m = _FREQ_NUM_RE.fullmatch(s)
     if m:
-        return Frequency(Fraction(m.group(1).replace(" ", "")), m.group(2))
+        try:
+            value = Fraction(m.group(1).replace(" ", ""))
+        except ZeroDivisionError as exc:
+            raise SpecError(f"zero denominator in frequency {text!r}") from exc
+        return Frequency(value, m.group(2))
     m = _FREQ_SYM_RE.fullmatch(s)
     if m:
         return Frequency(Fraction(-1 if m.group(1) == "-" else 1), m.group(2))

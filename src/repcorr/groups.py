@@ -1,4 +1,4 @@
-"""Finite groups as explicit Cayley tables.
+"""Finite groups as element lists with multiplication on demand.
 
 Groups are built from a small spec grammar:
 
@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
+from typing import Any, Callable
 
-import numpy as np
-
-from .errors import SpecError, VerificationError
+from .errors import SpecError
 
 __all__ = [
     "Group",
@@ -40,15 +39,19 @@ ORDER_CAP_ENV = "REPCORR_ORDER_CAP"
 class Group:
     spec: str
     order: int
-    mult: tuple[tuple[int, ...], ...]
     inv: tuple[int, ...]
     labels: tuple[str, ...]
     generators: tuple[int, ...]
     # (parent, generator position) giving each element's BFS discovery step
     bfs_parent: tuple[tuple[int, int] | None, ...]
+    elements: tuple[Any, ...] = field(repr=False)
+    # element -> index and the closing operation; both are determined by
+    # `elements` and the spec, so they take no part in equality or hashing
+    index: dict[Any, int] = field(repr=False, compare=False)
+    op: Callable[[Any, Any], Any] = field(repr=False, compare=False)
 
     def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
+        return self.index[self.op(self.elements[a], self.elements[b])]
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -56,40 +59,21 @@ class Group:
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:
-            x = self.mult[x][a]
+            x = self.mul(x, a)
             k += 1
         return k
 
     def is_abelian(self) -> bool:
-        m = self.mult
-        return all(m[a][b] == m[b][a] for a in range(self.order) for b in range(self.order))
+        """True when the generators commute pairwise, which holds exactly
+        when the group they generate is abelian."""
+        gens = self.generators
+        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
 
     def power(self, a: int, k: int) -> int:
         x = 0
         for _ in range(k):
-            x = self.mult[x][a]
+            x = self.mul(x, a)
         return x
-
-    def validate(self) -> None:
-        """Full group-law check: identity, inverses, latin square, associativity."""
-        n = self.order
-        m = np.array(self.mult, dtype=np.int64)
-        if m.shape != (n, n):
-            raise VerificationError("mult table shape mismatch")
-        if not (np.array_equal(m[0], np.arange(n)) and np.array_equal(m[:, 0], np.arange(n))):
-            raise VerificationError("element 0 is not an identity")
-        for a in range(n):
-            if sorted(self.mult[a]) != list(range(n)):
-                raise VerificationError(f"row {a} is not a permutation")
-            if sorted(row[a] for row in self.mult) != list(range(n)):
-                raise VerificationError(f"column {a} is not a permutation")
-            if self.mult[a][self.inv[a]] != 0 or self.mult[self.inv[a]][a] != 0:
-                raise VerificationError(f"bad inverse for element {a}")
-        for a in range(n):
-            left = m[m[a]]          # left[b, c] = m[m[a, b], c]
-            right = m[a][m]         # right[b, c] = m[a, m[b, c]]
-            if not np.array_equal(left, right):
-                raise VerificationError(f"associativity fails at element {a}")
 
 
 @dataclass(frozen=True)
@@ -192,22 +176,26 @@ def _closure(identity, gens, mul, label, spec: str, cap: int) -> Group:
                         f"group order exceeds cap {cap} while closing {spec!r}"
                     )
         head += 1
-    n = len(elements)
-    mult = tuple(
-        tuple(index[mul(a, b)] for b in elements) for a in elements
-    )
-    inv = [0] * n
-    for a in range(n):
-        inv[a] = mult[a].index(0)
-    gen_indices = tuple(index[g] for g in gens)
+    # x = p*g gives x^-1 = g^-1 * p^-1, and parents come before children
+    gen_inv = []
+    for g in gens:
+        prev, y = identity, g
+        while y != identity:
+            prev, y = y, mul(y, g)
+        gen_inv.append(prev)
+    inv_elements = [identity]
+    for p, t in parents[1:]:
+        inv_elements.append(mul(gen_inv[t], inv_elements[p]))
     return Group(
         spec=spec,
-        order=n,
-        mult=mult,
-        inv=tuple(inv),
+        order=len(elements),
+        inv=tuple(index[e] for e in inv_elements),
         labels=tuple(label(e) for e in elements),
-        generators=gen_indices,
+        generators=tuple(index[g] for g in gens),
         bfs_parent=tuple(parents),
+        elements=tuple(elements),
+        index=index,
+        op=mul,
     )
 
 
@@ -333,26 +321,33 @@ def _split_top_level(text: str) -> list[str]:
 
 def conjugacy(g: Group) -> ClassData:
     """Conjugacy classes, ordered by smallest member index (so class 0 is
-    always {identity}), plus inverse-class map and the group exponent."""
+    always {identity}), plus inverse-class map and the group exponent.
+
+    Each class is the orbit of its smallest member under conjugation by the
+    generators: conjugating by g^-1 is a power of conjugating by g, so that
+    orbit is closed under conjugation by the whole group."""
     n = g.order
+    gens = [(s, g.inv[s]) for s in g.generators]
     class_of = [-1] * n
     classes: list[tuple[int, ...]] = []
     for a in range(n):
         if class_of[a] >= 0:
             continue
-        orbit = set()
-        for x in range(n):
-            orbit.add(g.mult[g.mult[x][a]][g.inv[x]])
-        members = tuple(sorted(orbit))
         idx = len(classes)
-        classes.append(members)
-        for e in members:
-            class_of[e] = idx
+        class_of[a] = idx
+        orbit = [a]
+        for y in orbit:
+            for s, s_inv in gens:
+                z = g.mul(g.mul(s_inv, y), s)
+                if class_of[z] < 0:
+                    class_of[z] = idx
+                    orbit.append(z)
+        classes.append(tuple(sorted(orbit)))
     reps = tuple(c[0] for c in classes)
     inverse_class = tuple(class_of[g.inv[r]] for r in reps)
     exponent = 1
-    for a in range(n):
-        exponent = lcm(exponent, g.element_order(a))
+    for r in reps:
+        exponent = lcm(exponent, g.element_order(r))
     return ClassData(
         classes=tuple(classes),
         sizes=tuple(len(c) for c in classes),
@@ -363,15 +358,18 @@ def conjugacy(g: Group) -> ClassData:
     )
 
 
-def class_mult_coeffs(g: Group, cd: ClassData, i: int, j: int) -> tuple[int, ...]:
-    """a_ijk = number of pairs (x, y) in C_i x C_j with x*y equal to the
-    representative of C_k, for every k."""
-    if not (0 <= i < cd.count and 0 <= j < cd.count):
-        raise SpecError(f"class index out of range: ({i}, {j})")
-    hits = [0] * g.order
-    mult = g.mult
+def class_mult_coeffs(g: Group, cd: ClassData, i: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix M_i with M_i[j][k] = a_ijk, the number of pairs (x, y) in
+    C_i x C_j with x*y equal to the representative g_k of C_k.
+
+    Each x fixes y = x^-1 * g_k, so a_ijk = #{x in C_i : x^-1 * g_k in C_j}:
+    one pass over C_i fills every (j, k) with |C_i| * r products."""
+    if not 0 <= i < cd.count:
+        raise SpecError(f"class index out of range: {i}")
+    class_of = cd.class_of
+    counts = [[0] * cd.count for _ in range(cd.count)]
     for x in cd.classes[i]:
-        row = mult[x]
-        for y in cd.classes[j]:
-            hits[row[y]] += 1
-    return tuple(hits[r] for r in cd.representatives)
+        x_inv = g.inv[x]
+        for k, gk in enumerate(cd.representatives):
+            counts[class_of[g.mul(x_inv, gk)]][k] += 1
+    return tuple(tuple(row) for row in counts)

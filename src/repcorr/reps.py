@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .chartable import CharTable
 from .cyclo import Cyclo, parse_cyclo
@@ -155,7 +154,7 @@ def perm_rep(table: CharTable, images, name: str = "") -> Rep:
         perm_of[x] = _compose(perm_of[px], images[t])
     for x in range(g.order):
         for t, gen in enumerate(g.generators):
-            if perm_of[g.mult[x][gen]] != _compose(perm_of[x], images[t]):
+            if perm_of[g.mul(x, gen)] != _compose(perm_of[x], images[t]):
                 raise VerificationError(
                     "generator images do not extend to a homomorphism; "
                     f"relation fails at element {g.labels[x]!r} and generator {t}"
@@ -167,10 +166,14 @@ def perm_rep(table: CharTable, images, name: str = "") -> Rep:
     return Rep(table, decompose(table, values), name)
 
 
-@lru_cache(maxsize=None)
 def _fusion(table: CharTable, i: int, j: int) -> tuple[int, ...]:
-    values = [table.values[i][c] * table.values[j][c] for c in range(table.count)]
-    return decompose(table, values)
+    """Row i tensor row j, decomposed once per table and unordered pair."""
+    key = (i, j) if i <= j else (j, i)
+    memo = table.fusion_memo
+    if key not in memo:
+        values = [table.values[i][c] * table.values[j][c] for c in range(table.count)]
+        memo[key] = decompose(table, values)
+    return memo[key]
 
 
 def tensor(a: Rep, b: Rep, name: str = "") -> Rep:

@@ -260,10 +260,22 @@ def test_bad_specs_exit_2():
         ("--group", "symmetric:3", "--rep", "c=cocycle:[1]", "--task", "skew"),
         ("--rep", "c=zcocycle:[1]", "--task", "skew", "--window", "0"),
         ("--group", "symmetric:3", "--task", "circle"),
+        ("--rep", "f=angles:[1/0]", "--task", "circle"),
+        ("--rep", "f=freqs:[1/0]", "--task", "circle"),
     ]
     for case in cases:
         r = run_cli(*case)
         assert r.returncode == 2, (case, r.stderr)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, repcorr.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 def test_argparse_errors_exit_2():

@@ -1,8 +1,9 @@
 import random
+from math import lcm
 
 import pytest
 
-from repcorr.errors import SpecError
+from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import (
     ClassData,
     class_mult_coeffs,
@@ -12,10 +13,38 @@ from repcorr.groups import (
 )
 
 
+def _cayley_table(g):
+    return [[g.mul(a, b) for b in range(g.order)] for a in range(g.order)]
+
+
+def _validate(g, table=None):
+    """Full group-law check on a Cayley table (built from g.mul by default):
+    identity, latin square, inverses, associativity."""
+    n = g.order
+    m = _cayley_table(g) if table is None else table
+    if len(m) != n or any(len(row) != n for row in m):
+        raise VerificationError("mult table shape mismatch")
+    if m[0] != list(range(n)) or [row[0] for row in m] != list(range(n)):
+        raise VerificationError("element 0 is not an identity")
+    for a in range(n):
+        if sorted(m[a]) != list(range(n)):
+            raise VerificationError(f"row {a} is not a permutation")
+        if sorted(row[a] for row in m) != list(range(n)):
+            raise VerificationError(f"column {a} is not a permutation")
+        if m[a][g.inv[a]] != 0 or m[g.inv[a]][a] != 0:
+            raise VerificationError(f"bad inverse for element {a}")
+    for a in range(n):
+        ma = m[a]
+        for b in range(n):
+            # (a*b)*c == a*(b*c) for every c
+            if m[ma[b]] != [ma[bc] for bc in m[b]]:
+                raise VerificationError(f"associativity fails at element {a}")
+
+
 def test_cyclic_basics():
     g = construct_group("cyclic:6")
     assert g.order == 6
-    g.validate()
+    _validate(g)
     cd = conjugacy(g)
     assert cd.count == 6
     assert cd.sizes == (1,) * 6
@@ -32,7 +61,7 @@ def test_cyclic_element_order_is_power_order():
 def test_symmetric_3_classes():
     g = construct_group("symmetric:3")
     assert g.order == 6
-    g.validate()
+    _validate(g)
     cd = conjugacy(g)
     assert cd.sizes == (1, 3, 2)
     assert cd.exponent == 6
@@ -42,7 +71,7 @@ def test_symmetric_3_classes():
 def test_dihedral_4():
     g = construct_group("dihedral:4")
     assert g.order == 8
-    g.validate()
+    _validate(g)
     cd = conjugacy(g)
     assert cd.count == 5
 
@@ -60,7 +89,7 @@ def test_dihedral_6_exponent():
 def test_product_group():
     g = construct_group("product:[2,3]")
     assert g.order == 6
-    g.validate()
+    _validate(g)
     assert g.is_abelian()
     cd = conjugacy(g)
     assert cd.count == 6
@@ -70,7 +99,7 @@ def test_product_group():
 def test_perm_group_a4():
     g = construct_group("perm:[(1 2 3), (1 2)(3 4)]")
     assert g.order == 12
-    g.validate()
+    _validate(g)
     cd = conjugacy(g)
     assert cd.sizes[0] == 1
     assert sorted(cd.sizes) == [1, 3, 4, 4]
@@ -120,19 +149,10 @@ def test_parse_cycles():
 
 def test_validate_catches_broken_table():
     g = construct_group("cyclic:3")
-    rows = [list(r) for r in g.mult]
-    rows[1][1] = 1  # no longer a latin square
-    broken = g.__class__(
-        spec=g.spec,
-        order=g.order,
-        mult=tuple(tuple(r) for r in rows),
-        inv=g.inv,
-        labels=g.labels,
-        generators=g.generators,
-        bfs_parent=g.bfs_parent,
-    )
-    with pytest.raises(Exception):
-        broken.validate()
+    broken = _cayley_table(g)
+    broken[1][1] = 1  # no longer a latin square
+    with pytest.raises(VerificationError):
+        _validate(g, broken)
 
 
 ALL_SMALL_SPECS = [
@@ -152,7 +172,7 @@ def test_every_constructed_group_validates():
     for spec in ALL_SMALL_SPECS:
         g = construct_group(spec)
         assert g.order <= 200
-        g.validate()
+        _validate(g)
 
 
 def test_conjugacy_partition_properties():
@@ -175,7 +195,7 @@ def test_class_mult_identity_column():
     g = construct_group("symmetric:3")
     cd = conjugacy(g)
     for j in range(cd.count):
-        a = class_mult_coeffs(g, cd, 0, j)
+        a = class_mult_coeffs(g, cd, 0)[j]
         assert a == tuple(1 if k == j else 0 for k in range(cd.count))
 
 
@@ -183,7 +203,7 @@ def test_class_mult_s3_transpositions():
     g = construct_group("symmetric:3")
     cd = conjugacy(g)
     i = cd.class_of[1]  # class of the first transposition
-    a = class_mult_coeffs(g, cd, i, i)
+    a = class_mult_coeffs(g, cd, i)[i]
     assert a[0] == 3
 
 
@@ -191,8 +211,8 @@ def test_class_mult_cyclic4():
     g = construct_group("cyclic:4")
     cd = conjugacy(g)
     i = cd.class_of[1]
-    a = class_mult_coeffs(g, cd, i, i)
-    expected = tuple(1 if cd.representatives[k] == g.mult[1][1] else 0
+    a = class_mult_coeffs(g, cd, i)[i]
+    expected = tuple(1 if cd.representatives[k] == g.mul(1, 1) else 0
                      for k in range(cd.count))
     assert a == expected
 
@@ -205,5 +225,44 @@ def test_class_mult_counting_identity():
         cd = conjugacy(g)
         i = rng.randrange(cd.count)
         j = rng.randrange(cd.count)
-        a = class_mult_coeffs(g, cd, i, j)
+        a = class_mult_coeffs(g, cd, i)[j]
         assert sum(ak * sk for ak, sk in zip(a, cd.sizes)) == cd.sizes[i] * cd.sizes[j]
+
+
+def test_class_data_matches_cayley_table_oracle():
+    """Classes, their order, inverses, the exponent and every a_ijk agree
+    with brute force over the full Cayley table."""
+    for spec in ALL_SMALL_SPECS:
+        g = construct_group(spec)
+        n = g.order
+        m = _cayley_table(g)
+        inv = [m[a].index(0) for a in range(n)]
+        assert g.inv == tuple(inv), spec
+        classes, class_of = [], [-1] * n
+        for a in range(n):
+            if class_of[a] < 0:
+                orbit = tuple(sorted({m[m[x][a]][inv[x]] for x in range(n)}))
+                for e in orbit:
+                    class_of[e] = len(classes)
+                classes.append(orbit)
+        exponent = 1
+        for a in range(n):
+            k, x = 1, a
+            while x != 0:
+                x, k = m[x][a], k + 1
+            exponent = lcm(exponent, k)
+        cd = conjugacy(g)
+        reps = [c[0] for c in classes]
+        assert cd.classes == tuple(classes), spec
+        assert cd.class_of == tuple(class_of), spec
+        assert cd.representatives == tuple(reps), spec
+        assert cd.inverse_class == tuple(class_of[inv[r]] for r in reps), spec
+        assert cd.exponent == exponent, spec
+        for i, ci in enumerate(classes):
+            got = class_mult_coeffs(g, cd, i)
+            for j, cj in enumerate(classes):
+                hits = [0] * n
+                for x in ci:
+                    for y in cj:
+                        hits[m[x][y]] += 1
+                assert got[j] == tuple(hits[r] for r in reps), (spec, i, j)

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from repcorr import reps
 from repcorr.chartable import character_table
+from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import construct_group
@@ -95,6 +97,28 @@ def test_dsum_adds_characters_and_tensor_multiplies_dims():
         assert p.mults == tensor(b, a).mults
         cp = p.character()
         assert all((x * y) == z for x, y, z in zip(ca, cb, cp))
+
+
+def test_fusion_memo_belongs_to_its_table(monkeypatch):
+    calls = []
+    real = reps.decompose
+
+    def counted(table, values):
+        calls.append(1)
+        return real(table, values)
+
+    monkeypatch.setattr(reps, "decompose", counted)
+    t = character_table(construct_group("symmetric:4"))
+    reg = regular_rep(t)
+    square = tensor(reg, reg)
+    build_d_graph(reg)
+    r = t.count
+    # one decomposition per unordered pair of rows, shared by tensor and d-graph
+    assert len(calls) == r * (r + 1) // 2
+    assert len(t.fusion_memo) == len(calls)
+    fresh = character_table(construct_group("symmetric:4"))
+    assert fresh == t and not fresh.fusion_memo
+    assert tensor(regular_rep(fresh), regular_rep(fresh)).mults == square.mults
 
 
 def test_tensor_with_trivial_is_identity():
