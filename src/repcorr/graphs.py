@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -35,6 +36,7 @@ __all__ = [
     "SimplicityReport",
     "simplicity_check",
     "SkewSpec",
+    "MAX_SKEW_VERTICES",
     "skew_product",
     "Frequency",
     "parse_frequency",
@@ -119,17 +121,18 @@ class SimplicityReport:
     purely_infinite_simple: bool
 
 
-def _reachability(adj: list[list[int]]) -> list[list[bool]]:
-    n = len(adj)
-    reach = [[bool(adj[i][j]) or i == j for j in range(n)] for i in range(n)]
-    for k in range(n):
-        rk = reach[k]
-        for i in range(n):
-            if reach[i][k]:
-                ri = reach[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
+def _reachability(succ: list[list[int]]) -> list[set[int]]:
+    """reach[v]: every vertex a path from v ends at, v itself included (BFS)."""
+    reach = []
+    for v in range(len(succ)):
+        seen = {v}
+        queue = [v]
+        for w in queue:
+            for x in succ[w]:
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+        reach.append(seen)
     return reach
 
 
@@ -143,20 +146,19 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
     reversed graph the row v of the stored matrix lists the edges leaving v.
     """
     n = g.n
-    rev = [list(row) for row in g.a]
-    reach = _reachability(rev)
+    rev = g.a
+    succ = [[w for w in range(n) if rev[v][w]] for v in range(n)]
+    reach = _reachability(succ)
 
-    on_cycle = [
-        any(rev[v][w] > 0 and reach[w][v] for w in range(n)) for v in range(n)
-    ]
-    sinks = [v for v in range(n) if sum(rev[v]) == 0]
+    on_cycle = {v for v in range(n) if any(v in reach[w] for w in succ[v])}
+    sinks = {v for v in range(n) if not succ[v]}
 
     # a cycle with no exit lives inside the out-degree-one functional part
     every_cycle_has_exit = True
     next_of = {}
     for v in range(n):
         if sum(rev[v]) == 1:
-            next_of[v] = next(w for w in range(n) if rev[v][w])
+            next_of[v] = succ[v][0]
     state = {v: 0 for v in next_of}  # 0 unseen, 1 in progress, 2 done
     for v in next_of:
         if state[v]:
@@ -174,19 +176,10 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
         if not every_cycle_has_exit:
             break
 
-    cofinal = True
-    for v in range(n):
-        for s in sinks:
-            if not reach[v][s]:
-                cofinal = False
-        for w in range(n):
-            if on_cycle[w] and not reach[v][w]:
-                cofinal = False
-
+    targets = sinks | on_cycle
+    cofinal = all(targets <= r for r in reach)
     simple = every_cycle_has_exit and cofinal
-    reaches_some_cycle = all(
-        any(on_cycle[w] and reach[v][w] for w in range(n)) for v in range(n)
-    )
+    reaches_some_cycle = all(not on_cycle.isdisjoint(r) for r in reach)
     return SimplicityReport(
         every_cycle_has_exit=every_cycle_has_exit,
         cofinal=cofinal,
@@ -197,6 +190,11 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
 
 # ---------------------------------------------------------------------------
 # skew products
+
+
+# Skew products build a dense vertex-by-vertex adjacency matrix; the vertex
+# count is checked against this before anything is allocated.
+MAX_SKEW_VERTICES = 2500
 
 
 @dataclass(frozen=True)
@@ -219,6 +217,19 @@ def _name_of(h: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in h) + ")"
 
 
+def _check_vertex_count(factors: Iterable[int]) -> None:
+    """Raise SpecError if the product of the factors exceeds MAX_SKEW_VERTICES,
+    stopping as soon as the running product does, so nothing large is built."""
+    count = 1
+    for f in factors:
+        count *= f
+        if count > MAX_SKEW_VERTICES:
+            raise SpecError(
+                f"skew product would have more than {MAX_SKEW_VERTICES} vertices; "
+                "use a smaller window or dual group"
+            )
+
+
 def skew_product(spec: SkewSpec) -> MultiGraph:
     """Skew product of the one-vertex n-edge graph by the given cocycle.
 
@@ -233,6 +244,7 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
         if any(o < 1 for o in spec.orders):
             raise SpecError("finite dual group needs positive factor orders")
         width = len(spec.orders)
+        _check_vertex_count(spec.orders)
         elements = list(itertools.product(*[range(o) for o in spec.orders]))
         for c in spec.cocycle:
             if len(c) != width or any(
@@ -249,6 +261,7 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
             raise SpecError("window radius must be at least 1")
         width = spec.rank
         w = spec.window
+        _check_vertex_count(itertools.repeat(2 * w + 1, spec.rank))
         elements = list(itertools.product(range(-w, w + 1), repeat=spec.rank))
         for c in spec.cocycle:
             if len(c) != width:

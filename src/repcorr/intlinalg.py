@@ -8,7 +8,7 @@ deliberately no fixed-width fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from typing import NamedTuple
 
 from .errors import SpecError, VerificationError
 
@@ -172,15 +172,13 @@ def _find_pivot(m: list[list[int]], start: int) -> tuple[int, int] | None:
     return best
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (u, s, v) with u*a*v = s, u and v unimodular, s diagonal with
-    each diagonal entry nonnegative and dividing the next.
-
-    The reduction is fully deterministic: the pivot is always the entry of
-    smallest nonzero absolute value (lowest row, then column, on ties).
-    """
-    nr, nc = a.rows, a.cols
-    s = [list(row) for row in a.entries]
+def _euclid_snf(
+    block: list[list[int]], nr: int, nc: int
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Dense Smith reduction of the nr x nc block; return (u, s, v) as lists
+    with u*block*v = s. The pivot is always the entry of smallest nonzero
+    absolute value (lowest row, then column, on ties)."""
+    s = [list(row) for row in block]
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -253,22 +251,223 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 row_op(t, offender, -1)  # pull the offending row up, re-clear
             pos = _find_pivot(s, t)
         t += 1
-
-    um = IntMatrix.from_rows(u)
-    sm = IntMatrix.from_rows(s) if nr else IntMatrix.zeros(0, nc)
-    vm = IntMatrix.from_rows(v) if nc else IntMatrix.zeros(nc, nc)
-    if nr == 0:
-        sm = IntMatrix.zeros(0, nc)
-    _check_snf(a, um, sm, vm)
-    return um, sm, vm
+    return u, s, v
 
 
-def _check_snf(a: IntMatrix, u: IntMatrix, s: IntMatrix, v: IntMatrix) -> None:
-    if u.matmul(a).matmul(v).entries != s.entries:
+# Sparse vectors and matrices: a vector is {index: nonzero entry}, a matrix a
+# list of such rows (or columns, where a comment says so).
+
+
+def _axpy(dst: dict[int, int], c: int, src: dict[int, int]) -> None:
+    """dst += c * src, dropping entries that cancel."""
+    for key, x in src.items():
+        y = dst.get(key, 0) + c * x
+        if y:
+            dst[key] = y
+        else:
+            dst.pop(key, None)
+
+
+def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def _sparse_mul(x: list[dict[int, int]], y: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Row-by-row product x*y of sparse matrices, touching only nonzeros."""
+    out = []
+    for row in x:
+        acc: dict[int, int] = {}
+        for m, c in row.items():
+            _axpy(acc, c, y[m])
+        out.append(acc)
+    return out
+
+
+class _Reduction(NamedTuple):
+    """A Smith reduction with the data that certifies it.
+
+    u = diag(I_k, u2) * u1 and v = v1 * diag(I_k, v2), where k = units is
+    the number of unit pivots cleared in phase 1 (u1, v1: phase-1 transforms
+    with the pivots permuted to the top left) and u2, v2 reduce the remainder
+    block. u1_inv and v1_inv are the exact inverses of u1 and v1, as sparse
+    rows.
+    """
+
+    u: IntMatrix
+    s: IntMatrix
+    v: IntMatrix
+    units: int
+    u1_inv: list[dict[int, int]]
+    v1_inv: list[dict[int, int]]
+    u2: IntMatrix
+    v2: IntMatrix
+
+
+def _reduce(a: IntMatrix) -> _Reduction:
+    """The two-phase reduction described in smith_normal_form, uncertified."""
+    nr, nc = a.rows, a.cols
+    # Phase 1 works on the active block: rows[i] holds row i's entries in
+    # active columns, cols[j] the active rows with an entry in column j.
+    # Both dicts keep increasing index order, as entries are only removed.
+    rows = dict(enumerate(_sparse_rows(a)))
+    cols: dict[int, set[int]] = {j: set() for j in range(nc)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    u1 = [{i: 1} for i in range(nr)]  # rows of u1
+    u1_inv = [{i: 1} for i in range(nr)]  # columns of u1^-1
+    v1 = [{j: 1} for j in range(nc)]  # columns of v1
+    v1_inv = [{j: 1} for j in range(nc)]  # rows of v1^-1
+    pivots: list[tuple[int, int]] = []
+    while True:
+        best = None
+        for i, row in rows.items():
+            r1 = len(row) - 1
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    key = (r1 * (len(cols[j]) - 1), i, j)
+                    if best is None or key < best:
+                        best = key
+            if best is not None and best[0] == 0:
+                break  # a later row can only tie, and ties go to the lower row
+        if best is None:
+            break
+        _, i, j = best
+        prow = rows.pop(i)
+        p = prow.pop(j)
+        col = cols.pop(j)
+        col.discard(i)
+        for l in prow:
+            cols[l].discard(i)
+        # Clear column j: row k -= q * row i, so u1 row k -= q * u1 row i and,
+        # inversely, u1^-1 column i += q * u1^-1 column k.
+        for k in col:
+            rk = rows[k]
+            q = rk.pop(j) * p
+            for l, x in prow.items():
+                y = rk.get(l, 0) - q * x
+                if y:
+                    rk[l] = y
+                    cols[l].add(k)
+                else:
+                    del rk[l]
+                    cols[l].discard(k)
+            _axpy(u1[k], -q, u1[i])
+            _axpy(u1_inv[i], q, u1_inv[k])
+        # Clear row i: col l -= q * col j, mirrored the same way into v1, v1^-1.
+        for l, x in prow.items():
+            q = x * p
+            _axpy(v1[l], -q, v1[j])
+            _axpy(v1_inv[j], q, v1_inv[l])
+        if p == -1:
+            u1[i] = {m: -y for m, y in u1[i].items()}
+            u1_inv[i] = {m: -y for m, y in u1_inv[i].items()}
+        pivots.append((i, j))
+
+    # Phase 2: the dense Euclid loop on the unit-free remainder.
+    k = len(pivots)
+    rest_rows, rest_cols = list(rows), list(cols)
+    block = [[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows]
+    u2, s2, v2 = _euclid_snf(block, len(rest_rows), len(rest_cols))
+
+    # Pivots to the top left, then u = diag(I_k, u2) * u1, v = v1 * diag(I_k, v2).
+    row_order = [i for i, _ in pivots] + rest_rows
+    col_order = [j for _, j in pivots] + rest_cols
+    u_rows = [u1[i] for i in row_order[:k]]
+    for row in u2:
+        acc: dict[int, int] = {}
+        for i, c in zip(rest_rows, row):
+            if c:
+                _axpy(acc, c, u1[i])
+        u_rows.append(acc)
+    v_cols = [v1[j] for j in col_order[:k]]
+    for t in range(len(rest_cols)):
+        acc = {}
+        for j, row in zip(rest_cols, v2):
+            if row[t]:
+                _axpy(acc, row[t], v1[j])
+        v_cols.append(acc)
+    w_rows: list[dict[int, int]] = [{} for _ in range(nr)]
+    for t, i in enumerate(row_order):
+        for m, x in u1_inv[i].items():
+            w_rows[m][t] = x
+
+    s = [[0] * nc for _ in range(nr)]
+    for t in range(k):
+        s[t][t] = 1
+    for r, row in enumerate(s2):
+        s[k + r][k:] = row
+    return _Reduction(
+        u=IntMatrix(nr, nr, tuple(tuple(row.get(m, 0) for m in range(nr)) for row in u_rows)),
+        s=IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
+        v=IntMatrix(nc, nc, tuple(tuple(col.get(m, 0) for col in v_cols) for m in range(nc))),
+        units=k,
+        u1_inv=w_rows,
+        v1_inv=[v1_inv[j] for j in col_order],
+        u2=IntMatrix.from_rows(u2),
+        v2=IntMatrix.from_rows(v2),
+    )
+
+
+def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (u, s, v) with u*a*v = s, u and v unimodular, s diagonal with
+    each diagonal entry nonnegative and dividing the next.
+
+    s is unique. u and v are not; the two deterministic phases below fix them.
+
+    Phase 1 (unit pivots, after Havas, Holt and Rees, Linear Algebra Appl.
+    192, 1993) works on sparse rows. While the active block holds an entry
+    of absolute value 1, it pivots on the one of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1), ties going to the lowest
+    row and then the lowest column, clears the pivot's row and column, and
+    scales the pivot to 1. It carries u1, v1 and their inverses, each
+    elementary operation mirrored by its inverse. The sparse presentations
+    a^t - I of graphs and skew products are mostly cleared here.
+
+    Phase 2 hands the unit-free remainder block to a dense Euclid loop whose
+    pivot is the entry of smallest nonzero absolute value (lowest row, then
+    column, on ties).
+
+    Every call is certified exactly before it returns. Besides u*a*v = s and
+    the shape of s, unimodularity is checked without a determinant of u or
+    v: with the pivots moved to the top left, u = diag(I_k, u2) * u1, and the
+    check is u * u1^-1 = diag(I_k, u2) plus det u2 = +-1 by Bareiss on the
+    small phase-2 block. For integer matrices u, w with u*w = diag(I_k, u2),
+    det u * det w = det u2 = +-1; a product of two integers is +-1 only if
+    each factor is, so det u = +-1 (w = I gives the plain case u*w = I).
+    The same argument covers v with v1^-1 * v = diag(I_k, v2).
+    """
+    r = _reduce(a)
+    _check_snf(a, r)
+    return r.u, r.s, r.v
+
+
+def _block_identity(k: int, m: IntMatrix) -> list[dict[int, int]]:
+    """Sparse rows of diag(I_k, m)."""
+    return [{t: 1} for t in range(k)] + [
+        {k + j: x for j, x in enumerate(row) if x} for row in m.entries
+    ]
+
+
+def _check_snf(a: IntMatrix, r: _Reduction) -> None:
+    """Certify a reduction exactly, or raise VerificationError: u*a*v = s by
+    a product that skips zeros, u * u1_inv = diag(I_k, u2), v1_inv * v =
+    diag(I_k, v2), det u2 = det v2 = +-1, and s diagonal with a nonnegative
+    divisibility chain. smith_normal_form's docstring proves that this makes
+    u and v unimodular.
+    """
+    u, s, v = r.u, r.s, r.v
+    nr, nc, k = a.rows, a.cols, r.units
+    shapes = (u.rows, u.cols, s.rows, s.cols, v.rows, v.cols, len(r.u1_inv), len(r.v1_inv),
+              r.u2.rows, r.u2.cols, r.v2.rows, r.v2.cols)
+    if shapes != (nr, nr, nr, nc, nc, nc, nr, nc, nr - k, nr - k, nc - k, nc - k):
+        raise VerificationError("SNF check failed: factor shapes do not match")
+    su, sv = _sparse_rows(u), _sparse_rows(v)
+    if _sparse_mul(_sparse_mul(su, _sparse_rows(a)), sv) != _sparse_rows(s):
         raise VerificationError("SNF check failed: u*a*v != s")
-    if a.rows and u.det() not in (1, -1):
+    if _sparse_mul(su, r.u1_inv) != _block_identity(k, r.u2) or r.u2.det() not in (1, -1):
         raise VerificationError("SNF check failed: u not unimodular")
-    if a.cols and v.det() not in (1, -1):
+    if _sparse_mul(r.v1_inv, sv) != _block_identity(k, r.v2) or r.v2.det() not in (1, -1):
         raise VerificationError("SNF check failed: v not unimodular")
     diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
     for i in range(s.rows):

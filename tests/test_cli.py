@@ -268,6 +268,20 @@ def test_bad_specs_exit_2():
         assert r.returncode == 2, (case, r.stderr)
 
 
+def test_skew_vertex_cap_exits_2_in_process(capsys):
+    from repcorr.cli import run
+
+    rank40 = "c=zcocycle:[(" + ",".join(["1"] * 40) + ")]"
+    cases = [
+        ["--rep", "c=zcocycle:[1]", "--task", "skew", "--window", "1000000000"],
+        ["--group", "cyclic:1000000000", "--rep", "c=cocycle:[1]", "--task", "skew"],
+        ["--rep", rank40, "--task", "skew"],
+    ]
+    for argv in cases:
+        assert run(argv) == 2, argv
+        assert "more than 2500 vertices" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     r = subprocess.run(
         [sys.executable, "-c", "import sys, repcorr.cli; print('numpy' in sys.modules)"],

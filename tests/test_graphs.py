@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from repcorr.chartable import character_table
 from repcorr.corrgraph import build_e_graph
 from repcorr.errors import SpecError
 from repcorr.graphs import (
+    MAX_SKEW_VERTICES,
     CircleGraph,
     CircleReport,
     Frequency,
@@ -21,6 +23,7 @@ from repcorr.graphs import (
     skew_product,
     sources_sinks,
 )
+from repcorr.graphs import _check_vertex_count
 from repcorr.groups import construct_group
 from repcorr.reps import parse_rep_spec
 
@@ -209,6 +212,49 @@ def test_skew_rejects_bad_specs():
         skew_product(SkewSpec(cocycle=((1,),), orders=None, rank=0))
     with pytest.raises(SpecError, match="window radius"):
         skew_product(SkewSpec(cocycle=((1,),), orders=None, rank=1, window=0))
+
+
+def test_skew_vertex_cap_raises_before_allocating():
+    huge = [
+        SkewSpec(cocycle=((1,),), orders=None, rank=1, window=10**9),
+        SkewSpec(cocycle=((1,) * 40,), orders=None, rank=40, window=1),
+        SkewSpec(cocycle=((1,),), orders=(10**9,)),
+        SkewSpec(cocycle=((0,),), orders=None, rank=10**9, window=1),
+    ]
+    for spec in huge:
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match=f"more than {MAX_SKEW_VERTICES} vertices"):
+                skew_product(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (spec, peak)
+
+
+def test_skew_vertex_cap_boundary():
+    assert MAX_SKEW_VERTICES == 2500
+    _check_vertex_count((50, 50))
+    _check_vertex_count([2 * 24 + 1] * 2)  # Z^2, window 24: 2401 vertices
+    with pytest.raises(SpecError):
+        _check_vertex_count((50, 51))
+    with pytest.raises(SpecError):
+        _check_vertex_count([2 * 25 + 1] * 2)
+
+
+def test_simplicity_reports_on_skew_products():
+    # Z^2 window 3 with the (1,0),(0,1),(-1,-1) cocycle: every vertex lies
+    # on a cycle of the reversed graph (the three steps sum to zero).
+    g = skew_product(SkewSpec(cocycle=((1, 0), (0, 1), (-1, -1)), rank=2, window=3))
+    r = simplicity_check(g)
+    assert (r.every_cycle_has_exit, r.cofinal, r.simple, r.purely_infinite_simple) == (
+        True, True, True, True,
+    )
+    # A one-way drift has no cycles, and its rows y = const never meet, so no
+    # vertex reaches the sinks of the other rows: not cofinal.
+    g = skew_product(SkewSpec(cocycle=((1, 0),), rank=2, window=2))
+    r = simplicity_check(g)
+    assert not r.cofinal and not r.simple and r.every_cycle_has_exit
 
 
 def test_parse_frequency_forms():
