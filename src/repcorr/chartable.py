@@ -8,6 +8,11 @@ between roots of unity in F_p and powers of zeta. Both orthogonality
 relations are verified exactly before a table is returned, so a bug in the
 modular stage cannot leak a wrong table.
 
+The split needs one F_p routine, `_kernel_mod`. A piece span(b_1..b_k) is
+split by a matrix A by taking, for each lam in F_p, the kernel of the matrix
+with columns (A - lam I) b_j, until the eigenvectors found fill the piece;
+filling it is also what proves the piece invariant under A.
+
 Random choices (the eigenspace splitting combinations) come from a seeded
 PRNG; if random combinations fail to split, a deterministic pass over every
 class matrix finishes the job, which makes the result reproducible and the
@@ -52,9 +57,6 @@ class CharTable:
     def count(self) -> int:
         return len(self.dims)
 
-    def value(self, row: int, class_index: int) -> Cyclo:
-        return self.values[row][class_index]
-
 
 # ---------------------------------------------------------------------------
 # modular linear algebra helpers (dense, tiny matrices)
@@ -65,144 +67,40 @@ def _mat_vec(m: list[list[int]], v: list[int], p: int) -> list[int]:
 
 
 def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : m x = 0} over F_p, deterministic echelon order."""
-    rows = [row[:] for row in m]
+    """Basis of {x : m x = 0} over F_p, one vector per free column.
+
+    Forward elimination brings m to row echelon form. Each free column then
+    gets one vector, found by back-substitution with that free variable 1
+    and the others 0: the basis read off the reduced echelon form, which
+    depends only on the kernel. A matrix of full column rank costs one
+    forward pass.
+    """
+    rows = [[x % p for x in row] for row in m]
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, len(rows)):
-            if rows[i][c] % p:
-                sel = i
-                break
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if sel is None:
             continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        inv = pow(rows[sel][c], -1, p)
+        piv = [x * inv % p for x in rows[sel]]
+        rows[sel], rows[r] = rows[r], piv
         pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
+        if c + 1 == ncols:
+            break  # no column is left to clear below the pivot
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(ncols)) - set(pivots)):
         vec = [0] * ncols
         vec[fc] = 1
-        for ri, pc in enumerate(pivots):
-            vec[pc] = (-rows[ri][fc]) % p
+        for row, pc in reversed(list(zip(rows, pivots))):
+            vec[pc] = -sum(row[j] * vec[j] for j in range(pc + 1, ncols)) % p
         basis.append(vec)
     return basis
-
-
-def _solve_in_span(basis: list[list[int]], targets: list[list[int]], p: int) -> list[list[int]]:
-    """Express each target vector in the given (independent) basis.
-
-    Returns the coordinate vectors; raises if a target is outside the span.
-    """
-    k = len(basis)
-    n = len(basis[0])
-    t = len(targets)
-    aug = [[basis[j][i] for j in range(k)] + [tv[i] for tv in targets] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        sel = None
-        for i in range(r, n):
-            if aug[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            raise VerificationError("subspace basis is not independent")
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(x * inv) % p for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] % p:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if any(x % p for x in aug[i][k:]):
-            raise VerificationError("vector escaped its invariant subspace")
-    return [[aug[ri][k + j] for ri in range(r)] for j in range(t)]
-
-
-def _charpoly_mod(m: list[list[int]], p: int) -> list[int]:
-    """det(m - x I) coefficients (constant first) via interpolation; needs
-    p > deg. Falls back on the caller for tiny p."""
-    k = len(m)
-    pts = list(range(k + 1))
-    vals = [_det_mod([[m[i][j] - (x if i == j else 0) for j in range(k)] for i in range(k)], p)
-            for x in pts]
-    # Lagrange interpolation over F_p
-    coeffs = [0] * (k + 1)
-    for i, xi in enumerate(pts):
-        num = [1]
-        denom = 1
-        for j, xj in enumerate(pts):
-            if i == j:
-                continue
-            num = _poly_mul_mod(num, [-xj % p, 1], p)
-            denom = denom * (xi - xj) % p
-        scale = vals[i] * pow(denom, -1, p) % p
-        for d, c in enumerate(num):
-            coeffs[d] = (coeffs[d] + scale * c) % p
-    return coeffs
-
-
-def _poly_mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _det_mod(m: list[list[int]], p: int) -> int:
-    m = [row[:] for row in m]
-    n = len(m)
-    det = 1
-    for c in range(n):
-        sel = None
-        for i in range(c, n):
-            if m[i][c] % p:
-                sel = i
-                break
-        if sel is None:
-            return 0
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            if m[i][c] % p:
-                f = m[i][c] * inv % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
-
-
-def _eigenvalues_mod(r: list[list[int]], p: int) -> list[int]:
-    k = len(r)
-    if p <= k + 1:
-        return [lam for lam in range(p)
-                if _det_mod([[r[i][j] - (lam if i == j else 0) for j in range(k)]
-                             for i in range(k)], p) == 0]
-    poly = _charpoly_mod(r, p)
-    out = []
-    for lam in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * lam + c) % p
-        if acc == 0:
-            out.append(lam)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,29 +143,32 @@ def _primitive_root(p: int) -> int:
 
 
 def _split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) -> list[list[list[int]]]:
-    k = len(basis)
+    """Split span(basis) into the eigenspaces of amat that it contains.
+
+    For lam = 0, 1, ..., p - 1 the kernel of the r x k matrix whose column j
+    is (amat - lam I) b_j gives the coordinates, in `basis`, of the
+    lam-eigenvectors inside the span; each kernel vector is lifted through
+    `basis`. The scan stops once the kernel dimensions add up to k.
+
+    A total of exactly k also proves that the span is invariant under amat:
+    eigenvectors for distinct eigenvalues are independent, so k of them
+    inside the k-dimensional span fill it, and a span of eigenvectors is
+    mapped into itself. Any other total raises.
+    """
+    k, r = len(basis), len(basis[0])
     images = [_mat_vec(amat, b, p) for b in basis]
-    rcols = _solve_in_span(basis, images, p)
-    # restriction matrix: column j = coordinates of A * basis[j]
-    rmat = [[rcols[j][i] for j in range(k)] for i in range(k)]
-    eigs = _eigenvalues_mod(rmat, p)
     pieces = []
     total = 0
-    for lam in eigs:
-        shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(k)] for i in range(k)]
+    for lam in range(p):
+        shifted = [[a[i] - lam * b[i] for a, b in zip(images, basis)] for i in range(r)]
         kern = _kernel_mod(shifted, p)
         if not kern:
             continue
         total += len(kern)
-        lifted = []
-        for w in kern:
-            vec = [0] * len(basis[0])
-            for j, c in enumerate(w):
-                if c:
-                    for t in range(len(vec)):
-                        vec[t] = (vec[t] + c * basis[j][t]) % p
-            lifted.append(vec)
-        pieces.append(lifted)
+        pieces.append([[sum(c * b[t] for c, b in zip(w, basis)) % p for t in range(r)]
+                       for w in kern])
+        if total >= k:
+            break
     if total != k:
         raise VerificationError("class matrix failed to diagonalize over F_p")
     return pieces

@@ -363,19 +363,7 @@ def _run_tasks(cfg) -> list[tuple[str, dict, str, str | None]]:
                 results.append((f"decompose_{rep.name}", payload, text, None))
         elif task in ("egraph", "dgraph"):
             need_table()
-            for rep in need_reps():
-                if task == "egraph":
-                    g = build_e_graph(rep, cfg["convention"])
-                else:
-                    g = build_d_graph(rep)
-                results.append(
-                    (
-                        f"{task}_{rep.name}",
-                        _corr_payload(g, rep.name, task),
-                        _corr_text(g, rep.name, task),
-                        dot_export(g, task),
-                    )
-                )
+            results.extend(_corr_result(rep, task, cfg["convention"]) for rep in need_reps())
         elif task == "ktheory":
             need_table()
             for rep in need_reps():
@@ -507,24 +495,22 @@ def _run_tasks(cfg) -> list[tuple[str, dict, str, str | None]]:
             if cfg["out"] is None:
                 raise SpecError("export requires --out DIR")
             results.append(("table", {"task": "table"}, format_table(t), None))
-            for rep in need_reps():
-                g = build_e_graph(rep, cfg["convention"])
-                results.append(
-                    (
-                        f"egraph_{rep.name}",
-                        _corr_payload(g, rep.name, "egraph"),
-                        _corr_text(g, rep.name, "egraph"),
-                        dot_export(g, "egraph"),
-                    )
-                )
+            results.extend(_corr_result(rep, "egraph", cfg["convention"]) for rep in need_reps())
     return results
+
+
+def _corr_result(rep, task: str, convention: str) -> tuple[str, dict, str, str]:
+    g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
+    return (
+        f"{task}_{rep.name}",
+        _corr_payload(g, rep.name, task),
+        _corr_text(g, rep.name, task),
+        dot_export(g, task),
+    )
 
 
 def _emit(cfg, results) -> None:
     fmt = cfg["format"]
-    if "export" in cfg["tasks"]:
-        _emit_export(cfg, results)
-        return
     if cfg["out"] is None:
         if fmt == "json":
             doc = {
@@ -534,50 +520,36 @@ def _emit(cfg, results) -> None:
             }
             print(json.dumps(doc, indent=2, sort_keys=True))
         elif fmt == "dot":
-            chunks = []
-            for stem, _, _, dot in results:
-                if dot is None:
-                    raise SpecError(f"task output {stem} has no dot rendering")
-                chunks.append(dot)
-            print("".join(chunks), end="")
+            print("".join(_body(*res, "dot") for res in results), end="")
         else:
             print("\n".join(text.rstrip("\n") for _, _, text, _ in results))
         return
     os.makedirs(cfg["out"], exist_ok=True)
-    ext = {"text": "txt", "json": "json", "dot": "dot"}[fmt]
     for stem, payload, text, dot in results:
-        path = os.path.join(cfg["out"], f"{stem}.{ext}")
-        if fmt == "json":
-            body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        elif fmt == "dot":
-            if dot is None:
-                raise SpecError(f"task output {stem} has no dot rendering")
-            body = dot
+        # export writes the table as text and every other result as json,
+        # plus dot where it has one; the other tasks write --format
+        if "export" not in cfg["tasks"]:
+            exts = ["txt" if fmt == "text" else fmt]
+        elif stem == "table":
+            exts = ["txt"]
         else:
-            body = text
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        print(f"wrote {path}")
-
-
-def _emit_export(cfg, results) -> None:
-    os.makedirs(cfg["out"], exist_ok=True)
-    for stem, payload, text, dot in results:
-        if stem == "table":
-            path = os.path.join(cfg["out"], "table.txt")
+            exts = ["json"] if dot is None else ["json", "dot"]
+        for ext in exts:
+            body = _body(stem, payload, text, dot, ext)
+            path = os.path.join(cfg["out"], f"{stem}.{ext}")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(body)
             print(f"wrote {path}")
-            continue
-        jpath = os.path.join(cfg["out"], f"{stem}.json")
-        with open(jpath, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {jpath}")
-        if dot is not None:
-            dpath = os.path.join(cfg["out"], f"{stem}.dot")
-            with open(dpath, "w", encoding="utf-8") as fh:
-                fh.write(dot)
-            print(f"wrote {dpath}")
+
+
+def _body(stem: str, payload: dict, text: str, dot: str | None, ext: str) -> str:
+    if ext == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if ext == "dot":
+        if dot is None:
+            raise SpecError(f"task output {stem} has no dot rendering")
+        return dot
+    return text
 
 
 def run(argv=None) -> int:

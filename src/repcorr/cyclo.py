@@ -42,6 +42,28 @@ def _phi(n: int) -> int:
     return count
 
 
+def _mobius(n: int) -> int:
+    mu, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            mu = -mu
+        d += 1
+    return -mu if n > 1 else mu
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[Fraction, ...]:
+    """Tr(z^k) / phi(n) for each power-basis exponent k < phi(n) of Q(zeta_n).
+
+    Tr(zeta_n^k) is the Ramanujan sum c_n(k) = mu(m) phi(n) / phi(m) with
+    m = n / gcd(k, n), so the weight is mu(m) / phi(m).
+    """
+    return tuple(Fraction(_mobius(n // gcd(k, n)), _phi(n // gcd(k, n))) for k in range(_phi(n)))
+
+
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -221,9 +243,11 @@ class Cyclo:
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self) -> int:
-        # Hash on the complex embedding rounded hard; exact eq still rules.
-        z = self.embed()
-        return hash((round(z.real, 6), round(z.imag, 6)))
+        # The normalised trace Tr/phi(N) is exact, and embedding into a larger
+        # conductor multiplies Tr by the degree of the extension, so values
+        # that compare equal at different conductors hash equal.
+        weights = _trace_weights(self.conductor)
+        return hash(sum((c * w for c, w in zip(self.nums, weights) if c), Fraction(0)) / self.den)
 
     def conj(self) -> "Cyclo":
         """Complex conjugate, i.e. zeta -> zeta^(N-1)."""
@@ -327,7 +351,10 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
             coef = Fraction(1)
             k = int(m.group("k") or 1)
         else:
-            coef = Fraction(m.group("coef"))
+            try:
+                coef = Fraction(m.group("coef"))
+            except ZeroDivisionError as exc:
+                raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}") from exc
             if m.group("zc"):
                 k = int(m.group("kc") or 1)
             else:

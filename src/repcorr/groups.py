@@ -53,9 +53,6 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.index[self.op(self.elements[a], self.elements[b])]
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != 0:

@@ -1,8 +1,17 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_groups import ALL_SMALL_SPECS
 
+from repcorr import chartable
 from repcorr.chartable import (
+    _kernel_mod,
+    _least_prime,
+    _omega_vectors,
+    _split_subspace,
     character_table,
     format_table,
     load_table,
@@ -11,7 +20,7 @@ from repcorr.chartable import (
 )
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
-from repcorr.groups import conjugacy, construct_group
+from repcorr.groups import class_mult_coeffs, conjugacy, construct_group
 
 SPEC_POOL = [
     "cyclic:1",
@@ -208,6 +217,11 @@ def test_load_table_rejects_missing_rows():
         load_table(bad)
 
 
+def test_load_table_rejects_zero_denominator():
+    with pytest.raises(SpecError, match="zero denominator"):
+        load_table(S3_DOC.replace("2 | 0 | -1", "2 | 1/0 | -1"))
+
+
 def test_load_table_rejects_malformed_syntax():
     with pytest.raises(SpecError):
         load_table("group symmetric:3\nclasses 3\n")
@@ -241,3 +255,280 @@ def test_character_values_lie_in_declared_cyclotomic_field():
             for v in row:
                 assert t.zeta_order % v.conductor == 0
         assert t.zeta_order == cd.exponent
+
+
+def _class_data(spec):
+    g = construct_group(spec)
+    cd = conjugacy(g)
+    mats = [class_mult_coeffs(g, cd, i) for i in range(cd.count)]
+    return mats, _least_prime(cd.exponent, g.order)
+
+
+def _reference_omega_vectors(monkeypatch, mats, p, seed):
+    with monkeypatch.context() as m:
+        m.setattr(chartable, "_split_subspace", _reference_split_subspace)
+        return _omega_vectors(mats, p, seed)
+
+
+def test_omega_vectors_match_reference_split(monkeypatch):
+    for spec in ALL_SMALL_SPECS:
+        mats, p = _class_data(spec)
+        for seed in range(4):
+            want = _reference_omega_vectors(monkeypatch, mats, p, seed)
+            assert _omega_vectors(mats, p, seed) == want, (spec, seed)
+
+
+def test_corrupted_class_matrix_fails_like_the_reference(monkeypatch):
+    # One a_ijk changed at a time. Where the reference split raises, so must
+    # the new one (the piece is not invariant or does not diagonalize), and
+    # where it does not, both return the same vectors.
+    raised = 0
+    for spec in ("symmetric:3", "symmetric:4", "dihedral:4"):
+        mats, p = _class_data(spec)
+        r = len(mats)
+        for i in range(r):
+            for j in range(r):
+                for k in range(r):
+                    bad = [[list(row) for row in mat] for mat in mats]
+                    bad[i][j][k] += 1
+                    try:
+                        want = _reference_omega_vectors(monkeypatch, bad, p, 0)
+                    except VerificationError:
+                        with pytest.raises(VerificationError):
+                            _omega_vectors(bad, p, 0)
+                        raised += 1
+                    else:
+                        assert _omega_vectors(bad, p, 0) == want, (spec, i, j, k)
+    assert raised > 200
+
+
+def test_split_rejects_a_piece_that_is_not_an_eigenbasis():
+    p = 7
+    shift = [[0, 0], [1, 0]]  # e0 -> e1: span(e0) is not invariant
+    jordan = [[1, 1], [0, 1]]  # invariant but not diagonalizable
+    for basis, amat in (([[1, 0]], shift), ([[1, 0], [0, 1]], jordan)):
+        for split in (_split_subspace, _reference_split_subspace):
+            with pytest.raises(VerificationError):
+                split(basis, amat, p)
+    assert _split_subspace([[1, 0], [0, 1]], [[2, 0], [0, 5]], p) == [[[1, 0]], [[0, 1]]]
+
+
+def _null_count(m, p):
+    """#{x : m x = 0} over F_p, counting every combination of the columns."""
+    sums = Counter({(0,) * len(m): 1})
+    for j in range(len(m[0])):
+        col = [row[j] for row in m]
+        nxt = Counter()
+        for s, count in sums.items():
+            for a in range(p):
+                nxt[tuple((x + a * y) % p for x, y in zip(s, col))] += count
+        sums = nxt
+    return sums[(0,) * len(m)]
+
+
+_ENTRIES = st.one_of(st.just(0), st.integers(-40, 40))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 31]),
+    st.integers(1, 6).flatmap(
+        lambda nr: st.integers(1, 8).flatmap(
+            lambda nc: st.lists(st.lists(_ENTRIES, min_size=nc, max_size=nc),
+                                min_size=nr, max_size=nr)
+        )
+    ),
+)
+def test_kernel_mod_is_a_null_space_basis(p, m):
+    basis = _kernel_mod(m, p)
+    ncols = len(m[0])
+    assert basis == _reference_kernel_mod(m, p)
+    for x in basis:
+        assert len(x) == ncols and all(0 <= c < p for c in x)
+        assert all(sum(a * c for a, c in zip(row, x)) % p == 0 for row in m)
+    if basis:
+        # independent: no nonzero combination of the basis vectors vanishes
+        assert _reference_kernel_mod([list(col) for col in zip(*basis)], p) == []
+    if p <= 5:
+        assert p ** len(basis) == _null_count(m, p)
+
+
+# ---------------------------------------------------------------------------
+# The split as it was before it became one kernel routine: the restriction
+# matrix, a span solve, the Lagrange characteristic polynomial and its
+# eigenvalues. Kept verbatim (renamed `_reference_*`) as the oracle for the
+# eigenvectors `_split_subspace` now finds directly.
+
+
+def _reference_mat_vec(m: list[list[int]], v: list[int], p: int) -> list[int]:
+    return [sum(mi[k] * v[k] for k in range(len(v))) % p for mi in m]
+
+
+def _reference_kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {x : m x = 0} over F_p, deterministic echelon order."""
+    rows = [row[:] for row in m]
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(rows)):
+            if rows[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for ri, pc in enumerate(pivots):
+            vec[pc] = (-rows[ri][fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def _reference_solve_in_span(basis: list[list[int]], targets: list[list[int]], p: int) -> list[list[int]]:
+    """Express each target vector in the given (independent) basis.
+
+    Returns the coordinate vectors; raises if a target is outside the span.
+    """
+    k = len(basis)
+    n = len(basis[0])
+    t = len(targets)
+    aug = [[basis[j][i] for j in range(k)] + [tv[i] for tv in targets] for i in range(n)]
+    pivots = []
+    r = 0
+    for c in range(k):
+        sel = None
+        for i in range(r, n):
+            if aug[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            raise VerificationError("subspace basis is not independent")
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = pow(aug[r][c], -1, p)
+        aug[r] = [(x * inv) % p for x in aug[r]]
+        for i in range(n):
+            if i != r and aug[i][c] % p:
+                f = aug[i][c]
+                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, n):
+        if any(x % p for x in aug[i][k:]):
+            raise VerificationError("vector escaped its invariant subspace")
+    return [[aug[ri][k + j] for ri in range(r)] for j in range(t)]
+
+
+def _reference_charpoly_mod(m: list[list[int]], p: int) -> list[int]:
+    """det(m - x I) coefficients (constant first) via interpolation; needs
+    p > deg. Falls back on the caller for tiny p."""
+    k = len(m)
+    pts = list(range(k + 1))
+    vals = [_reference_det_mod([[m[i][j] - (x if i == j else 0) for j in range(k)] for i in range(k)], p)
+            for x in pts]
+    # Lagrange interpolation over F_p
+    coeffs = [0] * (k + 1)
+    for i, xi in enumerate(pts):
+        num = [1]
+        denom = 1
+        for j, xj in enumerate(pts):
+            if i == j:
+                continue
+            num = _reference_poly_mul_mod(num, [-xj % p, 1], p)
+            denom = denom * (xi - xj) % p
+        scale = vals[i] * pow(denom, -1, p) % p
+        for d, c in enumerate(num):
+            coeffs[d] = (coeffs[d] + scale * c) % p
+    return coeffs
+
+
+def _reference_poly_mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _reference_det_mod(m: list[list[int]], p: int) -> int:
+    m = [row[:] for row in m]
+    n = len(m)
+    det = 1
+    for c in range(n):
+        sel = None
+        for i in range(c, n):
+            if m[i][c] % p:
+                sel = i
+                break
+        if sel is None:
+            return 0
+        if sel != c:
+            m[c], m[sel] = m[sel], m[c]
+            det = -det
+        det = det * m[c][c] % p
+        inv = pow(m[c][c], -1, p)
+        for i in range(c + 1, n):
+            if m[i][c] % p:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
+    return det % p
+
+
+def _reference_eigenvalues_mod(r: list[list[int]], p: int) -> list[int]:
+    k = len(r)
+    if p <= k + 1:
+        return [lam for lam in range(p)
+                if _reference_det_mod([[r[i][j] - (lam if i == j else 0) for j in range(k)]
+                             for i in range(k)], p) == 0]
+    poly = _reference_charpoly_mod(r, p)
+    out = []
+    for lam in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * lam + c) % p
+        if acc == 0:
+            out.append(lam)
+    return out
+
+
+def _reference_split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) -> list[list[list[int]]]:
+    k = len(basis)
+    images = [_reference_mat_vec(amat, b, p) for b in basis]
+    rcols = _reference_solve_in_span(basis, images, p)
+    # restriction matrix: column j = coordinates of A * basis[j]
+    rmat = [[rcols[j][i] for j in range(k)] for i in range(k)]
+    eigs = _reference_eigenvalues_mod(rmat, p)
+    pieces = []
+    total = 0
+    for lam in eigs:
+        shifted = [[(rmat[i][j] - (lam if i == j else 0)) % p for j in range(k)] for i in range(k)]
+        kern = _reference_kernel_mod(shifted, p)
+        if not kern:
+            continue
+        total += len(kern)
+        lifted = []
+        for w in kern:
+            vec = [0] * len(basis[0])
+            for j, c in enumerate(w):
+                if c:
+                    for t in range(len(vec)):
+                        vec[t] = (vec[t] + c * basis[j][t]) % p
+            lifted.append(vec)
+        pieces.append(lifted)
+    if total != k:
+        raise VerificationError("class matrix failed to diagonalize over F_p")
+    return pieces

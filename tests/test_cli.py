@@ -262,6 +262,7 @@ def test_bad_specs_exit_2():
         ("--group", "symmetric:3", "--task", "circle"),
         ("--rep", "f=angles:[1/0]", "--task", "circle"),
         ("--rep", "f=freqs:[1/0]", "--task", "circle"),
+        ("--group", "cyclic:2", "--rep", "char:[1/0,1]", "--task", "decompose"),
     ]
     for case in cases:
         r = run_cli(*case)

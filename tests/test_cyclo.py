@@ -103,6 +103,17 @@ def test_embedding_oracle_randomized():
         assert abs(a.conj().embed() - a.embed().conjugate()) < 1e-9
 
 
+def test_hash_is_exact_and_conductor_invariant():
+    assert hash(zeta(4, 2)) == hash(-1) == hash(Cyclo.from_rational(-1))
+    assert hash(zeta(6)) == hash(zeta(6).to_conductor(60))
+    assert len({zeta(6), zeta(6).to_conductor(60), -zeta(3, 2)}) == 1
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12])
+        a = _random_cyclo(rng, n)
+        assert hash(a) == hash(a.to_conductor(n * rng.choice([2, 3, 5, 7])))
+
+
 def test_text_roundtrip():
     rng = random.Random(13)
     for _ in range(200):
