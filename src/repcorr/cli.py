@@ -22,7 +22,7 @@ import os
 import sys
 
 from .chartable import CharTable, character_table, format_table
-from .corrgraph import CONVENTIONS, CorrGraph, build_d_graph, build_e_graph, ktheory_corr
+from .corrgraph import CONVENTIONS, build_d_graph, build_e_graph, ktheory_corr
 from .errors import SpecError, VerificationError
 from .graphs import (
     CircleGraph,
@@ -37,11 +37,9 @@ from .graphs import (
     sources_sinks,
     SkewSpec,
 )
-from .groups import _int_list, _split_top_level, construct_group
+from .groups import _bracket_items, construct_group, cyclic_factors
 from .intlinalg import KGroups
-from .reps import is_pi_injective, parse_rep_spec
-
-TASKS = ("table", "decompose", "egraph", "dgraph", "ktheory", "skew", "circle", "export")
+from .reps import Rep, is_pi_injective, parse_rep_spec
 
 __all__ = ["main", "run"]
 
@@ -63,7 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "char:[..], tensor(..), dsum(..), cocycle:[..], zcocycle:[..], "
         "angles:[..], freqs:[..]",
     )
-    p.add_argument("--task", help="comma separated tasks: " + ", ".join(TASKS))
+    p.add_argument(
+        "--task", dest="tasks", metavar="TASK", help="comma separated tasks: " + ", ".join(TASKS)
+    )
     p.add_argument("--convention", choices=list(CONVENTIONS), default=None)
     p.add_argument("--seed", type=int, default=None, help="table algorithm seed")
     p.add_argument("--window", type=int, default=None, help="window radius for skew")
@@ -73,71 +73,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_JOB_KEYS = ("group", "tasks", "convention", "seed", "window", "format", "out")
+# Every setting a job file or a flag can give, with its default. Flags win
+# over the job file, which wins over these; job values of the integer
+# settings are converted when the file is read.
+_SETTINGS = {
+    "group": None,
+    "tasks": "",
+    "convention": "paper-min",
+    "seed": 0,
+    "window": 1,
+    "format": "text",
+    "out": None,
+}
 
 
 def _read_job(path: str) -> dict:
     job: dict = {"reps": []}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            key, value = key.strip(), value.strip()
-            if key.startswith("rep."):
-                name = key[4:]
-                if not name.isidentifier():
-                    raise SpecError(f"{path}:{lineno}: bad rep name {name!r}")
-                job["reps"].append((name, value))
-            elif key in _JOB_KEYS:
-                job[key] = value
-            else:
-                raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"{path}: job file is not valid UTF-8 ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SpecError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        key, value = key.strip(), value.strip()
+        if key.startswith("rep."):
+            name = key[4:]
+            if not name.isidentifier():
+                raise SpecError(f"{path}:{lineno}: bad rep name {name!r}")
+            job["reps"].append((name, value))
+        elif key not in _SETTINGS:
+            raise SpecError(f"{path}:{lineno}: unknown key {key!r}")
+        elif isinstance(_SETTINGS[key], int):
+            try:
+                job[key] = int(value)
+            except ValueError as exc:
+                raise SpecError(f"job key {key} must be an integer") from exc
+        else:
+            job[key] = value
     return job
 
 
 def _gather_settings(args) -> dict:
-    cfg = {
-        "group": None,
-        "tasks": [],
-        "convention": "paper-min",
-        "seed": 0,
-        "window": 1,
-        "format": "text",
-        "out": None,
-        "reps": [],
-    }
+    cfg = {**_SETTINGS, "reps": []}
     if args.job:
-        job = _read_job(args.job)
-        cfg["reps"] = list(job.get("reps", []))
-        for key in ("group", "convention", "format", "out"):
-            if key in job:
-                cfg[key] = job[key]
-        if "tasks" in job:
-            cfg["tasks"] = [t.strip() for t in job["tasks"].split(",") if t.strip()]
-        for key in ("seed", "window"):
-            if key in job:
-                try:
-                    cfg[key] = int(job[key])
-                except ValueError as exc:
-                    raise SpecError(f"job key {key} must be an integer") from exc
-    if args.group is not None:
-        cfg["group"] = args.group
-    if args.task is not None:
-        cfg["tasks"] = [t.strip() for t in args.task.split(",") if t.strip()]
-    if args.convention is not None:
-        cfg["convention"] = args.convention
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.window is not None:
-        cfg["window"] = args.window
-    if args.format is not None:
-        cfg["format"] = args.format
-    if args.out is not None:
-        cfg["out"] = args.out
+        cfg.update(_read_job(args.job))
+    cfg.update((key, getattr(args, key)) for key in _SETTINGS if getattr(args, key) is not None)
     if args.rep:
         named = []
         for k, entry in enumerate(args.rep):
@@ -151,17 +137,13 @@ def _gather_settings(args) -> dict:
         raise SpecError(f"unknown convention {cfg['convention']!r}")
     if cfg["format"] not in ("text", "json", "dot"):
         raise SpecError(f"unknown format {cfg['format']!r}")
-    if not cfg["tasks"]:
+    tasks = [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
+    if not tasks:
         raise SpecError("no tasks given; use --task or a job file")
-    seen = set()
-    ordered = []
-    for t in cfg["tasks"]:
+    for t in tasks:
         if t not in TASKS:
             raise SpecError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
-        if t not in seen:
-            seen.add(t)
-            ordered.append(t)
-    cfg["tasks"] = ordered
+    cfg["tasks"] = list(dict.fromkeys(tasks))
     return cfg
 
 
@@ -169,14 +151,9 @@ def _gather_settings(args) -> dict:
 # auxiliary input specs
 
 
-_AUX_HEADS = ("cocycle", "zcocycle", "angles", "freqs")
-
-
-def _parse_cocycle(body: str) -> tuple[tuple[int, ...], ...]:
-    parts = _split_top_level(body)
+def _parse_cocycle(parts: list[str]) -> tuple[tuple[int, ...], ...]:
     values = []
     for part in parts:
-        part = part.strip()
         try:
             if part.startswith("(") and part.endswith(")"):
                 values.append(
@@ -194,63 +171,70 @@ def _parse_cocycle(body: str) -> tuple[tuple[int, ...], ...]:
     return tuple(values)
 
 
-def _classify_inputs(cfg, need_table):
-    """Split the --rep entries into representations and auxiliary inputs.
-
-    Cocycles are tagged "finite" (head cocycle:, dual group taken from the
-    abelian --group spec) or "free" (head zcocycle:, dual group Z^d with the
-    --window radius).
-    """
-    reps, cocycles, freq_lists = [], [], []
-    for name, spec in cfg["reps"]:
-        head = spec.split(":", 1)[0].strip()
-        if head in _AUX_HEADS:
-            body = spec.split(":", 1)[1].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise SpecError(f"expected a bracketed list in {spec!r}")
-            body = body[1:-1]
-            if head in ("cocycle", "zcocycle"):
-                kind = "finite" if head == "cocycle" else "free"
-                cocycles.append((name, kind, _parse_cocycle(body)))
-            else:
-                parts = _split_top_level(body)
-                if not parts:
-                    raise SpecError(f"{head} list is empty in {spec!r}")
-                freq_lists.append((name, head, tuple(parse_frequency(x) for x in parts)))
-        else:
-            reps.append(parse_rep_spec(need_table(), spec, name=name))
-    return reps, cocycles, freq_lists
-
-
 def _dual_orders(group_spec: str | None) -> tuple[int, ...]:
     """Cyclic factor orders of the dual of an abelian group spec."""
     if group_spec is None:
         raise SpecError(
             "a finite dual group needs --group cyclic:n or product:[n1,...]"
         )
-    head, _, rest = group_spec.strip().partition(":")
-    head = head.strip()
-    if head == "cyclic":
-        try:
-            n = int(rest.strip())
-        except ValueError as exc:
-            raise SpecError(f"bad group spec {group_spec!r}") from exc
-        if n < 1:
-            raise SpecError(f"bad group spec {group_spec!r}")
-        return (n,)
-    if head == "product":
-        orders = tuple(_int_list(rest, group_spec))
-        if not orders or any(o < 1 for o in orders):
-            raise SpecError(f"bad group spec {group_spec!r}")
-        return orders
-    raise SpecError(
-        f"group {group_spec!r} is not given as a product of cyclic factors; "
-        "finite dual groups need cyclic:n or product:[n1,...]"
-    )
+    orders = cyclic_factors(group_spec)
+    if orders is None:
+        raise SpecError(
+            f"group {group_spec!r} is not given as a product of cyclic factors; "
+            "finite dual groups need cyclic:n or product:[n1,...]"
+        )
+    return orders
+
+
+class _Inputs:
+    """One run's settings, its character table (built on first use), its
+    representations and its auxiliary inputs.
+
+    The --rep entries are split into representations and auxiliary inputs.
+    Cocycles are tagged "finite" (head cocycle:, dual group taken from the
+    abelian --group spec) or "free" (head zcocycle:, dual group Z^d with the
+    --window radius).
+    """
+
+    def __init__(self, cfg: dict):
+        self.cfg = cfg
+        self._table: CharTable | None = None
+        self.reps, self.cocycles, self.freq_lists = [], [], []
+        for name, spec in cfg["reps"]:
+            head, _, arg = spec.partition(":")
+            head = head.strip()
+            if head in ("cocycle", "zcocycle"):
+                kind = "finite" if head == "cocycle" else "free"
+                self.cocycles.append((name, kind, _parse_cocycle(_bracket_items(arg, spec))))
+            elif head in ("angles", "freqs"):
+                parts = _bracket_items(arg, spec)
+                if not parts:
+                    raise SpecError(f"{head} list is empty in {spec!r}")
+                self.freq_lists.append((name, head, tuple(parse_frequency(x) for x in parts)))
+            else:
+                self.reps.append(parse_rep_spec(self.table(), spec, name=name))
+
+    def table(self) -> CharTable:
+        if self.cfg["group"] is None:
+            raise SpecError("--group is required for this task")
+        if self._table is None:
+            self._table = character_table(
+                construct_group(self.cfg["group"]), seed=self.cfg["seed"]
+            )
+        return self._table
+
+    def need_reps(self) -> list[Rep]:
+        self.table()
+        if not self.reps:
+            raise SpecError("this task needs at least one representation (--rep)")
+        return self.reps
 
 
 # ---------------------------------------------------------------------------
 # task handlers produce (stem, payload, text, dot)
+
+
+_WORDS = {True: "yes", False: "no", None: "undecided"}
 
 
 def _kgroups_payload(k: KGroups) -> dict:
@@ -263,250 +247,207 @@ def _kgroups_payload(k: KGroups) -> dict:
     }
 
 
-def _corr_payload(g: CorrGraph, rep_name: str, task: str) -> dict:
-    edges = []
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst)):
-        for _ in range(e.count):
-            edges.append(
-                {
-                    "src": e.src,
-                    "dst": e.dst,
-                    "label_rows": e.rows,
-                    "label_cols": e.cols,
-                }
-            )
-    return {
+def _corr_result(rep: Rep, task: str, convention: str) -> tuple[str, dict, str, str]:
+    g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
+    edges = sorted(g.edges, key=lambda e: (e.src, e.dst))
+    payload = {
         "task": task,
-        "rep": rep_name,
+        "rep": rep.name,
         "convention": g.convention,
         "vertices": [
             {"index": i, "algebra_dim": d} for i, d in enumerate(g.dims)
         ],
-        "edges": edges,
+        "edges": [
+            {"src": e.src, "dst": e.dst, "label_rows": e.rows, "label_cols": e.cols}
+            for e in edges
+            for _ in range(e.count)
+        ],
         "B": [list(row) for row in g.b_matrix.entries],
     }
-
-
-def _corr_text(g: CorrGraph, rep_name: str, task: str) -> str:
-    lines = [f"{task} for {rep_name} ({g.convention})"]
+    lines = [f"{task} for {rep.name} ({g.convention})"]
     lines.append("vertices: " + ", ".join(f"pi{i}:M{d}" for i, d in enumerate(g.dims)))
     lines.append("B matrix (B[k][i] = edges i->k):")
     for row in g.b_matrix.entries:
         lines.append("  " + " ".join(str(x) for x in row))
-    for e in sorted(g.edges, key=lambda e: (e.src, e.dst)):
+    for e in edges:
         lines.append(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}")
-    return "\n".join(lines) + "\n"
+    return (f"{task}_{rep.name}", payload, "\n".join(lines) + "\n", dot_export(g, task))
 
 
-def _run_tasks(cfg) -> list[tuple[str, dict, str, str | None]]:
-    cache: list[CharTable] = []
+def _table_results(inputs: _Inputs) -> list:
+    t = inputs.table()
+    payload = {
+        "task": "table",
+        "group": t.group.spec,
+        "classes": t.classes.count,
+        "zeta": t.zeta_order,
+        "class_sizes": list(t.classes.sizes),
+        "class_representatives": [
+            t.group.labels[r] for r in t.classes.representatives
+        ],
+        "irreps": [
+            {
+                "name": t.labels[i],
+                "dim": t.dims[i],
+                "values": [v.text() for v in t.values[i]],
+            }
+            for i in range(t.count)
+        ],
+    }
+    return [("table", payload, format_table(t), None)]
 
-    def need_table() -> CharTable:
-        if cfg["group"] is None:
-            raise SpecError("--group is required for this task")
-        if not cache:
-            cache.append(
-                character_table(construct_group(cfg["group"]), seed=cfg["seed"])
-            )
-        return cache[0]
 
-    reps, cocycles, freq_lists = _classify_inputs(cfg, need_table)
+def _decompose_result(rep: Rep, convention: str) -> tuple:
+    payload = {
+        "task": "decompose",
+        "rep": rep.name,
+        "dim": rep.dim,
+        "mults": list(rep.mults),
+        "pi_injective": is_pi_injective(rep),
+        "character": [v.text() for v in rep.character()],
+    }
+    text = (
+        f"decompose {rep.name}: dim {rep.dim}, "
+        "mults "
+        + " ".join(f"{lbl}:{m}" for lbl, m in zip(rep.table.labels, rep.mults))
+        + f", pi injective: {_WORDS[payload['pi_injective']]}\n"
+    )
+    return (f"decompose_{rep.name}", payload, text, None)
 
-    def need_reps():
-        if not reps:
-            raise SpecError("this task needs at least one representation (--rep)")
-        return reps
 
+def _ktheory_result(rep: Rep, convention: str) -> tuple:
+    mg = from_corr(build_e_graph(rep, convention))
+    via_graph = ktheory_graph(mg)
+    via_bimodule = ktheory_corr(rep)
+    agree = via_graph == via_bimodule
+    simp = simplicity_check(mg)
+    sources, sinks = sources_sinks(mg)
+    payload = {
+        "task": "ktheory",
+        "rep": rep.name,
+        "convention": convention,
+        "graph_path": _kgroups_payload(via_graph),
+        "bimodule_path": _kgroups_payload(via_bimodule),
+        "agree": agree,
+        "authoritative": "bimodule_path",
+        "sources": list(sources),
+        "sinks": list(sinks),
+        "simplicity": {
+            "every_cycle_has_exit": simp.every_cycle_has_exit,
+            "cofinal": simp.cofinal,
+            "simple": simp.simple,
+            "purely_infinite_simple": simp.purely_infinite_simple,
+        },
+    }
+    text = (
+        f"ktheory for {rep.name} ({convention})\n"
+        f"graph path:    K0 = {via_graph.k0_pretty()}, "
+        f"K1 = {via_graph.k1_pretty()}\n"
+        f"bimodule path: K0 = {via_bimodule.k0_pretty()}, "
+        f"K1 = {via_bimodule.k1_pretty()}\n"
+        f"paths agree: {'yes' if agree else 'no (bimodule path is authoritative)'}\n"
+        f"simple: {_WORDS[simp.simple]}"
+        f" (every cycle has an exit: {_WORDS[simp.every_cycle_has_exit]},"
+        f" cofinal: {_WORDS[simp.cofinal]})\n"
+        f"purely infinite simple: {_WORDS[simp.purely_infinite_simple]}\n"
+    )
+    return (f"ktheory_{rep.name}", payload, text, None)
+
+
+def _skew_results(inputs: _Inputs) -> list:
+    if len(inputs.cocycles) != 1:
+        raise SpecError(
+            "skew needs exactly one cocycle:[...] or zcocycle:[...] input"
+        )
+    cname, kind, values = inputs.cocycles[0]
+    if kind == "finite":
+        orders = _dual_orders(inputs.cfg["group"])
+        spec = SkewSpec(cocycle=values, orders=orders)
+        dual = " x ".join(f"Z/{o}" for o in orders)
+    else:
+        rank, window = len(values[0]), inputs.cfg["window"]
+        spec = SkewSpec(cocycle=values, orders=None, rank=rank, window=window)
+        dual = f"Z^{rank} (window {window})"
+    sk = skew_product(spec)
+    sources, sinks = sources_sinks(sk)
+    payload = {
+        "task": "skew",
+        "cocycle": cname,
+        "dual_group": dual,
+        "edges_per_vertex": len(values),
+        "vertices": [
+            {"index": i, "name": name} for i, name in enumerate(sk.names)
+        ],
+        "A": [list(row) for row in sk.a],
+        "stubs": [
+            {"src": s.src, "target": s.target, "count": s.count}
+            for s in sk.stubs
+        ],
+        "sources": list(sources),
+        "sinks": list(sinks),
+    }
+    text_lines = [
+        f"skew product of the {len(values)}-edge rose by {cname} over {dual}",
+        f"vertices: {sk.n}, edges: {sk.edge_count()}, stubs: {len(sk.stubs)}",
+        "A matrix (A[v][w] = edges w->v):",
+    ]
+    for row in sk.a:
+        text_lines.append("  " + " ".join(str(x) for x in row))
+    for s in sk.stubs:
+        text_lines.append(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}")
+    return [(f"skew_{cname}", payload, "\n".join(text_lines) + "\n", dot_export(sk, "skew"))]
+
+
+def _circle_results(inputs: _Inputs) -> list:
+    if not inputs.freq_lists:
+        raise SpecError("circle needs angles:[...] or freqs:[...] inputs")
     results = []
-    for task in cfg["tasks"]:
-        if task == "table":
-            t = need_table()
-            doc = format_table(t)
-            payload = {
-                "task": "table",
-                "group": t.group.spec,
-                "classes": t.classes.count,
-                "zeta": t.zeta_order,
-                "class_sizes": list(t.classes.sizes),
-                "class_representatives": [
-                    t.group.labels[r] for r in t.classes.representatives
-                ],
-                "irreps": [
-                    {
-                        "name": t.labels[i],
-                        "dim": t.dims[i],
-                        "values": [v.text() for v in t.values[i]],
-                    }
-                    for i in range(t.count)
-                ],
-            }
-            results.append(("table", payload, doc, None))
-        elif task == "decompose":
-            need_table()
-            for rep in need_reps():
-                payload = {
-                    "task": "decompose",
-                    "rep": rep.name,
-                    "dim": rep.dim,
-                    "mults": list(rep.mults),
-                    "pi_injective": is_pi_injective(rep),
-                    "character": [v.text() for v in rep.character()],
-                }
-                text = (
-                    f"decompose {rep.name}: dim {rep.dim}, "
-                    "mults "
-                    + " ".join(
-                        f"{lbl}:{m}" for lbl, m in zip(rep.table.labels, rep.mults)
-                    )
-                    + f", pi injective: {'yes' if payload['pi_injective'] else 'no'}\n"
-                )
-                results.append((f"decompose_{rep.name}", payload, text, None))
-        elif task in ("egraph", "dgraph"):
-            need_table()
-            results.extend(_corr_result(rep, task, cfg["convention"]) for rep in need_reps())
-        elif task == "ktheory":
-            need_table()
-            for rep in need_reps():
-                corr = build_e_graph(rep, cfg["convention"])
-                mg = from_corr(corr)
-                via_graph = ktheory_graph(mg)
-                via_bimodule = ktheory_corr(rep)
-                agree = via_graph == via_bimodule
-                simp = simplicity_check(mg)
-                sources, sinks = sources_sinks(mg)
-                payload = {
-                    "task": "ktheory",
-                    "rep": rep.name,
-                    "convention": cfg["convention"],
-                    "graph_path": _kgroups_payload(via_graph),
-                    "bimodule_path": _kgroups_payload(via_bimodule),
-                    "agree": agree,
-                    "authoritative": "bimodule_path",
-                    "sources": list(sources),
-                    "sinks": list(sinks),
-                    "simplicity": {
-                        "every_cycle_has_exit": simp.every_cycle_has_exit,
-                        "cofinal": simp.cofinal,
-                        "simple": simp.simple,
-                        "purely_infinite_simple": simp.purely_infinite_simple,
-                    },
-                }
-                text = (
-                    f"ktheory for {rep.name} ({cfg['convention']})\n"
-                    f"graph path:    K0 = {via_graph.k0_pretty()}, "
-                    f"K1 = {via_graph.k1_pretty()}\n"
-                    f"bimodule path: K0 = {via_bimodule.k0_pretty()}, "
-                    f"K1 = {via_bimodule.k1_pretty()}\n"
-                    f"paths agree: {'yes' if agree else 'no (bimodule path is authoritative)'}\n"
-                    f"simple: {'yes' if simp.simple else 'no'}"
-                    f" (every cycle has an exit: "
-                    f"{'yes' if simp.every_cycle_has_exit else 'no'},"
-                    f" cofinal: {'yes' if simp.cofinal else 'no'})\n"
-                    f"purely infinite simple: "
-                    f"{'yes' if simp.purely_infinite_simple else 'no'}\n"
-                )
-                results.append((f"ktheory_{rep.name}", payload, text, None))
-        elif task == "skew":
-            if len(cocycles) != 1:
-                raise SpecError(
-                    "skew needs exactly one cocycle:[...] or zcocycle:[...] input"
-                )
-            cname, kind, values = cocycles[0]
-            if kind == "finite":
-                orders = _dual_orders(cfg["group"])
-                spec = SkewSpec(cocycle=values, orders=orders)
-                dual = " x ".join(f"Z/{o}" for o in orders)
-            else:
-                rank = len(values[0])
-                spec = SkewSpec(
-                    cocycle=values, orders=None, rank=rank, window=cfg["window"]
-                )
-                dual = f"Z^{rank} (window {cfg['window']})"
-            sk = skew_product(spec)
-            sources, sinks = sources_sinks(sk)
-            payload = {
-                "task": "skew",
-                "cocycle": cname,
-                "dual_group": dual,
-                "edges_per_vertex": len(values),
-                "vertices": [
-                    {"index": i, "name": name} for i, name in enumerate(sk.names)
-                ],
-                "A": [list(row) for row in sk.a],
-                "stubs": [
-                    {"src": s.src, "target": s.target, "count": s.count}
-                    for s in sk.stubs
-                ],
-                "sources": list(sources),
-                "sinks": list(sinks),
-            }
-            text_lines = [
-                f"skew product of the {len(values)}-edge rose by {cname} "
-                f"over {dual}",
-                f"vertices: {sk.n}, edges: {sk.edge_count()}, stubs: {len(sk.stubs)}",
-                "A matrix (A[v][w] = edges w->v):",
-            ]
-            for row in sk.a:
-                text_lines.append("  " + " ".join(str(x) for x in row))
-            for s in sk.stubs:
-                text_lines.append(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}")
-            results.append(
-                (
-                    f"skew_{cname}",
-                    payload,
-                    "\n".join(text_lines) + "\n",
-                    dot_export(sk, "skew"),
-                )
-            )
-        elif task == "circle":
-            if not freq_lists:
-                raise SpecError("circle needs angles:[...] or freqs:[...] inputs")
-            for name, kind, freqs in freq_lists:
-                if kind == "angles":
-                    rep = circle_analysis(CircleGraph(angles=freqs))
-                    payload = {
-                        "task": "circle",
-                        "input": name,
-                        "kind": "angles",
-                        "orbit_group_order": rep.orbit_group_order,
-                        "dense": rep.dense,
-                    }
-                    if rep.dense:
-                        text = f"circle orbit for {name}: dense, infinite orbit group\n"
-                    else:
-                        text = (
-                            f"circle orbit for {name}: finite orbit group of "
-                            f"order {rep.orbit_group_order}\n"
-                        )
-                    results.append((f"circle_{name}", payload, text, None))
-                else:
-                    verdict = semigroup_r_check(freqs)
-                    payload = {
-                        "task": "circle",
-                        "input": name,
-                        "kind": "freqs",
-                        "fills_line": verdict,
-                    }
-                    word = {True: "yes", False: "no", None: "undecided"}[verdict]
-                    text = f"frequency semigroup {name} fills the line: {word}\n"
-                    results.append((f"circle_{name}", payload, text, None))
-        elif task == "export":
-            t = need_table()
-            if cfg["out"] is None:
-                raise SpecError("export requires --out DIR")
-            results.append(("table", {"task": "table"}, format_table(t), None))
-            results.extend(_corr_result(rep, "egraph", cfg["convention"]) for rep in need_reps())
+    for name, kind, freqs in inputs.freq_lists:
+        payload = {"task": "circle", "input": name, "kind": kind}
+        if kind == "angles":
+            rep = circle_analysis(CircleGraph(angles=freqs))
+            payload.update(orbit_group_order=rep.orbit_group_order, dense=rep.dense)
+            orbit = f"finite orbit group of order {rep.orbit_group_order}"
+            if rep.dense:
+                orbit = "dense, infinite orbit group"
+            text = f"circle orbit for {name}: {orbit}\n"
+        else:
+            payload["fills_line"] = semigroup_r_check(freqs)
+            text = f"frequency semigroup {name} fills the line: {_WORDS[payload['fills_line']]}\n"
+        results.append((f"circle_{name}", payload, text, None))
     return results
 
 
-def _corr_result(rep, task: str, convention: str) -> tuple[str, dict, str, str]:
-    g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
-    return (
-        f"{task}_{rep.name}",
-        _corr_payload(g, rep.name, task),
-        _corr_text(g, rep.name, task),
-        dot_export(g, task),
-    )
+def _export_results(inputs: _Inputs) -> list:
+    table = _table_results(inputs)
+    if inputs.cfg["out"] is None:
+        raise SpecError("export requires --out DIR")
+    return table + _TASK_RESULTS["egraph"](inputs)
+
+
+def _each_rep(result):
+    """A task that adds result(rep, convention) for every representation."""
+    return lambda inputs: [result(rep, inputs.cfg["convention"]) for rep in inputs.need_reps()]
+
+
+# task name -> the (stem, payload, text, dot) results it adds, in this order
+_TASK_RESULTS = {
+    "table": _table_results,
+    "decompose": _each_rep(_decompose_result),
+    "egraph": _each_rep(lambda rep, convention: _corr_result(rep, "egraph", convention)),
+    "dgraph": _each_rep(lambda rep, convention: _corr_result(rep, "dgraph", convention)),
+    "ktheory": _each_rep(_ktheory_result),
+    "skew": _skew_results,
+    "circle": _circle_results,
+    "export": _export_results,
+}
+
+TASKS = tuple(_TASK_RESULTS)
+
+
+def _run_tasks(cfg) -> list[tuple[str, dict, str, str | None]]:
+    inputs = _Inputs(cfg)
+    return [res for task in cfg["tasks"] for res in _TASK_RESULTS[task](inputs)]
 
 
 def _emit(cfg, results) -> None:

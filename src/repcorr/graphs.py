@@ -144,6 +144,14 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
     cofinality (every vertex reaches every cycle and every sink); purely
     infinite additionally needs every vertex to reach some cycle. In the
     reversed graph the row v of the stored matrix lists the edges leaving v.
+
+    Some cycle has no exit exactly when some vertex v reaches only vertices
+    that emit exactly one edge (counted with multiplicity). If a cycle has
+    no exit, each of its vertices emits only its cycle edge, so a vertex v
+    on it reaches only that cycle. Conversely, if everything v reaches emits
+    one edge, the walk from v is forced and never stops, so it closes a
+    cycle among the vertices v reaches, and no vertex of that cycle emits
+    another edge: the cycle has no exit.
     """
     n = g.n
     rev = g.a
@@ -152,29 +160,8 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
 
     on_cycle = {v for v in range(n) if any(v in reach[w] for w in succ[v])}
     sinks = {v for v in range(n) if not succ[v]}
-
-    # a cycle with no exit lives inside the out-degree-one functional part
-    every_cycle_has_exit = True
-    next_of = {}
-    for v in range(n):
-        if sum(rev[v]) == 1:
-            next_of[v] = succ[v][0]
-    state = {v: 0 for v in next_of}  # 0 unseen, 1 in progress, 2 done
-    for v in next_of:
-        if state[v]:
-            continue
-        path = []
-        w = v
-        while w in next_of and state[w] == 0:
-            state[w] = 1
-            path.append(w)
-            w = next_of[w]
-        if w in next_of and state[w] == 1:
-            every_cycle_has_exit = False
-        for u in path:
-            state[u] = 2
-        if not every_cycle_has_exit:
-            break
+    single = {v for v in range(n) if sum(rev[v]) == 1}
+    every_cycle_has_exit = not any(r <= single for r in reach)
 
     targets = sinks | on_cycle
     cofinal = all(targets <= r for r in reach)

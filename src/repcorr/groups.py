@@ -25,7 +25,9 @@ __all__ = [
     "Group",
     "ClassData",
     "DEFAULT_ORDER_CAP",
+    "MAX_PERM_POINTS",
     "construct_group",
+    "cyclic_factors",
     "conjugacy",
     "class_mult_coeffs",
     "parse_cycles",
@@ -33,6 +35,9 @@ __all__ = [
 
 DEFAULT_ORDER_CAP = 5040
 ORDER_CAP_ENV = "REPCORR_ORDER_CAP"
+# A permutation on N points is allocated as an N-tuple, so the largest point
+# is checked against this before anything is built.
+MAX_PERM_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,10 @@ def parse_cycles(text: str, n_points: int | None = None) -> tuple[int, ...]:
         raise SpecError(f"bad cycle notation {text!r}")
     cycles = []
     for body in re.findall(r"\(([^()]*)\)", text):
-        pts = [int(tok) for tok in body.split()]
+        try:
+            pts = [int(tok) for tok in body.split()]
+        except ValueError as exc:  # a point with more digits than int() reads
+            raise SpecError(f"cycle point beyond the cap of {MAX_PERM_POINTS}: {text!r}") from exc
         if any(p < 1 for p in pts):
             raise SpecError(f"cycle points are 1-based: {text!r}")
         if len(set(pts)) != len(pts):
@@ -121,6 +129,8 @@ def parse_cycles(text: str, n_points: int | None = None) -> tuple[int, ...]:
     n = n_points if n_points is not None else top
     if top > n:
         raise SpecError(f"cycle touches point beyond {n}: {text!r}")
+    if n > MAX_PERM_POINTS:
+        raise SpecError(f"permutation on {n} points exceeds the cap of {MAX_PERM_POINTS}: {text!r}")
     perm = list(range(n))
     for cyc in cycles:
         if len(cyc) < 2:
@@ -199,23 +209,39 @@ def _closure(identity, gens, mul, label, spec: str, cap: int) -> Group:
 _GROUP_RE = re.compile(r"^\s*(cyclic|product|dihedral|symmetric|perm)\s*:\s*(.+?)\s*$")
 
 
-def construct_group(spec: str, order_cap: int | None = None) -> Group:
+def _family(spec: str) -> tuple[str, str]:
     m = _GROUP_RE.match(spec)
     if not m:
         raise SpecError(f"bad group spec {spec!r}")
-    family, arg = m.group(1), m.group(2)
+    return m.group(1), m.group(2)
+
+
+def cyclic_factors(spec: str) -> tuple[int, ...] | None:
+    """The factor orders of a `cyclic:n` or `product:[n1,...]` spec, or None
+    for the other families. Raises SpecError for a malformed spec."""
+    family, arg = _family(spec)
+    if family == "cyclic":
+        return (_positive_int(arg, spec),)
+    if family == "product":
+        factors = _int_list(arg, spec)
+        if not factors or any(f < 1 for f in factors):
+            raise SpecError(f"product factors must be positive: {spec!r}")
+        return tuple(factors)
+    return None
+
+
+def construct_group(spec: str, order_cap: int | None = None) -> Group:
+    family, arg = _family(spec)
     cap = _order_cap(order_cap)
 
     if family == "cyclic":
-        n = _positive_int(arg, spec)
+        (n,) = cyclic_factors(spec)
         if n > cap:
             raise SpecError(f"group order {n} exceeds cap {cap}")
         return _closure(0, [1 % n], lambda a, b: (a + b) % n, str, spec, cap)
 
     if family == "product":
-        factors = _int_list(arg, spec)
-        if not factors or any(f < 1 for f in factors):
-            raise SpecError(f"product factors must be positive: {spec!r}")
+        factors = cyclic_factors(spec)
         gens = []
         for i in range(len(factors)):
             g = [0] * len(factors)
@@ -263,15 +289,11 @@ def construct_group(spec: str, order_cap: int | None = None) -> Group:
         )
 
     # perm:[(1 2 3)(4 5), ...]
-    body = arg.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise SpecError(f"perm spec wants a bracketed list: {spec!r}")
-    gen_texts = _split_top_level(body[1:-1])
+    gen_texts = _bracket_items(arg, spec)
     if not gen_texts:
         raise SpecError(f"perm spec needs at least one generator: {spec!r}")
     raw = [parse_cycles(t) for t in gen_texts]
-    n_pts = max((len(p) for p in raw), default=1)
-    n_pts = max(n_pts, 1)
+    n_pts = max(1, *(len(p) for p in raw))
     gens = [parse_cycles(t, n_pts) for t in gen_texts]
     return _closure(tuple(range(n_pts)), gens, _compose, _cycle_string, spec, cap)
 
@@ -297,6 +319,14 @@ def _int_list(arg: str, spec: str) -> list[int]:
         return [int(tok.strip()) for tok in inner.split(",")]
     except ValueError as exc:
         raise SpecError(f"bad integer list in {spec!r}") from exc
+
+
+def _bracket_items(arg: str, spec: str) -> list[str]:
+    """The top-level comma-separated items of the bracketed list `[a, b, ...]`."""
+    arg = arg.strip()
+    if not (arg.startswith("[") and arg.endswith("]")):
+        raise SpecError(f"expected a bracketed list in {spec!r}")
+    return _split_top_level(arg[1:-1])
 
 
 def _split_top_level(text: str) -> list[str]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chartable import CharTable
 from .cyclo import Cyclo, parse_cyclo
 from .errors import SpecError, VerificationError
-from .groups import _compose, _split_top_level, parse_cycles
+from .groups import _bracket_items, _compose, _int_list, _split_top_level, parse_cycles
 
 __all__ = [
     "Rep",
@@ -228,39 +228,26 @@ def _parse(table: CharTable, text: str) -> Rep:
     if text == "regular":
         return regular_rep(table)
     if text.startswith("perm:"):
-        body = _bracket_body(text[5:], text)
-        parts = _split_top_level(body) if body.strip() else []
+        parts = _bracket_items(text[5:], text)
         images = [parse_cycles(part) for part in parts]
         npoints = max((len(p) for p in images), default=0)
         images = [parse_cycles(part, npoints) for part in parts]
         return perm_rep(table, images, name=text)
     if text.startswith("mult:"):
-        body = _bracket_body(text[5:], text)
-        try:
-            mults = [int(tok.strip()) for tok in body.split(",")] if body.strip() else []
-        except ValueError as exc:
-            raise SpecError(f"bad multiplicity list in {text!r}") from exc
-        return rep_from_mults(table, mults, name=text)
+        return rep_from_mults(table, _int_list(text[5:], text), name=text)
     if text.startswith("char:"):
-        body = _bracket_body(text[5:], text)
-        parts = _split_top_level(body) if body.strip() else []
-        values = [parse_cyclo(part.strip(), table.zeta_order) for part in parts]
+        parts = _bracket_items(text[5:], text)
+        values = [parse_cyclo(part, table.zeta_order) for part in parts]
         return rep_from_character(table, values, name=text)
     for head, op in (("tensor", tensor), ("dsum", dsum)):
         if text.startswith(head + "(") and text.endswith(")"):
             parts = _split_top_level(text[len(head) + 1 : -1])
             if len(parts) < 2:
                 raise SpecError(f"{head} needs at least two operands: {text!r}")
-            reps = [_parse(table, part.strip()) for part in parts]
+            reps = [_parse(table, part) for part in parts]
             acc = reps[0]
             for nxt in reps[1:]:
                 acc = op(acc, nxt)
             return acc.renamed(text)
     raise SpecError(f"bad representation spec {text!r}")
 
-
-def _bracket_body(arg: str, spec: str) -> str:
-    arg = arg.strip()
-    if not (arg.startswith("[") and arg.endswith("]")):
-        raise SpecError(f"expected a bracketed list in {spec!r}")
-    return arg[1:-1]

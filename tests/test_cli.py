@@ -1,12 +1,29 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repcorr import cli
 from repcorr.chartable import character_table, load_table, tables_equal_up_to_row_order
-from repcorr.groups import construct_group
+from repcorr.groups import MAX_PERM_POINTS, construct_group
 
 SYM3_REP = "rho=perm:[(1 2), (1 2 3)]"
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of cli.run(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def run_cli(*args, env_extra=None):
@@ -322,3 +339,119 @@ def test_missing_task_flag_exits_2():
     r = run_cli("--group", "symmetric:3")
     assert r.returncode == 2
     assert "no tasks" in r.stderr
+
+
+def test_non_utf8_job_file_exits_2(tmp_path):
+    job = tmp_path / "latin1.job"
+    job.write_bytes("group = cyclic:2\n# caf\u00e9\ntasks = table\n".encode("latin-1"))
+    code, out, err = run_in_process(["--job", str(job)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {job}: job file is not valid UTF-8")
+
+
+def test_malformed_inputs_exit_2_in_process():
+    far = f"(1 {MAX_PERM_POINTS + 1})"
+    cases = [
+        # auxiliary heads without a list
+        ["--rep", "cocycle", "--task", "skew"],
+        ["--rep", "c=zcocycle", "--task", "skew"],
+        ["--rep", "angles", "--task", "circle"],
+        ["--rep", "f=freqs", "--task", "circle"],
+        # permutation points beyond the cap, as a group and as a rep
+        ["--group", f"perm:[{far}]", "--task", "table"],
+        ["--group", "symmetric:3", "--rep", f"perm:[(1 2), {far}]", "--task", "decompose"],
+    ]
+    for argv in cases:
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+# A bounded argv grammar for the fuzz test below: groups of order at most 24,
+# well-formed and malformed specs of every head, every task and format.
+def _mostly(good, bad):
+    """Draw from good four times in five, so that many runs get far."""
+    return st.integers(0, 4).flatmap(lambda k: bad if k == 4 else good)
+
+
+_GROUPS = st.sampled_from([
+    "cyclic:1", "cyclic:2", "cyclic:5", "cyclic:12", "dihedral:3", "dihedral:12",
+    "symmetric:2", "symmetric:3", "symmetric:4", "product:[2,2]", "product:[2,3]",
+    "product:[2,2,2]", "perm:[(1 2 3), (1 2)(3 4)]", "perm:[()]", " cyclic : 4 ",
+])
+_BAD_GROUPS = st.sampled_from([
+    None, "cyclic:0", "cyclic:x", "cyclic:", "product:[]", "product:[2,0]", "product:[2,,3]",
+    "dihedral:1", "symmetric:7", "perm:(1 2)", "perm:[]", "perm:[(1 2]", "perm:[(0 1)]",
+    f"perm:[(1 {MAX_PERM_POINTS + 1})]", "bogus:1", "",
+])
+_INTS = st.lists(st.integers(-1, 2), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+_CYCLES = st.lists(
+    st.lists(st.integers(0, 5), max_size=4).map(lambda xs: "(" + " ".join(map(str, xs)) + ")"),
+    max_size=2,
+).map("".join)
+_NUMBERS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 6)),
+    st.sampled_from(["1", "theta", "-theta", "2*phi", "x", "1/", "z+z^2"]),
+)
+_GOOD_SPECS = st.sampled_from([
+    "trivial", "regular", "tensor(regular, trivial)", "dsum(trivial, trivial)",
+    "cocycle:[1]", "zcocycle:[1,-1]", "angles:[1/2, theta]", "freqs:[1, -theta]",
+])
+_LEAVES = st.one_of(
+    _GOOD_SPECS,
+    st.sampled_from(["cocycle", "mult", "perm:", "char:[", "dsum(", "[]", "tensor()"]),
+    _INTS.map("mult:[{}]".format),
+    _INTS.map("mult:{}".format),
+    st.lists(_CYCLES, max_size=3).map(lambda cs: "perm:[" + ", ".join(cs) + "]"),
+    st.lists(_NUMBERS, max_size=4).map(lambda vs: "char:[" + ",".join(vs) + "]"),
+    st.tuples(
+        st.sampled_from(["cocycle", "zcocycle"]),
+        st.lists(st.one_of(st.integers(-2, 3).map(str), _INTS.map("({})".format)), max_size=3),
+    ).map(lambda hv: f"{hv[0]}:[{','.join(hv[1])}]"),
+    st.tuples(st.sampled_from(["angles", "freqs"]), st.lists(_NUMBERS, max_size=3)).map(
+        lambda hv: f"{hv[0]}:[{','.join(hv[1])}]"
+    ),
+)
+_SPECS = _mostly(
+    _GOOD_SPECS,
+    st.one_of(
+        _LEAVES,
+        st.tuples(st.sampled_from(["tensor", "dsum"]), st.lists(_LEAVES, max_size=3)).map(
+            lambda ho: f"{ho[0]}({', '.join(ho[1])})"
+        ),
+    ),
+)
+_NAMES = _mostly(st.sampled_from(["", "a=", "b="]), st.sampled_from(["1x=", "=", "a b="]))
+_TASK_LISTS = _mostly(
+    st.tuples(st.permutations(cli.TASKS), st.integers(1, 2)).map(lambda pk: ",".join(pk[0][: pk[1]])),
+    st.one_of(st.none(), st.lists(st.sampled_from([*cli.TASKS, "bogus", ""]), max_size=3).map(",".join)),
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    group=_mostly(_GROUPS, _BAD_GROUPS),
+    reps=_mostly(st.lists(st.tuples(_NAMES, _SPECS).map("".join), min_size=1, max_size=2), st.just([])),
+    tasks=_TASK_LISTS,
+    fmt=st.sampled_from([None, None, "text", "json", "dot", "yaml"]),
+    convention=st.sampled_from([None, "paper-min", "module-count"]),
+    window=st.one_of(st.none(), st.integers(-1, 3)),
+    out=st.sampled_from([None, "out"]),
+)
+def test_cli_fuzz_exits_cleanly(tmp_path, group, reps, tasks, fmt, convention, window, out):
+    argv = []
+    for flag, value in (("--group", group), ("--task", tasks), ("--format", fmt),
+                        ("--convention", convention), ("--window", window)):
+        if value is not None:
+            argv += [flag, str(value)]
+    for rep in reps:
+        argv += ["--rep", rep]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    code, _, _ = run_in_process(argv)
+    assert code in (0, 2, 3, 4), argv

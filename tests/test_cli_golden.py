@@ -14,14 +14,12 @@ Regenerate the expected results, after a deliberate output change only:
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 from pathlib import Path
 
 import pytest
-
-from repcorr import cli
+from test_cli import run_in_process
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -144,6 +142,9 @@ EXTRA_CASES = {
     "ktheory_without_rep": ["--group", "cyclic:3", "--task", "ktheory"],
     "export_without_rep": ["--group", "cyclic:3", "--task", "export", "--out", OUT],
     "export_without_group": ["--rep", "regular", "--task", "export", "--out", OUT],
+    "export_without_group_or_out": ["--rep", "c=zcocycle:[1]", "--task", "export"],
+    "decompose_without_group_or_rep": ["--task", "decompose"],
+    "ktheory_without_group_or_rep": ["--rep", "c=zcocycle:[1]", "--task", "ktheory"],
     "rep_default_names": ["--group", "cyclic:3", "--rep", "regular", "--rep", "t=trivial", "--rep", "mult:[1,1,1]",
                           "--task", "decompose"],
     "rep_name_not_identifier": ["--group", "cyclic:3", "--rep", "x-y=trivial", "--task", "decompose"],
@@ -241,6 +242,7 @@ JOB_CASES = {
     "job_empty_tasks": ("group = cyclic:2\ntasks =\n", []),
     "job_reps_kept_without_rep_flag": ("group = cyclic:3\nrep.r = regular\n", ["--task", "decompose"]),
     "job_window_flag": ("rep.c = zcocycle:[1]\ntasks = skew\nwindow = 3\n", ["--window", "1"]),
+    "job_window_flag_zero": ("rep.c = zcocycle:[1]\ntasks = skew\nwindow = 3\n", ["--window", "0"]),
     "job_out_is_a_file": ("group = cyclic:3\ntasks = table\nout = run.job\n", []),
     "job_value_with_equals": ("group = cyclic:2\ntasks = decompose\nrep.r = mult:[1,1]\nrep.s=trivial\n", []),
 }
@@ -270,20 +272,15 @@ def run_case(case: dict, workdir: Path) -> dict:
     record stdout's hash, stderr, the exit code and the written files."""
     if "job" in case:
         (workdir / JOB).write_text(case["job"], encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.run(case["argv"])
-        except SystemExit as exc:
-            code = exc.code
+    code, out, err = run_in_process(case["argv"])
     files = {}
     for path in sorted(workdir.rglob("*")):
         rel = path.relative_to(workdir).as_posix()
         if path.is_file() and rel != JOB:
             files[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
     return {
-        "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        "stderr": err.getvalue(),
+        "stdout_sha256": hashlib.sha256(out.encode()).hexdigest(),
+        "stderr": err,
         "exit": code,
         "files": files,
     }

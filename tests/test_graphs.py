@@ -2,6 +2,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repcorr.chartable import character_table
 from repcorr.corrgraph import build_e_graph
@@ -255,6 +257,63 @@ def test_simplicity_reports_on_skew_products():
     g = skew_product(SkewSpec(cocycle=((1, 0),), rank=2, window=2))
     r = simplicity_check(g)
     assert not r.cofinal and not r.simple and r.every_cycle_has_exit
+
+
+def _reference_every_cycle_has_exit(g):
+    """The functional-graph walk `simplicity_check` used before: a cycle with
+    no exit lives inside the part where every vertex emits exactly one edge."""
+    succ = [[w for w in range(g.n) if g.a[v][w]] for v in range(g.n)]
+    next_of = {v: succ[v][0] for v in range(g.n) if sum(g.a[v]) == 1}
+    state = {v: 0 for v in next_of}  # 0 unseen, 1 in progress, 2 done
+    for v in next_of:
+        if state[v]:
+            continue
+        path = []
+        w = v
+        while w in next_of and state[w] == 0:
+            state[w] = 1
+            path.append(w)
+            w = next_of[w]
+        if w in next_of and state[w] == 1:
+            return False
+        for u in path:
+            state[u] = 2
+    return True
+
+
+@st.composite
+def _multigraphs(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n))
+    return mg(rows)
+
+
+@st.composite
+def _skew_products(draw):
+    if draw(st.booleans()):
+        orders = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=2)))
+        chars = st.tuples(*[st.integers(0, o - 1) for o in orders])
+        cocycle = tuple(draw(st.lists(chars, min_size=1, max_size=3)))
+        return skew_product(SkewSpec(cocycle=cocycle, orders=orders))
+    rank = draw(st.integers(1, 2))
+    chars = st.tuples(*[st.integers(-2, 2)] * rank)
+    cocycle = tuple(draw(st.lists(chars, min_size=1, max_size=3)))
+    return skew_product(SkewSpec(cocycle=cocycle, rank=rank, window=draw(st.integers(1, 2))))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.one_of(_multigraphs(), _skew_products()))
+def test_cycle_exit_test_matches_reference_walk(g):
+    assert simplicity_check(g).every_cycle_has_exit == _reference_every_cycle_has_exit(g)
+
+
+def test_cycle_exit_cases():
+    # an exitless 2-cycle fed by a vertex off the cycle
+    assert not simplicity_check(mg([[0, 1, 0], [0, 0, 1], [0, 1, 0]])).every_cycle_has_exit
+    # a doubled edge on the cycle is an exit
+    assert simplicity_check(mg([[0, 2], [1, 0]])).every_cycle_has_exit
+    # a 2-cycle one of whose vertices also feeds a sink
+    assert simplicity_check(mg([[0, 1, 0], [1, 0, 1], [0, 0, 0]])).every_cycle_has_exit
 
 
 def test_parse_frequency_forms():

@@ -1,14 +1,17 @@
 import random
+import tracemalloc
 from math import lcm
 
 import pytest
 
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import (
+    MAX_PERM_POINTS,
     ClassData,
     class_mult_coeffs,
     conjugacy,
     construct_group,
+    cyclic_factors,
     parse_cycles,
 )
 
@@ -145,6 +148,42 @@ def test_parse_cycles():
         parse_cycles("(1 1)")
     with pytest.raises(SpecError):
         parse_cycles("1 2")
+
+
+def test_perm_point_cap_raises_before_allocating():
+    huge = "9" * 5000  # more digits than int() converts by default
+    for spec in ("perm:[(1 300000)]", "perm:[(1 2), (3 1000000000)]", f"perm:[(1 {huge})]"):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpecError, match=f"the cap of {MAX_PERM_POINTS}"):
+                construct_group(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (spec, peak)
+
+
+def test_perm_point_cap_boundary():
+    assert MAX_PERM_POINTS == 1000
+    assert len(parse_cycles("(1 1000)")) == 1000
+    assert construct_group("perm:[(1 1000)]").order == 2
+    with pytest.raises(SpecError):
+        parse_cycles("(1 1001)")
+    with pytest.raises(SpecError):
+        parse_cycles("(1 2)", n_points=1001)
+
+
+def test_cyclic_factors_share_construct_group_grammar():
+    assert cyclic_factors("cyclic:4") == (4,)
+    assert cyclic_factors(" product: [2, 3] ") == (2, 3)
+    assert cyclic_factors("symmetric:3") is None
+    assert cyclic_factors("perm:[(1 2)]") is None
+    for bad in ("cyclic:0", "cyclic:x", "cyclic:", "product:[]", "product:[2,0]", "product:2", "bogus:1"):
+        with pytest.raises(SpecError) as from_factors:
+            cyclic_factors(bad)
+        with pytest.raises(SpecError) as from_group:
+            construct_group(bad)
+        assert str(from_factors.value) == str(from_group.value)
 
 
 def test_validate_catches_broken_table():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,7 @@ from repcorr.chartable import character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
-from repcorr.groups import construct_group
+from repcorr.groups import MAX_PERM_POINTS, construct_group
 from repcorr.reps import (
     decompose,
     dsum,
@@ -197,6 +198,20 @@ def test_parse_rep_spec_rejects_garbage():
     ):
         with pytest.raises((SpecError, VerificationError)):
             parse_rep_spec(t, bad)
+
+
+def test_perm_rep_point_cap_raises_before_allocating():
+    t = table_for("symmetric:3")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecError, match=f"exceeds the cap of {MAX_PERM_POINTS}"):
+            parse_rep_spec(t, "perm:[(1 2), (1 300000)]")
+        with pytest.raises(SpecError, match=f"the cap of {MAX_PERM_POINTS}"):
+            parse_rep_spec(t, "perm:[(1 2), (1 " + "9" * 5000 + ")]")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_pi_injectivity_tracks_support():
