@@ -370,7 +370,7 @@ def test_malformed_inputs_exit_2_in_process():
 # A bounded argv grammar for the fuzz test below: groups of order at most 24,
 # well-formed and malformed specs of every head, every task and format.
 def _mostly(good, bad):
-    """Draw from good four times in five, so that many runs get far."""
+    """Draw mostly from good and sometimes from bad, so that many runs get far."""
     return st.integers(0, 4).flatmap(lambda k: bad if k == 4 else good)
 
 
