@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclo import Cyclo, parse_cyclo, zeta
-from .errors import SpecError, VerificationError
+from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
 
 __all__ = [
@@ -422,7 +422,10 @@ def load_table(text: str, order_cap: int | None = None) -> CharTable:
         if not m:
             raise SpecError(f"bad irrep line {ln!r}")
         labels.append(m.group(1))
-        dims.append(int(m.group(2)))
+        try:
+            dims.append(int(m.group(2)))
+        except ValueError as exc:
+            raise too_long(f"dim of irrep {m.group(1)!r}") from exc
         cells = [c.strip() for c in m.group(3).split("|")]
         if len(cells) != cd.count:
             raise VerificationError(

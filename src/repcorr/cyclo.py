@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import SpecError
+from .errors import SpecError, too_long
 
 __all__ = [
     "Cyclo",
@@ -223,18 +223,6 @@ class Cyclo:
         nums = [value.numerator * x for x in self.nums]
         return Cyclo._make(self.conductor, nums, self.den * value.denominator)
 
-    def __pow__(self, k: int) -> "Cyclo":
-        if k < 0:
-            raise SpecError("negative cyclotomic powers are not supported")
-        out = Cyclo.from_rational(1, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         other = Cyclo._coerce(other)
         if other is None:
@@ -347,18 +335,17 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
         m = _TERM_RE.match(term)
         if not m:
             raise SpecError(f"bad cyclotomic term {raw.strip()!r} in {text!r}")
-        if m.group("z"):
-            coef = Fraction(1)
-            k = int(m.group("k") or 1)
-        else:
-            try:
-                coef = Fraction(m.group("coef"))
-            except ZeroDivisionError as exc:
-                raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}") from exc
-            if m.group("zc"):
-                k = int(m.group("kc") or 1)
+        try:
+            if m.group("z"):
+                coef = Fraction(1)
+                k = int(m.group("k") or 1)
             else:
-                k = 0
+                coef = Fraction(m.group("coef"))
+                k = int(m.group("kc") or 1) if m.group("zc") else 0
+        except ZeroDivisionError as exc:
+            raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}") from exc
+        except ValueError as exc:
+            raise too_long("cyclotomic value") from exc
         if neg:
             coef = -coef
         total = total + zeta(conductor, k).scale(coef)

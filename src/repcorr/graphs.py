@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .corrgraph import CorrGraph
-from .errors import SpecError
+from .errors import SpecError, too_long
 from .intlinalg import IntMatrix, KGroups, coker_ker
 
 __all__ = [
@@ -305,6 +305,8 @@ def parse_frequency(text: str) -> Frequency:
             value = Fraction(m.group(1).replace(" ", ""))
         except ZeroDivisionError as exc:
             raise SpecError(f"zero denominator in frequency {text!r}") from exc
+        except ValueError as exc:
+            raise too_long("frequency") from exc
         return Frequency(value, m.group(2))
     m = _FREQ_SYM_RE.fullmatch(s)
     if m:

@@ -3,6 +3,15 @@
 Everything here runs on arbitrary-precision Python integers. Intermediate
 entries in a Smith reduction can blow up well past machine words, so there is
 deliberately no fixed-width fast path.
+
+The Smith reduction is one elimination loop over the sparse rows of the
+active block. It pivots on the entry of least (|x|, Markowitz cost, row,
+column), so units go first, and clears the pivot's column and row with
+nearest-integer quotients, so a remainder is at most half the pivot and the
+loop falls into Euclid's algorithm once the units are gone. The inverses of
+the transforms are carried only up to the first non-unit pivot; they are
+what lets the exact certificate prove u and v unimodular with a determinant
+of the small block that follows (see smith_normal_form).
 """
 
 from __future__ import annotations
@@ -160,100 +169,6 @@ def format_matrix(a: IntMatrix) -> str:
     return "; ".join(" ".join(str(x) for x in row) for row in a.entries)
 
 
-def _find_pivot(m: list[list[int]], start: int) -> tuple[int, int] | None:
-    # Smallest nonzero absolute value; ties broken by lowest row, then column.
-    best = None
-    best_val = None
-    for i in range(start, len(m)):
-        for j in range(start, len(m[0]) if m else 0):
-            v = abs(m[i][j])
-            if v != 0 and (best_val is None or v < best_val):
-                best, best_val = (i, j), v
-    return best
-
-
-def _euclid_snf(
-    block: list[list[int]], nr: int, nc: int
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Dense Smith reduction of the nr x nc block; return (u, s, v) as lists
-    with u*block*v = s. The pivot is always the entry of smallest nonzero
-    absolute value (lowest row, then column, on ties)."""
-    s = [list(row) for row in block]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_op(i: int, k: int, q: int) -> None:
-        # row i -= q * row k, mirrored into u
-        for j in range(nc):
-            s[i][j] -= q * s[k][j]
-        for j in range(nr):
-            u[i][j] -= q * u[k][j]
-
-    def col_op(j: int, k: int, q: int) -> None:
-        # col j -= q * col k, mirrored into v
-        for i in range(nr):
-            s[i][j] -= q * s[i][k]
-        for i in range(nc):
-            v[i][j] -= q * v[i][k]
-
-    def swap_rows(i: int, k: int) -> None:
-        s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j: int, k: int) -> None:
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        pos = _find_pivot(s, t)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if (i, j) != (t, t):
-                if i != t:
-                    swap_rows(i, t)
-                if j != t:
-                    swap_cols(j, t)
-            if s[t][t] < 0:
-                for j2 in range(nc):
-                    s[t][j2] = -s[t][j2]
-                for j2 in range(nr):
-                    u[t][j2] = -u[t][j2]
-            p = s[t][t]
-            dirty = False
-            for i2 in range(t + 1, nr):
-                if s[i2][t] != 0:
-                    row_op(i2, t, s[i2][t] // p)
-                    if s[i2][t] != 0:
-                        dirty = True
-            for j2 in range(t + 1, nc):
-                if s[t][j2] != 0:
-                    col_op(j2, t, s[t][j2] // p)
-                    if s[t][j2] != 0:
-                        dirty = True
-            if not dirty:
-                # Pivot must divide everything below and to the right.
-                offender = None
-                for i2 in range(t + 1, nr):
-                    for j2 in range(t + 1, nc):
-                        if s[i2][j2] % p != 0:
-                            offender = i2
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                row_op(t, offender, -1)  # pull the offending row up, re-clear
-            pos = _find_pivot(s, t)
-        t += 1
-    return u, s, v
-
-
 # Sparse vectors and matrices: a vector is {index: nonzero entry}, a matrix a
 # list of such rows (or columns, where a comment says so).
 
@@ -283,14 +198,21 @@ def _sparse_mul(x: list[dict[int, int]], y: list[dict[int, int]]) -> list[dict[i
     return out
 
 
+def _nearest(x: int, p: int) -> int:
+    """A quotient q with |x - q*p| <= |p|/2."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
+
+
 class _Reduction(NamedTuple):
     """A Smith reduction with the data that certifies it.
 
-    u = diag(I_k, u2) * u1 and v = v1 * diag(I_k, v2), where k = units is
-    the number of unit pivots cleared in phase 1 (u1, v1: phase-1 transforms
-    with the pivots permuted to the top left) and u2, v2 reduce the remainder
-    block. u1_inv and v1_inv are the exact inverses of u1 and v1, as sparse
-    rows.
+    Rows of u and s, and columns of s and v, are in pivot order: the pivots
+    in the order they were retired, then the rest by index. u1 and v1 are the
+    transforms after the first k = units pivots, all units, and no other
+    operation; u1_inv and v1_inv are their exact inverses as sparse rows, in
+    the same order. Every later operation stays off those k rows and columns,
+    so u = diag(I_k, B) * u1 and v = v1 * diag(I_k, C).
     """
 
     u: IntMatrix
@@ -299,113 +221,105 @@ class _Reduction(NamedTuple):
     units: int
     u1_inv: list[dict[int, int]]
     v1_inv: list[dict[int, int]]
-    u2: IntMatrix
-    v2: IntMatrix
 
 
 def _reduce(a: IntMatrix) -> _Reduction:
-    """The two-phase reduction described in smith_normal_form, uncertified."""
+    """The elimination loop described in smith_normal_form, uncertified."""
     nr, nc = a.rows, a.cols
-    # Phase 1 works on the active block: rows[i] holds row i's entries in
-    # active columns, cols[j] the active rows with an entry in column j.
-    # Both dicts keep increasing index order, as entries are only removed.
+    # The active block: rows[i] holds row i's entries in active columns,
+    # cols[j] the active rows with an entry in column j. Both dicts keep
+    # increasing index order, as keys are only removed.
     rows = dict(enumerate(_sparse_rows(a)))
     cols: dict[int, set[int]] = {j: set() for j in range(nc)}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u1 = [{i: 1} for i in range(nr)]  # rows of u1
+    u = [{i: 1} for i in range(nr)]  # rows of u
+    v = [{j: 1} for j in range(nc)]  # columns of v
     u1_inv = [{i: 1} for i in range(nr)]  # columns of u1^-1
-    v1 = [{j: 1} for j in range(nc)]  # columns of v1
     v1_inv = [{j: 1} for j in range(nc)]  # rows of v1^-1
-    pivots: list[tuple[int, int]] = []
+    units = None  # set at the first non-unit pivot, where the inverses stop
+    pivots: list[tuple[int, int, int]] = []
+
+    def sub(k: int, c: int, vec: dict[int, int]) -> None:
+        # Block row k -= c * vec, keeping cols in step.
+        rk = rows[k]
+        for l, x in vec.items():
+            y = rk.get(l, 0) - c * x
+            if y:
+                rk[l] = y
+                cols[l].add(k)
+            else:
+                del rk[l]
+                cols[l].discard(k)
+
+    def row_op(k: int, q: int, i: int) -> None:
+        # Row k -= q * row i, so u row k -= q * u row i and, inversely,
+        # u1^-1 column i += q * u1^-1 column k.
+        sub(k, q, rows[i])
+        _axpy(u[k], -q, u[i])
+        if units is None:
+            _axpy(u1_inv[i], q, u1_inv[k])
+
     while True:
         best = None
         for i, row in rows.items():
             r1 = len(row) - 1
             for j, x in row.items():
-                if x == 1 or x == -1:
-                    key = (r1 * (len(cols[j]) - 1), i, j)
+                ax = abs(x)
+                if best is None or ax <= best[0]:
+                    key = (ax, r1 * (len(cols[j]) - 1), i, j)
                     if best is None or key < best:
                         best = key
-            if best is not None and best[0] == 0:
+            if best is not None and best[:2] == (1, 0):
                 break  # a later row can only tie, and ties go to the lower row
         if best is None:
             break
-        _, i, j = best
-        prow = rows.pop(i)
-        p = prow.pop(j)
-        col = cols.pop(j)
-        col.discard(i)
-        for l in prow:
-            cols[l].discard(i)
-        # Clear column j: row k -= q * row i, so u1 row k -= q * u1 row i and,
-        # inversely, u1^-1 column i += q * u1^-1 column k.
-        for k in col:
-            rk = rows[k]
-            q = rk.pop(j) * p
-            for l, x in prow.items():
-                y = rk.get(l, 0) - q * x
-                if y:
-                    rk[l] = y
-                    cols[l].add(k)
-                else:
-                    del rk[l]
-                    cols[l].discard(k)
-            _axpy(u1[k], -q, u1[i])
-            _axpy(u1_inv[i], q, u1_inv[k])
-        # Clear row i: col l -= q * col j, mirrored the same way into v1, v1^-1.
-        for l, x in prow.items():
-            q = x * p
-            _axpy(v1[l], -q, v1[j])
-            _axpy(v1_inv[j], q, v1_inv[l])
-        if p == -1:
-            u1[i] = {m: -y for m, y in u1[i].items()}
-            u1_inv[i] = {m: -y for m, y in u1_inv[i].items()}
-        pivots.append((i, j))
+        ax, _, i, j = best
+        prow = rows[i]
+        p = prow[j]
+        if ax != 1 and units is None:
+            units = len(pivots)
+        for k in [k for k in cols[j] if k != i]:
+            row_op(k, _nearest(rows[k][j], p), i)
+        # Clear row i: col l -= q * col j, mirrored the same way into v, v1^-1.
+        qs = {l: q for l, x in prow.items() if l != j and (q := _nearest(x, p))}
+        for k in cols[j]:
+            sub(k, rows[k][j], qs)
+        for l, q in qs.items():
+            _axpy(v[l], -q, v[j])
+            if units is None:
+                _axpy(v1_inv[j], q, v1_inv[l])
+        if len(prow) > 1 or len(cols[j]) > 1:
+            continue  # a remainder is left, so the next pivot is smaller
+        if ax != 1:
+            bad = next((k for k, rk in rows.items() if any(x % p for x in rk.values())), None)
+            if bad is not None:
+                row_op(i, -1, bad)  # pull the first offending row up, re-clear
+                continue
+        del rows[i], cols[j]
+        if p < 0:
+            u[i] = {m: -y for m, y in u[i].items()}
+            if units is None:
+                u1_inv[i] = {m: -y for m, y in u1_inv[i].items()}
+        pivots.append((i, j, ax))
 
-    # Phase 2: the dense Euclid loop on the unit-free remainder.
-    k = len(pivots)
-    rest_rows, rest_cols = list(rows), list(cols)
-    block = [[rows[i].get(j, 0) for j in rest_cols] for i in rest_rows]
-    u2, s2, v2 = _euclid_snf(block, len(rest_rows), len(rest_cols))
-
-    # Pivots to the top left, then u = diag(I_k, u2) * u1, v = v1 * diag(I_k, v2).
-    row_order = [i for i, _ in pivots] + rest_rows
-    col_order = [j for _, j in pivots] + rest_cols
-    u_rows = [u1[i] for i in row_order[:k]]
-    for row in u2:
-        acc: dict[int, int] = {}
-        for i, c in zip(rest_rows, row):
-            if c:
-                _axpy(acc, c, u1[i])
-        u_rows.append(acc)
-    v_cols = [v1[j] for j in col_order[:k]]
-    for t in range(len(rest_cols)):
-        acc = {}
-        for j, row in zip(rest_cols, v2):
-            if row[t]:
-                _axpy(acc, row[t], v1[j])
-        v_cols.append(acc)
+    row_order = [i for i, _, _ in pivots] + list(rows)
+    col_order = [j for _, j, _ in pivots] + list(cols)
     w_rows: list[dict[int, int]] = [{} for _ in range(nr)]
     for t, i in enumerate(row_order):
         for m, x in u1_inv[i].items():
             w_rows[m][t] = x
-
     s = [[0] * nc for _ in range(nr)]
-    for t in range(k):
-        s[t][t] = 1
-    for r, row in enumerate(s2):
-        s[k + r][k:] = row
+    for t, (_, _, d) in enumerate(pivots):
+        s[t][t] = d
     return _Reduction(
-        u=IntMatrix(nr, nr, tuple(tuple(row.get(m, 0) for m in range(nr)) for row in u_rows)),
+        u=IntMatrix(nr, nr, tuple(tuple(u[i].get(m, 0) for m in range(nr)) for i in row_order)),
         s=IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
-        v=IntMatrix(nc, nc, tuple(tuple(col.get(m, 0) for col in v_cols) for m in range(nc))),
-        units=k,
+        v=IntMatrix(nc, nc, tuple(tuple(v[j].get(m, 0) for j in col_order) for m in range(nc))),
+        units=len(pivots) if units is None else units,
         u1_inv=w_rows,
         v1_inv=[v1_inv[j] for j in col_order],
-        u2=IntMatrix.from_rows(u2),
-        v2=IntMatrix.from_rows(v2),
     )
 
 
@@ -413,61 +327,71 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (u, s, v) with u*a*v = s, u and v unimodular, s diagonal with
     each diagonal entry nonnegative and dividing the next.
 
-    s is unique. u and v are not; the two deterministic phases below fix them.
+    s is unique. u and v are not; one deterministic loop fixes them. It works
+    on the sparse rows of the active block, in the manner of Havas, Holt and
+    Rees (Linear Algebra Appl. 192, 1993), and repeats these steps:
 
-    Phase 1 (unit pivots, after Havas, Holt and Rees, Linear Algebra Appl.
-    192, 1993) works on sparse rows. While the active block holds an entry
-    of absolute value 1, it pivots on the one of least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1), ties going to the lowest
-    row and then the lowest column, clears the pivot's row and column, and
-    scales the pivot to 1. It carries u1, v1 and their inverses, each
-    elementary operation mirrored by its inverse. The sparse presentations
-    a^t - I of graphs and skew products are mostly cleared here.
+    - Pivot on the active entry with the least key (|x|, Markowitz cost
+      (row nonzeros - 1) * (column nonzeros - 1), row, column). So while a
+      unit is left, the pivot is a unit; the sparse presentations a^t - I of
+      graphs and skew products are mostly cleared by units.
+    - Clear the pivot's column, then its row, with nearest-integer quotients,
+      so each remainder is at most |p|/2. A nonzero remainder makes the next
+      pivot smaller than this one, as in Euclid's algorithm.
+    - Once the pivot's row and column are otherwise empty, retire it, scaled
+      to |p|, if it divides every active entry. If it does not, add the first
+      offending row to the pivot row and go on. Every later pivot is an
+      integer combination of active entries, so the diagonal is a
+      divisibility chain.
 
-    Phase 2 hands the unit-free remainder block to a dense Euclid loop whose
-    pivot is the entry of smallest nonzero absolute value (lowest row, then
-    column, on ties).
+    The loop also carries the inverses u1^-1 and v1^-1, each elementary
+    operation mirrored by its inverse, but only while every operation so far
+    has used a unit pivot; k = units is the number of pivots retired by then.
 
     Every call is certified exactly before it returns. Besides u*a*v = s and
     the shape of s, unimodularity is checked without a determinant of u or
-    v: with the pivots moved to the top left, u = diag(I_k, u2) * u1, and the
-    check is u * u1^-1 = diag(I_k, u2) plus det u2 = +-1 by Bareiss on the
-    small phase-2 block. For integer matrices u, w with u*w = diag(I_k, u2),
-    det u * det w = det u2 = +-1; a product of two integers is +-1 only if
-    each factor is, so det u = +-1 (w = I gives the plain case u*w = I).
-    The same argument covers v with v1^-1 * v = diag(I_k, v2).
+    v. Every operation after the first k pivots stays off their rows and
+    columns, so with the pivots in order at the top left u = diag(I_k, B) * u1.
+    The check is that u * u1^-1 has the form diag(I_k, B), and det B = +-1 by
+    Bareiss on that small block. For integer matrices u, w with
+    u*w = diag(I_k, B), det u * det w = det B = +-1; a product of two integers
+    is +-1 only if each factor is, so det u = +-1 (w = I gives the plain case
+    u*w = I). The same argument covers v with v1^-1 * v = diag(I_k, C).
     """
     r = _reduce(a)
     _check_snf(a, r)
     return r.u, r.s, r.v
 
 
-def _block_identity(k: int, m: IntMatrix) -> list[dict[int, int]]:
-    """Sparse rows of diag(I_k, m)."""
-    return [{t: 1} for t in range(k)] + [
-        {k + j: x for j, x in enumerate(row) if x} for row in m.entries
-    ]
+def _is_unit_block(m: list[dict[int, int]], k: int) -> bool:
+    """Whether the n x n sparse rows m are diag(I_k, B) with det B = +-1."""
+    n = len(m)
+    if any(m[t] != {t: 1} for t in range(k)) or any(
+        not k <= c < n for row in m[k:] for c in row
+    ):
+        return False
+    b = tuple(tuple(row.get(c, 0) for c in range(k, n)) for row in m[k:])
+    return IntMatrix(n - k, n - k, b).det() in (1, -1)
 
 
 def _check_snf(a: IntMatrix, r: _Reduction) -> None:
     """Certify a reduction exactly, or raise VerificationError: u*a*v = s by
-    a product that skips zeros, u * u1_inv = diag(I_k, u2), v1_inv * v =
-    diag(I_k, v2), det u2 = det v2 = +-1, and s diagonal with a nonnegative
+    a product that skips zeros, u * u1_inv = diag(I_k, B) and v1_inv * v =
+    diag(I_k, C) with det B = det C = +-1, and s diagonal with a nonnegative
     divisibility chain. smith_normal_form's docstring proves that this makes
     u and v unimodular.
     """
     u, s, v = r.u, r.s, r.v
     nr, nc, k = a.rows, a.cols, r.units
-    shapes = (u.rows, u.cols, s.rows, s.cols, v.rows, v.cols, len(r.u1_inv), len(r.v1_inv),
-              r.u2.rows, r.u2.cols, r.v2.rows, r.v2.cols)
-    if shapes != (nr, nr, nr, nc, nc, nc, nr, nc, nr - k, nr - k, nc - k, nc - k):
+    shapes = (u.rows, u.cols, s.rows, s.cols, v.rows, v.cols, len(r.u1_inv), len(r.v1_inv))
+    if shapes != (nr, nr, nr, nc, nc, nc, nr, nc) or not 0 <= k <= min(nr, nc):
         raise VerificationError("SNF check failed: factor shapes do not match")
     su, sv = _sparse_rows(u), _sparse_rows(v)
     if _sparse_mul(_sparse_mul(su, _sparse_rows(a)), sv) != _sparse_rows(s):
         raise VerificationError("SNF check failed: u*a*v != s")
-    if _sparse_mul(su, r.u1_inv) != _block_identity(k, r.u2) or r.u2.det() not in (1, -1):
+    if not _is_unit_block(_sparse_mul(su, r.u1_inv), k):
         raise VerificationError("SNF check failed: u not unimodular")
-    if _sparse_mul(r.v1_inv, sv) != _block_identity(k, r.v2) or r.v2.det() not in (1, -1):
+    if not _is_unit_block(_sparse_mul(r.v1_inv, sv), k):
         raise VerificationError("SNF check failed: v not unimodular")
     diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
     for i in range(s.rows):

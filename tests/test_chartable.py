@@ -222,6 +222,20 @@ def test_load_table_rejects_zero_denominator():
         load_table(S3_DOC.replace("2 | 0 | -1", "2 | 1/0 | -1"))
 
 
+_LONG = "9" * 5000  # beyond Python's default 4,300-digit int string limit
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("2 | 0 | -1", f"2 | {_LONG} | -1"), ("2 | 0 | -1", f"2 | z^{_LONG} | -1"),
+     ("chi2 dim 2", f"chi2 dim {_LONG}")],
+    ids=["coefficient", "exponent", "dim"],
+)
+def test_load_table_rejects_long_integer_literals(old, new):
+    with pytest.raises(SpecError, match="more than 4300 digits"):
+        load_table(S3_DOC.replace(old, new))
+
+
 def test_load_table_rejects_malformed_syntax():
     with pytest.raises(SpecError):
         load_table("group symmetric:3\nclasses 3\n")

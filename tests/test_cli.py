@@ -360,6 +360,9 @@ def test_malformed_inputs_exit_2_in_process():
         # permutation points beyond the cap, as a group and as a rep
         ["--group", f"perm:[{far}]", "--task", "table"],
         ["--group", "symmetric:3", "--rep", f"perm:[(1 2), {far}]", "--task", "decompose"],
+        # integer literals beyond Python's 4,300-digit int string limit
+        ["--group", "cyclic:2", "--rep", f"char:[{'9' * 5000},1]", "--task", "decompose"],
+        ["--rep", f"f=freqs:[{'9' * 5000}]", "--task", "circle"],
     ]
     for argv in cases:
         code, out, err = run_in_process(argv)

@@ -1,12 +1,15 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repcorr.chartable import character_table
-from repcorr.corrgraph import build_e_graph
+from repcorr.corrgraph import build_d_graph, build_e_graph
+from repcorr.cyclo import zeta
 from repcorr.errors import SpecError
 from repcorr.graphs import (
     MAX_SKEW_VERTICES,
@@ -26,8 +29,8 @@ from repcorr.graphs import (
     sources_sinks,
 )
 from repcorr.graphs import _check_vertex_count
-from repcorr.groups import construct_group
-from repcorr.reps import parse_rep_spec
+from repcorr.groups import construct_group, cyclic_factors
+from repcorr.reps import parse_rep_spec, rep_from_mults
 
 _TABLES = {}
 
@@ -195,6 +198,57 @@ def test_skew_window_consistency():
     for name_a, sa in si.items():
         for name_b, sb in si.items():
             assert small.a[sa][sb] == large.a[li[name_a]][li[name_b]]
+
+
+# The abelian bridge: over a finite abelian group G with dual G^, the skew
+# product by a cocycle c_1..c_n in G^ is the tensor-decomposition graph of the
+# representation chi_{c_1} + ... + chi_{c_n}, because chi_h (x) chi_c =
+# chi_{h+c}. The bijection sends the dual element h to the table row of
+# chi_h(x) = prod_i zeta_{o_i}^{h_i x_i}, found by value.
+
+_ABELIAN = ["cyclic:2", "cyclic:3", "cyclic:5", "cyclic:6", "cyclic:12", "product:[2,2]",
+            "product:[2,3]", "product:[4,2]", "product:[3,3]", "product:[2,2,2]"]
+_DUAL_ROWS = {}
+
+
+def dual_rows(spec):
+    """{h: row of chi_h in table_for(spec)} over the whole dual group."""
+    if spec not in _DUAL_ROWS:
+        t = table_for(spec)
+        orders = cyclic_factors(spec)
+        xs = [t.group.elements[r] for r in t.classes.representatives]
+        xs = [x if isinstance(x, tuple) else (x,) for x in xs]
+        rows = {}
+        for h in itertools.product(*map(range, orders)):
+            chi = [prod(zeta(o, hi * xi) for o, hi, xi in zip(orders, h, x)) for x in xs]
+            (rows[h],) = [k for k, row in enumerate(t.values) if list(row) == chi]
+        _DUAL_ROWS[spec] = rows
+    return _DUAL_ROWS[spec]
+
+
+@st.composite
+def abelian_cocycles(draw):
+    spec = draw(st.sampled_from(_ABELIAN))
+    chars = st.tuples(*(st.integers(0, o - 1) for o in cyclic_factors(spec)))
+    return spec, tuple(draw(st.lists(chars, min_size=1, max_size=4)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(abelian_cocycles())
+def test_finite_skew_product_is_the_d_graph_of_the_cocycle_characters(case):
+    spec, cocycle = case
+    t, rows = table_for(spec), dual_rows(spec)
+    sk = skew_product(SkewSpec(cocycle=cocycle, orders=cyclic_factors(spec)))
+    mults = [0] * t.count
+    for c in cocycle:
+        mults[rows[c]] += 1
+    d = from_corr(build_d_graph(rep_from_mults(t, mults)))
+    pi = [rows[tuple(int(x) for x in name[1:-1].split(","))] for name in sk.names]
+    assert sorted(pi) == list(range(t.count)) and sk.stubs == ()
+    # Both store a[v][w] = number of edges w -> v, so this pins the direction.
+    for v in range(sk.n):
+        assert [sk.a[v][w] for w in range(sk.n)] == [d.a[pi[v]][pi[w]] for w in range(sk.n)]
+    assert kt(sk) == kt(d)
 
 
 def test_skew_rejects_bad_specs():

@@ -341,11 +341,11 @@ def test_certificate_rejects_phase1_u_with_row_doubled():
 
 
 def test_certificate_rejects_phase2_u_with_row_doubled():
-    # No unit pivot: everything is phase 2, certified by det u2.
+    # No unit pivot: u1 = I, so B is u itself, certified by det B.
     a, r = _reduction_of([[0, 0], [0, 0]])
     assert r.units == 0
-    bad = r._replace(u=_with_row_doubled(r.u, 0), u2=_with_row_doubled(r.u2, 0))
-    assert bad.u2.det() == 2
+    bad = r._replace(u=_with_row_doubled(r.u, 0))
+    assert bad.u.det() == 2
     with pytest.raises(VerificationError, match="u not unimodular"):
         _check_snf(a, bad)
 
