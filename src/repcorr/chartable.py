@@ -4,9 +4,10 @@
 multiplication matrices, split a simultaneous eigenbasis over F_p for a prime
 p = 1 (mod exponent), p > 2*sqrt(|G|), then lift eigenvalue data back to exact
 cyclotomic values in Q(zeta_exponent) through the discrete-log correspondence
-between roots of unity in F_p and powers of zeta. Both orthogonality
-relations are verified exactly before a table is returned, so a bug in the
-modular stage cannot leak a wrong table.
+between roots of unity in F_p and powers of zeta. The row orthogonality
+relation X S X* = n I is verified exactly before a table is returned, so a
+bug in the modular stage cannot leak a wrong table; for a square table it
+implies the column relation (the proof is in `verify_table`).
 
 The split needs one F_p routine, `_kernel_mod`. A piece span(b_1..b_k) is
 split by a matrix A by taking, for each lam in F_p, the kernel of the matrix
@@ -24,7 +25,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 
 from .cyclo import Cyclo, parse_cyclo, zeta
@@ -56,6 +57,13 @@ class CharTable:
     @property
     def count(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def weights(self) -> tuple[tuple[Cyclo, ...], ...]:
+        """W[i][j] = conj(chi_i(g_j)) * |C_j|, the factor S X* of X S X* read
+        by rows; `verify_table` and `reps.decompose` share it."""
+        sizes = self.classes.sizes
+        return tuple(tuple(v.conj().scale(s) for v, s in zip(row, sizes)) for row in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +324,20 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
 
 
 def verify_table(t: CharTable) -> None:
-    """Exact consistency checks: dimensions, both orthogonality relations."""
+    """Exact consistency checks: a square table, the dimensions, the trivial
+    row, and the row relation X S X* = n I. Here X is the table (rows =
+    irreducibles, columns = classes), S = diag(|C_j|) and X* = conj(X)^t;
+    entry (i, i2) is sum_j chi_i(g_j) W[i2][j]. Only the pairs i <= i2 are
+    summed, since entry (i2, i) is the conjugate of entry (i, i2).
+
+    The column relation needs no pass of its own. X is square, so
+    X (S X*/n) = I makes S X*/n a two-sided inverse of X. Then
+    (S X*/n) X = I, that is X* X = n S^-1, which is the column relation
+    sum_i conj(chi_i(g_j)) chi_i(g_j2) = delta_{j,j2} n / |C_j|.
+    """
     n = t.group.order
-    cd = t.classes
-    r = cd.count
-    if len(t.dims) != r or len(t.values) != r:
+    r = t.classes.count
+    if len(t.dims) != r or len(t.values) != r or any(len(row) != r for row in t.values):
         raise VerificationError("table is not square")
     if sum(d * d for d in t.dims) != n:
         raise VerificationError("sum of squared dims must equal the group order")
@@ -329,26 +346,13 @@ def verify_table(t: CharTable) -> None:
             raise VerificationError(f"row {i}: identity value must equal the dimension")
     if any(v.as_integer() != 1 for v in t.values[0]):
         raise VerificationError("row 0 must be the trivial character")
-    conj_rows = [tuple(v.conj() for v in row) for row in t.values]
+    w = t.weights
     for i in range(r):
         for i2 in range(i, r):
-            acc = Cyclo.from_rational(0)
-            for j in range(r):
-                acc = acc + t.values[i][j] * conj_rows[i2][j] * cd.sizes[j]
-            want = n if i == i2 else 0
-            if acc.as_integer() != want:
+            acc = sum((x * y for x, y in zip(t.values[i], w[i2])), Cyclo.from_rational(0))
+            if acc.as_integer() != (n if i == i2 else 0):
                 raise VerificationError(
                     f"row orthogonality fails for rows {i}, {i2}"
-                )
-    for j in range(r):
-        for j2 in range(j, r):
-            acc = Cyclo.from_rational(0)
-            for i in range(r):
-                acc = acc + t.values[i][j] * conj_rows[i][j2]
-            want = Fraction(n, cd.sizes[j]) if j == j2 else Fraction(0)
-            if acc.as_rational() != want:
-                raise VerificationError(
-                    f"column orthogonality fails for classes {j}, {j2}"
                 )
 
 

@@ -37,7 +37,7 @@ from .graphs import (
     sources_sinks,
     SkewSpec,
 )
-from .groups import _bracket_items, construct_group, cyclic_factors
+from .groups import _bracket_items, _split_top_level, construct_group, cyclic_factors
 from .intlinalg import KGroups
 from .reps import Rep, is_pi_injective, parse_rep_spec
 
@@ -156,9 +156,7 @@ def _parse_cocycle(parts: list[str]) -> tuple[tuple[int, ...], ...]:
     for part in parts:
         try:
             if part.startswith("(") and part.endswith(")"):
-                values.append(
-                    tuple(int(tok.strip()) for tok in part[1:-1].split(",") if tok.strip())
-                )
+                values.append(tuple(int(tok) for tok in _split_top_level(part[1:-1], part)))
             else:
                 values.append((int(part),))
         except ValueError as exc:

@@ -326,11 +326,16 @@ def _bracket_items(arg: str, spec: str) -> list[str]:
     arg = arg.strip()
     if not (arg.startswith("[") and arg.endswith("]")):
         raise SpecError(f"expected a bracketed list in {spec!r}")
-    return _split_top_level(arg[1:-1])
+    return _split_top_level(arg[1:-1], spec)
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas that are not nested inside (), [] or {}."""
+def _split_top_level(text: str, spec: str) -> list[str]:
+    """Split on commas that are not nested inside (), [] or {}.
+
+    Blank text is the empty list; an empty item anywhere else, a trailing
+    comma included, raises SpecError."""
+    if not text.strip():
+        return []
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "([{":
@@ -340,10 +345,10 @@ def _split_top_level(text: str) -> list[str]:
         elif ch == "," and depth == 0:
             parts.append(text[start:i].strip())
             start = i + 1
-    tail = text[start:].strip()
-    if tail:
-        parts.append(tail)
-    return [p for p in parts if p]
+    parts.append(text[start:].strip())
+    if not all(parts):
+        raise SpecError(f"empty list item in {spec!r}")
+    return parts
 
 
 def conjugacy(g: Group) -> ClassData:

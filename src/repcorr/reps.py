@@ -82,8 +82,15 @@ def rep_from_mults(table: CharTable, mults, name: str = "") -> Rep:
 def decompose(table: CharTable, values) -> tuple[int, ...]:
     """Multiplicity of each irreducible in a class function, exactly.
 
-    Raises VerificationError unless the input is a nonnegative integer
-    combination of the table rows that reconstructs the input on the nose.
+    The multiplicities are the inner products m_i = (1/n) sum_j f_j W[i][j]
+    with the table's weights W = S X* (`CharTable.weights`). Raises
+    VerificationError unless each one is a nonnegative integer.
+
+    Then f is the character sum_i m_i chi_i, with no rebuild to compare:
+    every `CharTable` the package builds has passed `verify_table`, so
+    X S X* = n I and S X*/n is the inverse of the square X. Hence
+    c = f S X*/n gives c X = f (S X* X)/n = f for every class function f,
+    in any cyclotomic field containing both.
     """
     values = tuple(values)
     if len(values) != table.count:
@@ -91,33 +98,18 @@ def decompose(table: CharTable, values) -> tuple[int, ...]:
             f"class function has {len(values)} values, expected {table.count}"
         )
     n = table.group.order
-    sizes = table.classes.sizes
     mults = []
-    for i in range(table.count):
-        acc = Cyclo.from_rational(0)
-        for j in range(table.count):
-            acc = acc + values[j] * table.values[i][j].conj() * sizes[j]
+    for label, w in zip(table.labels, table.weights):
+        acc = sum((f * x for f, x in zip(values, w)), Cyclo.from_rational(0))
         q = acc.as_rational()
         if q is None:
-            raise VerificationError(
-                f"inner product with {table.labels[i]} is not rational"
-            )
+            raise VerificationError(f"inner product with {label} is not rational")
         m = Fraction(q, n)
         if m.denominator != 1 or m < 0:
             raise VerificationError(
-                f"multiplicity of {table.labels[i]} is {m}, not a nonnegative integer"
+                f"multiplicity of {label} is {m}, not a nonnegative integer"
             )
         mults.append(int(m))
-    for j in range(table.count):
-        acc = Cyclo.from_rational(0)
-        for i, m in enumerate(mults):
-            if m:
-                acc = acc + table.values[i][j] * m
-        if acc != values[j]:
-            raise VerificationError(
-                "class function is not a character: reconstruction differs "
-                f"on class {j}"
-            )
     return tuple(mults)
 
 
@@ -241,7 +233,7 @@ def _parse(table: CharTable, text: str) -> Rep:
         return rep_from_character(table, values, name=text)
     for head, op in (("tensor", tensor), ("dsum", dsum)):
         if text.startswith(head + "(") and text.endswith(")"):
-            parts = _split_top_level(text[len(head) + 1 : -1])
+            parts = _split_top_level(text[len(head) + 1 : -1], text)
             if len(parts) < 2:
                 raise SpecError(f"{head} needs at least two operands: {text!r}")
             reps = [_parse(table, part) for part in parts]

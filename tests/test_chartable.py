@@ -1,13 +1,18 @@
 import random
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from published_tables import expected_doc
 from test_groups import ALL_SMALL_SPECS
 
 from repcorr import chartable
 from repcorr.chartable import (
+    CharTable,
     _kernel_mod,
     _least_prime,
     _omega_vectors,
@@ -546,3 +551,192 @@ def _reference_split_subspace(basis: list[list[int]], amat: list[list[int]], p: 
     if total != k:
         raise VerificationError("class matrix failed to diagonalize over F_p")
     return pieces
+
+
+# ---------------------------------------------------------------------------
+# `verify_table` as it was before the column pass was dropped: the row
+# relation and then the column relation, each summed directly. Kept verbatim
+# (renamed `_reference_verify_table`) as the oracle for the row pass alone.
+
+
+def _reference_verify_table(t: CharTable) -> None:
+    """Exact consistency checks: dimensions, both orthogonality relations."""
+    n = t.group.order
+    cd = t.classes
+    r = cd.count
+    if len(t.dims) != r or len(t.values) != r:
+        raise VerificationError("table is not square")
+    if sum(d * d for d in t.dims) != n:
+        raise VerificationError("sum of squared dims must equal the group order")
+    for i in range(r):
+        if t.values[i][0].as_integer() != t.dims[i]:
+            raise VerificationError(f"row {i}: identity value must equal the dimension")
+    if any(v.as_integer() != 1 for v in t.values[0]):
+        raise VerificationError("row 0 must be the trivial character")
+    conj_rows = [tuple(v.conj() for v in row) for row in t.values]
+    for i in range(r):
+        for i2 in range(i, r):
+            acc = Cyclo.from_rational(0)
+            for j in range(r):
+                acc = acc + t.values[i][j] * conj_rows[i2][j] * cd.sizes[j]
+            want = n if i == i2 else 0
+            if acc.as_integer() != want:
+                raise VerificationError(
+                    f"row orthogonality fails for rows {i}, {i2}"
+                )
+    for j in range(r):
+        for j2 in range(j, r):
+            acc = Cyclo.from_rational(0)
+            for i in range(r):
+                acc = acc + t.values[i][j] * conj_rows[i][j2]
+            want = Fraction(n, cd.sizes[j]) if j == j2 else Fraction(0)
+            if acc.as_rational() != want:
+                raise VerificationError(
+                    f"column orthogonality fails for classes {j}, {j2}"
+                )
+
+
+def test_verify_table_rejects_a_ragged_table():
+    t = table_for("symmetric:3")
+    short = (t.values[0], t.values[1][:2], t.values[2])
+    with pytest.raises(VerificationError, match="table is not square"):
+        verify_table(replace(t, values=short))
+
+
+def test_row_relation_and_reference_accept_every_small_table():
+    for spec in ALL_SMALL_SPECS:
+        t = table_for(spec)
+        verify_table(t)
+        _reference_verify_table(t)
+
+
+def _corruptions(t: CharTable, rng: random.Random):
+    """(name, table) pairs that break the table of t, each way named once."""
+    r = t.count
+    rows = [list(row) for row in t.values]
+
+    def with_rows(new_rows):
+        return replace(t, values=tuple(tuple(row) for row in new_rows))
+
+    cells = [(i, j) for i in range(r) for j in range(r)]
+    for i, j in rng.sample(cells, min(len(cells), 16)):
+        bad = [list(row) for row in rows]
+        bad[i][j] = bad[i][j] + 1
+        yield f"cell {i},{j}", with_rows(bad)
+    sizes = t.classes.sizes
+    for j in range(1, r):
+        for j2 in range(j + 1, r):
+            if sizes[j] != sizes[j2]:
+                bad = [list(row) for row in rows]
+                for row in bad:
+                    row[j], row[j2] = row[j2], row[j]
+                yield f"columns {j},{j2} swapped", with_rows(bad)
+    for i in range(r):
+        bad = [list(row) for row in rows]
+        bad[i] = [-v for v in bad[i]]
+        yield f"row {i} negated", with_rows(bad)
+        bad = [list(row) for row in rows]
+        bad[i] = bad[i][:-1]
+        yield f"row {i} short", with_rows(bad)
+    # Two rows of one degree d replaced by 2a - b and (a + 2b)/3: the first
+    # column, the sum of squared degrees and every off-diagonal entry of
+    # X S X* stay right, and only the diagonal (norms 5n and 5n/9) is wrong.
+    for i in range(1, r):
+        for k in range(i + 1, r):
+            if t.dims[i] == t.dims[k]:
+                bad = [list(row) for row in rows]
+                bad[i] = [a * 2 - b for a, b in zip(rows[i], rows[k])]
+                bad[k] = [(a + b * 2).scale(Fraction(1, 3)) for a, b in zip(rows[i], rows[k])]
+                yield f"rows {i},{k} rotated", with_rows(bad)
+
+
+def test_corrupted_tables_fail_both_verifiers():
+    rng = random.Random(20261018)
+    for spec in ("symmetric:4", "cyclic:12", "dihedral:7"):
+        t = table_for(spec)
+        names = set()
+        for name, bad in _corruptions(t, rng):
+            names.add(name.split()[-1])
+            with pytest.raises(VerificationError):
+                verify_table(bad)
+            with pytest.raises((VerificationError, IndexError)):
+                _reference_verify_table(bad)
+        assert {"negated", "short", "rotated"} <= names, spec
+        assert ("swapped" in names) == (len(set(t.classes.sizes[1:])) > 1), spec
+
+
+def test_column_swaps_between_equal_class_sizes_pass_both_verifiers():
+    # X P with P S P = S satisfies X S X* = n I again, so orthogonality alone
+    # cannot tell these columns apart: both verifiers accept the swap.
+    t = table_for("cyclic:12")
+    bad = replace(t, values=tuple(row[:1] + row[5:6] + row[2:5] + row[1:2] + row[6:]
+                                  for row in t.values))
+    assert bad.values != t.values
+    verify_table(bad)
+    _reference_verify_table(bad)
+
+
+# A fuzz test for `load_table`: S3, S4 and C4 documents with edited cells and
+# degrees, dropped, duplicated or reordered lines and changed headers. The
+# documents are typed in, so the test does not depend on `character_table`.
+C4_DOC = """\
+group cyclic:4
+classes 4
+zeta 4
+irrep chi0 dim 1 : 1 | 1 | 1 | 1
+irrep chi1 dim 1 : 1 | -1 | 1 | -1
+irrep chi2 dim 1 : 1 | z | -1 | -z
+irrep chi3 dim 1 : 1 | -z | -1 | z
+"""
+_FUZZ_DOCS = (S3_DOC, expected_doc("symmetric:4"), C4_DOC)
+_CELLS = ("0", "1", "-1", "2", "-2", "3", "1/2", "z", "-z", "z^2", "1 + z", "2*z^3", "1/0", "x", "")
+_HEADERS = ("group symmetric:3", "group symmetric:4", "group cyclic:4", "group dihedral:4",
+            "group cyclic:5", "group bogus:1", "group", "classes 3", "classes 4", "classes 5",
+            "classes x", "zeta 1", "zeta 2", "zeta 4", "zeta 12", "zeta 0", "zeta -1", "zeta x",
+            "conductor 4", "# comment")
+
+
+@st.composite
+def _mutated_documents(draw):
+    lines = draw(st.sampled_from(_FUZZ_DOCS)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("cell", "cell", "dim", "drop", "duplicate", "swap", "header")))
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        if kind in ("cell", "dim") and line.startswith("irrep"):
+            head, cells = line.split(" : ")
+            cells = cells.split(" | ")
+            if kind == "cell":
+                c = draw(st.integers(0, len(cells) - 1))
+                cells[c] = draw(st.sampled_from(_CELLS + tuple(cells)))
+            else:
+                head = head.rsplit(" ", 1)[0] + f" {draw(st.integers(0, 4))}"
+            lines[k] = head + " : " + " | ".join(cells)
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, line)
+        elif kind == "swap":
+            k2 = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[k2] = lines[k2], line
+        elif kind == "header":
+            lines[min(k, 2)] = draw(st.sampled_from(_HEADERS))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+def _load_outcome(doc):
+    try:
+        return load_table(doc)
+    except (SpecError, VerificationError) as exc:
+        return type(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_documents())
+def test_load_table_fuzz_accepts_exactly_when_the_reference_does(doc):
+    got = _load_outcome(doc)
+    with mock.patch.object(chartable, "verify_table", _reference_verify_table):
+        want = _load_outcome(doc)
+    assert got == want, doc

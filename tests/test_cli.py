@@ -26,15 +26,23 @@ def run_in_process(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# Child interpreters import repcorr from this checkout, as the tests do
+# through pytest's `pythonpath` setting.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child_env(extra=None):
+    env = dict(os.environ, **(extra or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    return env
+
+
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "repcorr.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(env_extra),
     )
 
 
@@ -305,6 +313,7 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", "import sys, repcorr.cli; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
@@ -363,6 +372,19 @@ def test_malformed_inputs_exit_2_in_process():
         # integer literals beyond Python's 4,300-digit int string limit
         ["--group", "cyclic:2", "--rep", f"char:[{'9' * 5000},1]", "--task", "decompose"],
         ["--rep", f"f=freqs:[{'9' * 5000}]", "--task", "circle"],
+        # an empty list item, a trailing comma included
+        ["--group", "cyclic:2", "--rep", "char:[1,,1]", "--task", "decompose"],
+        ["--group", "cyclic:2", "--rep", "char:[1,1,]", "--task", "decompose"],
+        ["--rep", "c=zcocycle:[1,,1]", "--task", "skew"],
+        ["--rep", "c=zcocycle:[(1,,0)]", "--task", "skew"],
+        ["--rep", "c=zcocycle:[(1,0,)]", "--task", "skew"],
+        ["--group", "cyclic:2", "--rep", "c=cocycle:[1,]", "--task", "skew"],
+        ["--rep", "a=angles:[1/2,,1/3]", "--task", "circle"],
+        ["--rep", "f=freqs:[,1/2]", "--task", "circle"],
+        ["--group", "perm:[(1 2),,(1 2 3)]", "--task", "table"],
+        ["--group", "symmetric:3", "--rep", "perm:[(1 2),,(1 2 3)]", "--task", "decompose"],
+        ["--group", "symmetric:3", "--rep", "tensor(regular,,trivial)", "--task", "decompose"],
+        ["--group", "symmetric:3", "--rep", "dsum(regular, )", "--task", "decompose"],
     ]
     for argv in cases:
         code, out, err = run_in_process(argv)

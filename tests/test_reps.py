@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from repcorr import reps
-from repcorr.chartable import character_table
+from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
@@ -229,3 +230,92 @@ def test_rep_from_character_matches_perm_construction():
     again = rep_from_character(t, vals)
     assert again.mults == natural.mults
     assert natural.dim == 4
+
+
+# ---------------------------------------------------------------------------
+# `decompose` as it was before the rebuild of the character was dropped: the
+# inner products and then the reconstruction, class by class. Kept verbatim
+# (renamed `_reference_decompose`) as the oracle for the inner products alone.
+
+
+def _reference_decompose(table: CharTable, values) -> tuple[int, ...]:
+    """Multiplicity of each irreducible in a class function, exactly.
+
+    Raises VerificationError unless the input is a nonnegative integer
+    combination of the table rows that reconstructs the input on the nose.
+    """
+    values = tuple(values)
+    if len(values) != table.count:
+        raise VerificationError(
+            f"class function has {len(values)} values, expected {table.count}"
+        )
+    n = table.group.order
+    sizes = table.classes.sizes
+    mults = []
+    for i in range(table.count):
+        acc = Cyclo.from_rational(0)
+        for j in range(table.count):
+            acc = acc + values[j] * table.values[i][j].conj() * sizes[j]
+        q = acc.as_rational()
+        if q is None:
+            raise VerificationError(
+                f"inner product with {table.labels[i]} is not rational"
+            )
+        m = Fraction(q, n)
+        if m.denominator != 1 or m < 0:
+            raise VerificationError(
+                f"multiplicity of {table.labels[i]} is {m}, not a nonnegative integer"
+            )
+        mults.append(int(m))
+    for j in range(table.count):
+        acc = Cyclo.from_rational(0)
+        for i, m in enumerate(mults):
+            if m:
+                acc = acc + table.values[i][j] * m
+        if acc != values[j]:
+            raise VerificationError(
+                "class function is not a character: reconstruction differs "
+                f"on class {j}"
+            )
+    return tuple(mults)
+
+
+def _both_decompose(t, values):
+    """The outcomes of decompose and of the reference: the multiplicities, or
+    "raised" for a VerificationError."""
+    out = []
+    for f in (decompose, _reference_decompose):
+        try:
+            out.append(f(t, values))
+        except VerificationError:
+            out.append("raised")
+    return out
+
+
+ORACLE_POOL = POOL + ["cyclic:12", "dihedral:7", "perm:[(1 2 3 4)(5 6 7 8), (1 5 3 7)(2 8 4 6)]"]
+
+
+def test_decompose_matches_the_reference_on_random_characters():
+    rng = random.Random(20261018)
+    for _ in range(120):
+        t = table_for(rng.choice(ORACLE_POOL))
+        mults = tuple(rng.randrange(0, 4) for _ in range(t.count))
+        assert _both_decompose(t, rep_from_mults(t, mults).character()) == [mults, mults]
+
+
+def test_decompose_and_the_reference_reject_the_same_class_functions():
+    rng = random.Random(20261019)
+    for spec in ("symmetric:4", "cyclic:12", "dihedral:7"):
+        t = table_for(spec)
+        z = zeta(t.zeta_order)
+        for _ in range(40):
+            i = rng.randrange(t.count)
+            chi = rep_from_mults(t, tuple(rng.randrange(0, 3) for _ in range(t.count))).character()
+            row = t.values[i]
+            bad = {
+                "fractional": [v + x.scale(Fraction(1, 2)) for v, x in zip(chi, row)],
+                "negative": [v - x * 3 for v, x in zip(chi, row)],
+                "irrational": [v + x * z for v, x in zip(chi, row)],
+            }
+            for kind, values in bad.items():
+                assert _both_decompose(t, values) == ["raised", "raised"], (spec, kind)
