@@ -4,10 +4,13 @@
 multiplication matrices, split a simultaneous eigenbasis over F_p for a prime
 p = 1 (mod exponent), p > 2*sqrt(|G|), then lift eigenvalue data back to exact
 cyclotomic values in Q(zeta_exponent) through the discrete-log correspondence
-between roots of unity in F_p and powers of zeta. The row orthogonality
-relation X S X* = n I is verified exactly before a table is returned, so a
-bug in the modular stage cannot leak a wrong table; for a square table it
-implies the column relation (the proof is in `verify_table`).
+between roots of unity in F_p and powers of zeta; the lift walks each class
+representative's powers only for one period (`_lift`). The row orthogonality
+relation X S X* = n I is verified exactly before a table is returned, by
+evaluation at primes q = 1 (mod N) whose product exceeds a bound on every
+residual, so a bug in the modular stage cannot leak a wrong table; for a
+square table it implies the column relation (both proofs are in
+`verify_table`).
 
 The split needs one F_p routine, `_kernel_mod`. A piece span(b_1..b_k) is
 split by a matrix A by taking, for each lam in F_p, the kernel of the matrix
@@ -24,11 +27,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 
-from .cyclo import Cyclo, parse_cyclo, zeta
+from .cyclo import Cyclo, _reduce_mod_phi, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
 
@@ -51,8 +55,6 @@ class CharTable:
     values: tuple[tuple[Cyclo, ...], ...]  # rows = irreps, columns = classes
     labels: tuple[str, ...]
     zeta_order: int
-    # (i, j) with i <= j -> row i tensor row j, filled on demand by reps.tensor
-    fusion_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
@@ -115,13 +117,17 @@ def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
 # the algorithm proper
 
 
-def _least_prime(exponent: int, order: int) -> int:
-    bound = 2 * isqrt(order) + 1
-    p = exponent + 1
+def _primes_one_mod(n: int, above: int):
+    """Odd primes q = 1 (mod n) with q > above, in increasing order."""
+    q = n + 1
     while True:
-        if p > bound and p > 2 and _is_prime(p):
-            return p
-        p += exponent if exponent > 1 else 1
+        if q > above and q > 2 and _is_prime(q):
+            yield q
+        q += n
+
+
+def _least_prime(exponent: int, order: int) -> int:
+    return next(_primes_one_mod(exponent, 2 * isqrt(order) + 1))
 
 
 def _is_prime(n: int) -> bool:
@@ -234,6 +240,72 @@ def _omega_vectors(class_mats: list[list[list[int]]], p: int, seed: int) -> list
     return out
 
 
+def _lift(g: Group, cd: ClassData, p: int,
+          rows: list[tuple[int, list[int]]]) -> list[tuple[int, tuple[Cyclo, ...]]]:
+    """Lift each row (dim, chi_hat), a character read mod p class by class,
+    to exact values in Q(zeta_e), e the exponent.
+
+    Let z be a primitive e-th root of unity mod p. A class representative g
+    acts with e-th roots of unity as eigenvalues; if zeta^s occurs mults[s]
+    times, then chi(g^l) = sum_s mults[s] zeta^(sl), and the orthogonality of
+    the characters of Z/e gives mults[s] = (1/e) sum_{l<e} chi(g^l) z^(-sl)
+    mod p. Each mults[s] lies in [0, dim] and dim < p, so the residue is the
+    integer itself; the check sum(mults) == dim guards the modular data.
+
+    Period o = o(g): the powers of g are walked only until they return to the
+    identity. chi(g^l) depends on l mod o, so writing l = l' + o*t with
+    l' < o and t < e/o,
+
+        sum_{l<e} chi(g^l) z^(-sl)
+            = sum_{l'<o} chi(g^l') z^(-sl') * sum_{t<e/o} w^t,  w = z^(-so).
+
+    w^(e/o) = z^(-se) = 1. If e/o divides s then w = 1 and the inner sum is
+    e/o. Otherwise w != 1, as z has order e exactly, so w - 1 is a unit mod p
+    and the inner sum is (w^(e/o) - 1)/(w - 1) = 0. Hence mults[s] = 0 unless
+    s = (e/o) s', and then
+
+        mults[s] = (1/o) sum_{l<o} chi(g^l) z^(-(e/o) s' l),
+
+    where (e/o) s' l mod e = (e/o)(s' l mod o): an o x o transform per class
+    in place of an e x e one. The multiplicities are integers, so each value
+    is built from them directly, with denominator 1.
+    """
+    e = cd.exponent
+    z_inv = pow(pow(_primitive_root(p), (p - 1) // e, p), -1, p)
+    z_inv_pows = [1] * e
+    for s in range(1, e):
+        z_inv_pows[s] = z_inv_pows[s - 1] * z_inv % p
+
+    transforms: dict[int, list[list[int]]] = {}
+    paths = []
+    for rep in cd.representatives:
+        path, x = [], 0
+        while True:
+            path.append(cd.class_of[x])
+            x = g.mul(x, rep)
+            if x == 0:
+                break
+        o = len(path)
+        if o not in transforms:
+            step = e // o
+            transforms[o] = [[z_inv_pows[step * (s * l % o)] for l in range(o)] for s in range(o)]
+        paths.append((path, e // o, pow(o, -1, p), transforms[o]))
+
+    out = []
+    for dim, chi_hat in rows:
+        vals = []
+        for path, step, o_inv, transform in paths:
+            seq = [chi_hat[c] for c in path]
+            mults = [sum(map(mul, seq, t)) % p * o_inv % p for t in transform]
+            if sum(mults) != dim:
+                raise VerificationError("root-of-unity multiplicities failed to lift")
+            nums = [0] * e
+            nums[::step] = mults
+            vals.append(Cyclo._make(e, _reduce_mod_phi(nums, e), 1))
+        out.append((dim, tuple(vals)))
+    return out
+
+
 def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> CharTable:
     """Compute the exact character table of g.
 
@@ -271,44 +343,13 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
     if sum(d * d for d, _ in rows) != n:
         raise VerificationError("sum of squared degrees misses the group order")
 
-    z = pow(_primitive_root(p), (p - 1) // e, p)
-    z_inv = pow(z, -1, p)
-    z_inv_pows = [1] * e
-    for s in range(1, e):
-        z_inv_pows[s] = z_inv_pows[s - 1] * z_inv % p
-
-    class_of_power = []
-    for j in range(r):
-        rep = cd.representatives[j]
-        path = []
-        x = 0
-        for _ in range(e):
-            path.append(cd.class_of[x])
-            x = g.mul(x, rep)
-        class_of_power.append(path)
-
-    e_inv = pow(e, -1, p)
-    table_rows: list[tuple[int, tuple[Cyclo, ...]]] = []
-    for dim, chi_hat in rows:
-        vals = []
-        for j in range(r):
-            powers = class_of_power[j]
-            mults = []
-            for s in range(e):
-                acc = 0
-                for l in range(e):
-                    acc += chi_hat[powers[l]] * z_inv_pows[s * l % e]
-                mults.append(acc % p * e_inv % p)
-            if sum(mults) != dim:
-                raise VerificationError("root-of-unity multiplicities failed to lift")
-            vals.append(Cyclo.from_coeffs(e, mults))
-        table_rows.append((dim, tuple(vals)))
+    table_rows = _lift(g, cd, p, rows)
 
     trivial = [row for row in table_rows if all(v.as_integer() == 1 for v in row[1])]
     if len(trivial) != 1:
         raise VerificationError("trivial character missing or duplicated")
     rest = [row for row in table_rows if row is not trivial[0]]
-    rest.sort(key=lambda row: (row[0], tuple(v.coeffs() for v in row[1])))
+    rest.sort(key=lambda row: (row[0], tuple(v.nums for v in row[1])))  # every den is 1
     ordered = trivial + rest
 
     table = CharTable(
@@ -326,14 +367,41 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
 def verify_table(t: CharTable) -> None:
     """Exact consistency checks: a square table, the dimensions, the trivial
     row, and the row relation X S X* = n I. Here X is the table (rows =
-    irreducibles, columns = classes), S = diag(|C_j|) and X* = conj(X)^t;
-    entry (i, i2) is sum_j chi_i(g_j) W[i2][j]. Only the pairs i <= i2 are
-    summed, since entry (i2, i) is the conjugate of entry (i, i2).
+    irreducibles, columns = classes), S = diag(|C_j|) and X* = conj(X)^t.
+    Only the pairs i <= i2 are checked, since entry (i2, i) is the conjugate
+    of entry (i, i2), and the first failing pair in that order is reported.
 
     The column relation needs no pass of its own. X is square, so
     X (S X*/n) = I makes S X*/n a two-sided inverse of X. Then
     (S X*/n) X = I, that is X* X = n S^-1, which is the column relation
     sum_i conj(chi_i(g_j)) chi_i(g_j2) = delta_{j,j2} n / |C_j|.
+
+    The row relation is checked by evaluation at primes, exactly. Every
+    value lies in Q(zeta_N), N the lcm of the conductors; a value of
+    conductor c with coefficients a_k is sum_k a_k zeta_N^((N/c) k). Row i
+    times the lcm D_i of its denominators has integer coefficients a_ij, so
+    each residual
+
+        R = D_i D_k (sum_j chi_ij conj(chi_kj) |C_j| - n delta_ik)
+
+    lies in Z[zeta_N], and every Galois conjugate of it has absolute value
+    at most B = max_{i<=k} sum_j |C_j| |a_ij|_1 |a_kj|_1 + n D_i D_k delta_ik.
+    For odd primes q = 1 (mod N), taken in increasing order until their
+    product M exceeds B, and each unit u mod N, the ring map zeta_N -> omega^u
+    mod q (omega of order N mod q) must send every R to 0; it sends conj(x)
+    to the image of x under the map for -u.
+
+    That suffices. q splits completely in Q(zeta_N): the phi(N) maps are the
+    reductions modulo the phi(N) distinct primes above q. An R that vanishes
+    under all of them lies in every prime above q, hence in their product
+    q Z[zeta_N]. The ideals q Z[zeta_N] for distinct q are coprime, so
+    R = M gamma with gamma in Z[zeta_N]. Every conjugate of gamma has
+    absolute value at most B/M < 1, so |Norm(gamma)| < 1; the norm is an
+    integer, hence 0, and gamma = 0. Conversely a zero R vanishes under
+    every map, so the check accepts exactly the tables that satisfy the
+    relation. Several small primes avoid testing a large integer for
+    primality, and only the nonzero coefficients are evaluated, from one
+    table of powers of omega per prime.
     """
     n = t.group.order
     r = t.classes.count
@@ -346,14 +414,39 @@ def verify_table(t: CharTable) -> None:
             raise VerificationError(f"row {i}: identity value must equal the dimension")
     if any(v.as_integer() != 1 for v in t.values[0]):
         raise VerificationError("row 0 must be the trivial character")
-    w = t.weights
+
+    sizes = t.classes.sizes
+    big_n = lcm(*(v.conductor for row in t.values for v in row))
+    dens, rows = [], []  # rows[i][j]: the (exponent at N, coefficient) terms of D_i chi_ij
+    for row in t.values:
+        d = lcm(*(v.den for v in row))
+        dens.append(d)
+        rows.append([[(k * (big_n // v.conductor), c * (d // v.den))
+                      for k, c in enumerate(v.nums) if c] for v in row])
+    norms = [[sum(abs(c) for _, c in cell) for cell in row] for row in rows]
+    want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
+    bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]
+                for i in range(r) for k in range(i, r))
+    units = [u for u in range(big_n) if gcd(u, big_n) == 1]
+    maps = []  # (q, rows weighted by |C_j| under u, rows under -u)
+    product = 1
+    for q in _primes_one_mod(big_n, 0):
+        omega = pow(_primitive_root(q), (q - 1) // big_n, q)
+        pows = [1] * big_n
+        for k in range(1, big_n):
+            pows[k] = pows[k - 1] * omega % q
+        image = {u: [[sum(c * pows[u * k % big_n] for k, c in cell) % q for cell in row]
+                     for row in rows] for u in units}
+        for u in units:
+            weighted = [list(map(mul, sizes, row)) for row in image[u]]
+            maps.append((q, weighted, image[-u % big_n]))
+        product *= q
+        if product > bound:
+            break
     for i in range(r):
-        for i2 in range(i, r):
-            acc = sum((x * y for x, y in zip(t.values[i], w[i2])), Cyclo.from_rational(0))
-            if acc.as_integer() != (n if i == i2 else 0):
-                raise VerificationError(
-                    f"row orthogonality fails for rows {i}, {i2}"
-                )
+        for k in range(i, r):
+            if any((sum(map(mul, left[i], right[k])) - want[i][k]) % q for q, left, right in maps):
+                raise VerificationError(f"row orthogonality fails for rows {i}, {k}")
 
 
 def _row_key(dim: int, vals: tuple[Cyclo, ...], conductor: int):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import SpecError, VerificationError
 from .intlinalg import IntMatrix, KGroups, coker_ker
-from .reps import Rep, rep_from_mults, tensor
+from .reps import Rep, decompose
 
 __all__ = [
     "CorrEdge",
@@ -115,11 +115,11 @@ def build_d_graph(rep: Rep) -> CorrGraph:
     table = rep.table
     dims = table.dims
     r = len(dims)
+    chi = rep.character()
     b = [[0] * r for _ in range(r)]
     edges = []
     for j in range(r):
-        one_hot = rep_from_mults(table, tuple(1 if t == j else 0 for t in range(r)))
-        col = tensor(rep, one_hot).mults
+        col = decompose(table, [x * y for x, y in zip(chi, table.values[j])])
         for k in range(r):
             if col[k]:
                 b[k][j] = col[k]

@@ -158,29 +158,12 @@ def perm_rep(table: CharTable, images, name: str = "") -> Rep:
     return Rep(table, decompose(table, values), name)
 
 
-def _fusion(table: CharTable, i: int, j: int) -> tuple[int, ...]:
-    """Row i tensor row j, decomposed once per table and unordered pair."""
-    key = (i, j) if i <= j else (j, i)
-    memo = table.fusion_memo
-    if key not in memo:
-        values = [table.values[i][c] * table.values[j][c] for c in range(table.count)]
-        memo[key] = decompose(table, values)
-    return memo[key]
-
-
 def tensor(a: Rep, b: Rep, name: str = "") -> Rep:
+    """The tensor product, decomposed once from the product character."""
     if a.table is not b.table and a.table != b.table:
         raise SpecError("tensor operands must share a character table")
-    out = [0] * a.table.count
-    for i, mi in enumerate(a.mults):
-        if not mi:
-            continue
-        for j, mj in enumerate(b.mults):
-            if not mj:
-                continue
-            for k, nk in enumerate(_fusion(a.table, i, j)):
-                out[k] += mi * mj * nk
-    return Rep(a.table, tuple(out), name)
+    values = [x * y for x, y in zip(a.character(), b.character())]
+    return Rep(a.table, decompose(a.table, values), name)
 
 
 def dsum(a: Rep, b: Rep, name: str = "") -> Rep:

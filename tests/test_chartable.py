@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -740,3 +741,145 @@ def test_load_table_fuzz_accepts_exactly_when_the_reference_does(doc):
     with mock.patch.object(chartable, "verify_table", _reference_verify_table):
         want = _load_outcome(doc)
     assert got == want, doc
+
+
+def test_verify_reports_the_reference_failure():
+    rng = random.Random(20261021)
+    for spec in ("symmetric:4", "cyclic:12", "dihedral:7"):
+        for name, bad in _corruptions(table_for(spec), rng):
+            try:
+                _reference_verify_table(bad)
+            except VerificationError as exc:
+                want = str(exc)
+            except IndexError:
+                continue
+            with pytest.raises(VerificationError) as got:
+                verify_table(bad)
+            assert str(got.value) == want, (spec, name)
+
+
+def test_row_pass_multiplies_no_cyclotomic_values(monkeypatch):
+    tables = [table_for(spec) for spec in SPEC_POOL]
+
+    def forbidden(a, b):
+        raise AssertionError("Cyclo multiplication in verify_table")
+
+    monkeypatch.setattr(Cyclo, "__mul__", forbidden)
+    monkeypatch.setattr(Cyclo, "__rmul__", forbidden)
+    for t in tables:
+        verify_table(t)
+
+
+def _c2_doc(zeta_order, cell):
+    return (f"group cyclic:2\nclasses 2\nzeta {zeta_order}\n"
+            f"irrep a dim 1 : 1 | 1\nirrep b dim 1 : 1 | {cell}\n")
+
+
+def _rejected_by_both(doc):
+    with pytest.raises(VerificationError) as got:
+        load_table(doc)
+    with mock.patch.object(chartable, "verify_table", _reference_verify_table):
+        with pytest.raises(VerificationError) as want:
+            load_table(doc)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_residual_below_the_first_prime_needs_the_second():
+    # Residual (0, 1) is 3 and B = 7 (entry (1, 1): 1 + 4 + n). The odd primes
+    # 1 (mod 1) are 3, 5, ...: 3 divides the residual, so only the second
+    # prime, which brings the product to 15 > 7, sees it.
+    _rejected_by_both(_c2_doc(1, "2"))
+
+
+def test_a_residual_that_vanishes_under_one_unit_is_still_caught():
+    # Over Q(zeta_64) the first odd prime 1 (mod 64) is 193. A real value
+    # delta = c0 + sum of +-(z^a + z^-a) with delta(omega) = 0 mod 193 makes
+    # the cell -1 + delta give residuals conj(delta) and |delta - 1|^2 - 1,
+    # both zero under zeta -> omega (u = 1, and u = -1 since delta is real),
+    # while B stays below 193. Only the other units see that delta != 0.
+    q = next(chartable._primes_one_mod(64, 0))
+    omega = pow(chartable._primitive_root(q), (q - 1) // 64, q)
+    eta = {a: (pow(omega, a, q) + pow(omega, -a, q)) % q for a in range(1, 16)}
+    found = next((c0, a, b) for a in eta for b in eta if a < b
+                 for c0 in range(-8, 11) if (c0 + eta[a] - eta[b]) % q == 0)
+    c0, a, b = found
+    cell = f"{c0 - 1} + z^{a} + z^{64 - a} - z^{b} - z^{64 - b}"
+    # |cell|_1 <= |c0 - 1| + 4 <= 13, so B <= 1 + 13^2 + 2 < q: one prime.
+    assert abs(c0 - 1) + 4 <= 13
+    _rejected_by_both(_c2_doc(64, cell))
+
+
+def test_fractional_coefficients_are_cleared_before_evaluation():
+    # Read without its denominator, -1/3 would look like -1, a valid table.
+    _rejected_by_both(_c2_doc(1, "-1/3"))
+    _rejected_by_both(C4_DOC.replace("1 | z | -1 | -z", "1 | 1/3*z | -1 | -1/3*z"))
+
+
+def test_a_large_declared_zeta_loads_quickly():
+    doc = _c2_doc(30030, "-1")
+    start = time.perf_counter()
+    t = load_table(doc)
+    assert time.perf_counter() - start < 5
+    assert t.zeta_order == 30030 and t.values[1][1].as_integer() == -1
+
+
+# ---------------------------------------------------------------------------
+# The lift as it was before the period-o transform: the e x e loop per class
+# over the powers of each representative. Kept verbatim, as a function of the
+# modular rows (renamed `_reference_lift`), as the oracle for `_lift`.
+
+
+def _reference_lift(g, cd, p, rows):
+    r = cd.count
+    e = cd.exponent
+    z = pow(chartable._primitive_root(p), (p - 1) // e, p)
+    z_inv = pow(z, -1, p)
+    z_inv_pows = [1] * e
+    for s in range(1, e):
+        z_inv_pows[s] = z_inv_pows[s - 1] * z_inv % p
+
+    class_of_power = []
+    for j in range(r):
+        rep = cd.representatives[j]
+        path = []
+        x = 0
+        for _ in range(e):
+            path.append(cd.class_of[x])
+            x = g.mul(x, rep)
+        class_of_power.append(path)
+
+    e_inv = pow(e, -1, p)
+    table_rows = []
+    for dim, chi_hat in rows:
+        vals = []
+        for j in range(r):
+            powers = class_of_power[j]
+            mults = []
+            for s in range(e):
+                acc = 0
+                for l in range(e):
+                    acc += chi_hat[powers[l]] * z_inv_pows[s * l % e]
+                mults.append(acc % p * e_inv % p)
+            if sum(mults) != dim:
+                raise VerificationError("root-of-unity multiplicities failed to lift")
+            vals.append(Cyclo.from_coeffs(e, mults))
+        table_rows.append((dim, tuple(vals)))
+    return table_rows
+
+
+def test_lift_matches_the_reference(monkeypatch):
+    calls = []
+    real = chartable._lift
+
+    def recorded(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(chartable, "_lift", recorded)
+    for spec in ALL_SMALL_SPECS + ["dihedral:60", "cyclic:30"]:
+        for seed in (0, 1):
+            character_table(construct_group(spec), seed=seed)
+            args, got = calls.pop()
+            want = _reference_lift(*args)
+            assert [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in got] == \
+                [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in want], (spec, seed)

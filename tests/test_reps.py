@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from repcorr import reps
+from repcorr import corrgraph, reps
 from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import MAX_PERM_POINTS, construct_group
 from repcorr.reps import (
+    Rep,
     decompose,
     dsum,
     is_pi_injective,
@@ -101,7 +102,7 @@ def test_dsum_adds_characters_and_tensor_multiplies_dims():
         assert all((x * y) == z for x, y, z in zip(ca, cb, cp))
 
 
-def test_fusion_memo_belongs_to_its_table(monkeypatch):
+def test_tensor_and_d_graph_count_their_decompositions(monkeypatch):
     calls = []
     real = reps.decompose
 
@@ -110,17 +111,13 @@ def test_fusion_memo_belongs_to_its_table(monkeypatch):
         return real(table, values)
 
     monkeypatch.setattr(reps, "decompose", counted)
-    t = character_table(construct_group("symmetric:4"))
+    monkeypatch.setattr(corrgraph, "decompose", counted)
+    t = table_for("symmetric:4")
     reg = regular_rep(t)
-    square = tensor(reg, reg)
+    tensor(reg, reg)
+    assert len(calls) == 1
     build_d_graph(reg)
-    r = t.count
-    # one decomposition per unordered pair of rows, shared by tensor and d-graph
-    assert len(calls) == r * (r + 1) // 2
-    assert len(t.fusion_memo) == len(calls)
-    fresh = character_table(construct_group("symmetric:4"))
-    assert fresh == t and not fresh.fusion_memo
-    assert tensor(regular_rep(fresh), regular_rep(fresh)).mults == square.mults
+    assert len(calls) == 1 + t.count
 
 
 def test_tensor_with_trivial_is_identity():
@@ -319,3 +316,48 @@ def test_decompose_and_the_reference_reject_the_same_class_functions():
             }
             for kind, values in bad.items():
                 assert _both_decompose(t, values) == ["raised", "raised"], (spec, kind)
+
+
+# ---------------------------------------------------------------------------
+# `tensor` as it was before it decomposed one product character: the sum over
+# pairs of rows of the decomposed row products, each decomposed once. Kept
+# verbatim (renamed `_reference_tensor`), except that the memo of row products
+# lives for one call instead of on the table.
+
+
+def _reference_fusion(table: CharTable, i: int, j: int, memo: dict) -> tuple[int, ...]:
+    """Row i tensor row j, decomposed once per table and unordered pair."""
+    key = (i, j) if i <= j else (j, i)
+    if key not in memo:
+        values = [table.values[i][c] * table.values[j][c] for c in range(table.count)]
+        memo[key] = decompose(table, values)
+    return memo[key]
+
+
+def _reference_tensor(a: Rep, b: Rep, name: str = "") -> Rep:
+    if a.table is not b.table and a.table != b.table:
+        raise SpecError("tensor operands must share a character table")
+    memo: dict = {}
+    out = [0] * a.table.count
+    for i, mi in enumerate(a.mults):
+        if not mi:
+            continue
+        for j, mj in enumerate(b.mults):
+            if not mj:
+                continue
+            for k, nk in enumerate(_reference_fusion(a.table, i, j, memo)):
+                out[k] += mi * mj * nk
+    return Rep(a.table, tuple(out), name)
+
+
+def test_tensor_matches_the_reference():
+    for spec in ORACLE_POOL:
+        t = table_for(spec)
+        reg = regular_rep(t)
+        assert tensor(reg, reg) == _reference_tensor(reg, reg)
+    rng = random.Random(20261020)
+    for _ in range(60):
+        t = table_for(rng.choice(ORACLE_POOL))
+        a, b = (rep_from_mults(t, tuple(rng.randrange(0, 3) for _ in range(t.count)))
+                for _ in range(2))
+        assert tensor(a, b) == _reference_tensor(a, b)
