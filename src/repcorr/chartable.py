@@ -63,7 +63,7 @@ class CharTable:
     @cached_property
     def weights(self) -> tuple[tuple[Cyclo, ...], ...]:
         """W[i][j] = conj(chi_i(g_j)) * |C_j|, the factor S X* of X S X* read
-        by rows; `verify_table` and `reps.decompose` share it."""
+        by rows, cached for `reps.decompose`."""
         sizes = self.classes.sizes
         return tuple(tuple(v.conj().scale(s) for v, s in zip(row, sizes)) for row in self.values)
 
@@ -286,10 +286,10 @@ def _lift(g: Group, cd: ClassData, p: int,
             if x == 0:
                 break
         o = len(path)
+        step = e // o
         if o not in transforms:
-            step = e // o
             transforms[o] = [[z_inv_pows[step * (s * l % o)] for l in range(o)] for s in range(o)]
-        paths.append((path, e // o, pow(o, -1, p), transforms[o]))
+        paths.append((path, step, pow(o, -1, p), transforms[o]))
 
     out = []
     for dim, chi_hat in rows:

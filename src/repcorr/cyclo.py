@@ -320,6 +320,8 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
     Coefficients are integers or fractions p/q; terms may appear in any order
     and powers may repeat (they are summed).
     """
+    if conductor > CONDUCTOR_CAP:
+        raise SpecError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
     s = text.strip()
     if not s:
         raise SpecError("empty cyclotomic value")

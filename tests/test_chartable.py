@@ -815,6 +815,13 @@ def test_fractional_coefficients_are_cleared_before_evaluation():
     _rejected_by_both(C4_DOC.replace("1 | z | -1 | -z", "1 | 1/3*z | -1 | -1/3*z"))
 
 
+def test_a_zeta_above_the_conductor_cap_is_refused_before_any_work():
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="exceeds cap"):
+        load_table(_c2_doc(10**12, "-1"))
+    assert time.perf_counter() - start < 5
+
+
 def test_a_large_declared_zeta_loads_quickly():
     doc = _c2_doc(30030, "-1")
     start = time.perf_counter()
