@@ -32,7 +32,7 @@ from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import Cyclo, _reduce_mod_phi, parse_cyclo
+from .cyclo import Cyclo, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
 
@@ -299,9 +299,7 @@ def _lift(g: Group, cd: ClassData, p: int,
             mults = [sum(map(mul, seq, t)) % p * o_inv % p for t in transform]
             if sum(mults) != dim:
                 raise VerificationError("root-of-unity multiplicities failed to lift")
-            nums = [0] * e
-            nums[::step] = mults
-            vals.append(Cyclo._make(e, _reduce_mod_phi(nums, e), 1))
+            vals.append(Cyclo._from_terms(e, ((s * step, m) for s, m in enumerate(mults) if m), 1))
         out.append((dim, tuple(vals)))
     return out
 
@@ -401,7 +399,10 @@ def verify_table(t: CharTable) -> None:
     every map, so the check accepts exactly the tables that satisfy the
     relation. Several small primes avoid testing a large integer for
     primality, and only the nonzero coefficients are evaluated, from one
-    table of powers of omega per prime.
+    table of powers of omega per prime. The maps are walked one pair
+    {u, -u} at a time: each image of the table is evaluated once and used in
+    both orientations, so only two images are held at once, and the failing
+    pairs of all maps are collected to report the least.
     """
     n = t.group.order
     r = t.classes.count
@@ -427,26 +428,28 @@ def verify_table(t: CharTable) -> None:
     want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
     bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]
                 for i in range(r) for k in range(i, r))
-    units = [u for u in range(big_n) if gcd(u, big_n) == 1]
-    maps = []  # (q, rows weighted by |C_j| under u, rows under -u)
+    failing = set()
     product = 1
     for q in _primes_one_mod(big_n, 0):
         omega = pow(_primitive_root(q), (q - 1) // big_n, q)
         pows = [1] * big_n
         for k in range(1, big_n):
             pows[k] = pows[k - 1] * omega % q
-        image = {u: [[sum(c * pows[u * k % big_n] for k, c in cell) % q for cell in row]
-                     for row in rows] for u in units}
-        for u in units:
-            weighted = [list(map(mul, sizes, row)) for row in image[u]]
-            maps.append((q, weighted, image[-u % big_n]))
+        for u in range(big_n // 2 + 1):
+            if gcd(u, big_n) != 1:
+                continue
+            images = [[[sum(c * pows[w * k % big_n] for k, c in cell) % q for cell in row]
+                       for row in rows] for w in {u, -u % big_n}]
+            for x, y in zip(images, reversed(images)):
+                weighted = [list(map(mul, sizes, row)) for row in x]
+                failing.update((i, k) for i in range(r) for k in range(i, r)
+                               if (sum(map(mul, weighted[i], y[k])) - want[i][k]) % q)
         product *= q
         if product > bound:
             break
-    for i in range(r):
-        for k in range(i, r):
-            if any((sum(map(mul, left[i], right[k])) - want[i][k]) % q for q, left, right in maps):
-                raise VerificationError(f"row orthogonality fails for rows {i}, {k}")
+    if failing:
+        i, k = min(failing)
+        raise VerificationError(f"row orthogonality fails for rows {i}, {k}")
 
 
 def _row_key(dim: int, vals: tuple[Cyclo, ...], conductor: int):

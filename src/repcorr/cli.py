@@ -95,6 +95,8 @@ def _read_job(path: str) -> dict:
         except UnicodeDecodeError as exc:
             raise SpecError(f"{path}: job file is not valid UTF-8 ({exc.reason})") from exc
     for lineno, raw in enumerate(lines, 1):
+        if "\0" in raw:
+            raise SpecError(f"{path}:{lineno}: NUL byte in job file")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

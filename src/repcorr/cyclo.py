@@ -6,9 +6,17 @@ coefficients. Internally a Cyclo keeps an integer numerator vector plus one
 common positive denominator; `coeffs()` exposes the coefficients as Fractions
 in lowest terms.
 
+Every value built from exponent/coefficient pairs, whether a rational, a
+coefficient list, a root of unity, a parsed text, an embedding into a larger
+conductor or a complex conjugate, goes through one constructor,
+`Cyclo._from_terms`: exponents are read mod N, the integer coefficients are
+summed into one list and reduced mod Phi_N once. Phi_N itself is the Moebius
+product of the binomials 1 - x^d over the divisors d of N, formed mod
+x^(phi(N)+1) (see `cyclotomic_polynomial`).
+
 Mixing conductors is allowed everywhere: operands are embedded into
-Q(zeta_lcm) first. The lcm is capped so a buggy caller cannot request a
-gigantic field by accident.
+Q(zeta_lcm) first. The conductor is capped, in that constructor, so a buggy
+caller cannot request a gigantic field by accident.
 """
 
 from __future__ import annotations
@@ -73,42 +81,56 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _poly_divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    # den is monic with integer coefficients, so quotient and remainder stay integral
-    num = list(num)
-    d = len(den) - 1
-    q = [0] * max(len(num) - d, 0)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            q[i - d] = c
-            for j in range(d + 1):
-                num[i - d + j] -= c * den[j]
-    return q, num[:d]
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, constant term first, monic."""
+    """Integer coefficients of Phi_n, constant term first, monic.
+
+    Moebius inversion of x^n - 1 = prod_{d|n} Phi_d(x) gives
+    Phi_n = prod_{d|n} (x^d - 1)^mu(n/d). For n > 1 the exponents mu(n/d)
+    sum to 0, so the signs cancel and Phi_n = prod_{d|n} (1 - x^d)^mu(n/d).
+    Each 1 - x^d is a unit of Z[[x]] with inverse sum_t x^(dt), and
+    truncation mod x^m is a ring map Z[[x]] -> Z[x]/(x^m). So with
+    m = phi(n) + 1 the product can be formed mod x^m: multiply by 1 - x^d
+    for each d with mu(n/d) = 1, then divide by 1 - x^d, which is adding
+    x^d times the running result from the bottom up, for each d with
+    mu(n/d) = -1. Phi_n has degree phi(n) < m, so the truncation is Phi_n
+    itself, and a binomial with d >= m is 1 mod x^m. That is phi(n) + 1
+    coefficients and a pass over them per divisor, in place of a long
+    division of x^n - 1 by every Phi_d (Arnold and Monagan, Math. Comp. 80
+    (2011)).
+    """
     if n < 1:
         raise SpecError(f"conductor must be positive, got {n}")
     if n == 1:
         return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_monic(num, cyclotomic_polynomial(d))
-            assert not any(r), f"Phi_{d} does not divide x^{n}-1"
-            num = q
-    return tuple(num)
+    m = _phi(n) + 1
+    out = [1] + [0] * (m - 1)
+    divisors = [d for d in range(1, m) if n % d == 0]
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            for i in range(m - 1, d - 1, -1):
+                out[i] -= out[i - d]
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            for i in range(d, m):
+                out[i] += out[i - d]
+    return tuple(out)
 
 
 def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
+    """coeffs (constant term first, changed in place) reduced mod Phi_n,
+    padded to phi(n) entries. x^phi = -sum_j a_j x^j over the nonzero
+    coefficients a_j of Phi_n below its leading one, so only those are read."""
     phi = _phi(n)
     if len(coeffs) > phi:
-        _, coeffs = _poly_divmod_monic(coeffs, cyclotomic_polynomial(n))
-    coeffs = list(coeffs) + [0] * (phi - len(coeffs))
-    return tuple(coeffs[:phi])
+        low = [(j, a) for j, a in enumerate(cyclotomic_polynomial(n)[:phi]) if a]
+        for i in range(len(coeffs) - 1, phi - 1, -1):
+            c = coeffs[i]
+            if c:
+                for j, a in low:
+                    coeffs[i - phi + j] -= c * a
+        del coeffs[phi:]
+    return tuple(coeffs) + (0,) * (phi - len(coeffs))
 
 
 @dataclass(frozen=True)
@@ -133,22 +155,37 @@ class Cyclo:
         return Cyclo(conductor, tuple(nums), den)
 
     @staticmethod
+    def _from_terms(conductor: int, terms, den: int) -> "Cyclo":
+        """sum c z^k / den over the (k, c) terms, with integer c and any
+        integer k, read mod the conductor. The one constructor from terms,
+        and the one conductor-cap check of the class."""
+        if conductor > CONDUCTOR_CAP:
+            raise SpecError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+        nums: list[int] = []
+        for k, c in terms:
+            k %= conductor
+            if k >= len(nums):
+                nums += [0] * (k + 1 - len(nums))
+            nums[k] += c
+        return Cyclo._make(conductor, _reduce_mod_phi(nums, conductor), den)
+
+    @staticmethod
     def from_rational(value: Fraction | int, conductor: int = 1) -> "Cyclo":
         value = Fraction(value)
-        nums = [0] * _phi(conductor)
-        nums[0] = value.numerator
-        return Cyclo._make(conductor, nums, value.denominator)
+        return Cyclo._from_terms(conductor, [(0, value.numerator)], value.denominator)
 
     @staticmethod
     def from_coeffs(conductor: int, coeffs: list[Fraction | int]) -> "Cyclo":
-        den = 1
-        for c in coeffs:
-            den = lcm(den, Fraction(c).denominator)
-        nums = [int(Fraction(c) * den) for c in coeffs]
-        return Cyclo._make(conductor, _reduce_mod_phi(nums, conductor), den)
+        coeffs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        return Cyclo._from_terms(conductor, ((k, c.numerator * (den // c.denominator))
+                                             for k, c in enumerate(coeffs) if c), den)
 
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
+
+    def _terms(self):
+        return ((k, c) for k, c in enumerate(self.nums) if c)
 
     def to_conductor(self, n: int) -> "Cyclo":
         """Embed into Q(zeta_n); n must be a multiple of the conductor."""
@@ -158,19 +195,11 @@ class Cyclo:
             raise SpecError(
                 f"cannot embed conductor {self.conductor} element into Q(zeta_{n})"
             )
-        if n > CONDUCTOR_CAP:
-            raise SpecError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
         step = n // self.conductor
-        out = [0] * (len(self.nums) * step - step + 1 if self.nums else 1)
-        for k, c in enumerate(self.nums):
-            if c:
-                out[k * step] += c
-        return Cyclo._make(n, _reduce_mod_phi(out, n), self.den)
+        return Cyclo._from_terms(n, ((k * step, c) for k, c in self._terms()), self.den)
 
     def _pair(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
         n = lcm(self.conductor, other.conductor)
-        if n > CONDUCTOR_CAP:
-            raise SpecError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
         return self.to_conductor(n), other.to_conductor(n)
 
     @staticmethod
@@ -239,12 +268,7 @@ class Cyclo:
 
     def conj(self) -> "Cyclo":
         """Complex conjugate, i.e. zeta -> zeta^(N-1)."""
-        n = self.conductor
-        out = [0] * n
-        for k, c in enumerate(self.nums):
-            if c:
-                out[(n - k) % n] += c
-        return Cyclo._make(n, _reduce_mod_phi(out, n), self.den)
+        return Cyclo._from_terms(self.conductor, ((-k, c) for k, c in self._terms()), self.den)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -276,9 +300,8 @@ class Cyclo:
     def text(self) -> str:
         """Render as `c0 + c1*z + c2*z^2 + ...`, omitting zero terms."""
         parts: list[str] = []
-        for k, c in enumerate(self.coeffs()):
-            if c == 0:
-                continue
+        for k, x in self._terms():
+            c = Fraction(x, self.den)
             mag = abs(c)
             if k == 0:
                 body = str(mag)
@@ -296,12 +319,7 @@ def zeta(n: int, k: int = 1) -> Cyclo:
     """zeta_n^k as an exact element of Q(zeta_n)."""
     if n < 1:
         raise SpecError(f"conductor must be positive, got {n}")
-    if n > CONDUCTOR_CAP:
-        raise SpecError(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-    k %= n
-    nums = [0] * (k + 1)
-    nums[k] = 1
-    return Cyclo._make(n, _reduce_mod_phi(nums, n), 1)
+    return Cyclo._from_terms(n, [(k, 1)], 1)
 
 
 _TERM_RE = re.compile(
@@ -326,7 +344,7 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
     if not s:
         raise SpecError("empty cyclotomic value")
     s = s.replace("-", "+-")
-    total = Cyclo.from_rational(0, conductor)
+    sums: dict[int, Fraction] = {}
     for raw in s.split("+"):
         term = raw.strip().replace(" ", "")
         if not term:
@@ -348,7 +366,7 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
             raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}") from exc
         except ValueError as exc:
             raise too_long("cyclotomic value") from exc
-        if neg:
-            coef = -coef
-        total = total + zeta(conductor, k).scale(coef)
-    return total
+        sums[k] = sums.get(k, 0) + (-coef if neg else coef)
+    den = lcm(*(c.denominator for c in sums.values()))
+    return Cyclo._from_terms(conductor, ((k, c.numerator * (den // c.denominator))
+                                         for k, c in sums.items()), den)

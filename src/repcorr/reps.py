@@ -51,7 +51,7 @@ class Rep:
             acc = Cyclo.from_rational(0)
             for i, m in enumerate(self.mults):
                 if m:
-                    acc = acc + self.table.values[i][j] * m
+                    acc = acc + self.table.values[i][j].scale(m)
             vals.append(acc)
         return tuple(vals)
 

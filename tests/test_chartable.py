@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -27,6 +28,7 @@ from repcorr.chartable import (
 from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import class_mult_coeffs, conjugacy, construct_group
+from repcorr.reps import decompose, regular_rep
 
 SPEC_POOL = [
     "cyclic:1",
@@ -828,6 +830,28 @@ def test_a_large_declared_zeta_loads_quickly():
     t = load_table(doc)
     assert time.perf_counter() - start < 5
     assert t.zeta_order == 30030 and t.values[1][1].as_integer() == -1
+
+
+def test_a_large_declared_zeta_decomposes_quickly():
+    # decompose reads the conjugated table, so it reduces mod Phi_30030
+    t = load_table(_c2_doc(30030, "-1"))
+    start = time.perf_counter()
+    mults = decompose(t, regular_rep(t).character())
+    assert time.perf_counter() - start < 5
+    assert mults == (1, 1)
+
+
+def test_verification_holds_one_pair_of_unit_images_at_a_time():
+    # Holding the image of the table under all 5,760 units of Z/30030 at
+    # once peaks near 6 MB; the table of powers of omega is about 1 MB.
+    doc = _c2_doc(30030, "-1")
+    tracemalloc.start()
+    try:
+        load_table(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,14 @@ def test_non_utf8_job_file_exits_2(tmp_path):
     assert err.startswith(f"error: {job}: job file is not valid UTF-8")
 
 
+def test_nul_byte_in_job_file_exits_2(tmp_path):
+    job = tmp_path / "nul.job"
+    job.write_text(f"group=cyclic:2\ntasks=table\nout={tmp_path / 'a'}\0b\n", encoding="utf-8")
+    code, out, err = run_in_process(["--job", str(job)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {job}:3: NUL byte in job file\n"
+
+
 def test_malformed_inputs_exit_2_in_process():
     far = f"(1 {MAX_PERM_POINTS + 1})"
     cases = [
@@ -480,3 +488,50 @@ def test_cli_fuzz_exits_cleanly(tmp_path, group, reps, tasks, fmt, convention, w
         argv += ["--out", str(tmp_path / out)]
     code, _, _ = run_in_process(argv)
     assert code in (0, 2, 3, 4), argv
+
+
+# A job-file grammar for the fuzz test below: each settings key at most once
+# with a good value, named representations, and now and then broken lines
+# (bad values, which override the good ones, bad rep names, comments,
+# malformed lines and NUL bytes), so that many runs get as far as writing
+# their output.
+_JOB_VALUES = {
+    "group": _GROUPS,
+    "tasks": st.tuples(st.permutations(cli.TASKS), st.integers(1, 2)).map(lambda pk: ",".join(pk[0][: pk[1]])),
+    "convention": st.sampled_from([None, "paper-min", "module-count"]),
+    "seed": st.one_of(st.none(), st.integers(0, 3)),
+    "window": st.one_of(st.none(), st.integers(0, 2)),
+    "format": st.sampled_from([None, "text", "json", "dot"]),
+    "out": st.sampled_from([None, "out", "out/sub", "a\0b"]),
+}
+assert set(_JOB_VALUES) == set(cli._SETTINGS)
+_REP_LINES = st.tuples(st.sampled_from(["a", "b"]), _SPECS).map("rep.{0[0]} = {0[1]}".format)
+_BROKEN_LINES = st.one_of(
+    _BAD_GROUPS.map("group={}".format),
+    st.sampled_from([
+        "tasks=", "tasks=bogus", "convention=bogus", "seed=x", "seed=1.5", "window=two",
+        "window=2.0", "window=-1", "format=yaml", "out=", "rep. = trivial", "rep.1x = trivial",
+        "rep.a b = trivial", "# a comment", "", "   ", "#\0", "no equals sign", "=", "bogus=1",
+        "group=cyclic:2\0", "\0",
+    ]),
+)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(
+    values=st.fixed_dictionaries(_JOB_VALUES),
+    reps=_mostly(st.lists(_REP_LINES, min_size=1, max_size=2), st.just([])),
+    broken=_mostly(st.just([]), st.lists(_BROKEN_LINES, min_size=1, max_size=2)),
+)
+def test_cli_job_file_fuzz_exits_cleanly(tmp_path, values, reps, broken):
+    lines = [f"{key}={value}" for key, value in values.items() if value is not None]
+    job = tmp_path / "fuzz.job"
+    job.write_text("\n".join(lines + reps + broken) + "\n", encoding="utf-8")
+    with contextlib.chdir(tmp_path):
+        code, _, _ = run_in_process(["--job", str(job)])
+    assert code in (0, 2, 3, 4), job.read_text(encoding="utf-8")

@@ -1,8 +1,11 @@
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from repcorr import cyclo
 from repcorr.cyclo import Cyclo, cyclotomic_polynomial, parse_cyclo, zeta
 from repcorr.errors import SpecError
 
@@ -139,3 +142,79 @@ def test_zeta_power_wraps_mod_conductor():
     assert zeta(6, 7) == zeta(6, 1)
     assert zeta(4, 2).as_integer() == -1
     assert zeta(1).as_integer() == 1
+
+
+# ---------------------------------------------------------------------------
+# Phi_n and the reduction mod Phi_n as they were before the Moebius product:
+# x^n - 1 divided by Phi_d for every proper divisor d, and a long division by
+# the whole of Phi_n. Kept verbatim as oracles.
+
+
+def _reference_poly_divmod_monic(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    # den is monic with integer coefficients, so quotient and remainder stay integral
+    num = list(num)
+    d = len(den) - 1
+    q = [0] * max(len(num) - d, 0)
+    for i in range(len(num) - 1, d - 1, -1):
+        c = num[i]
+        if c:
+            q[i - d] = c
+            for j in range(d + 1):
+                num[i - d + j] -= c * den[j]
+    return q, num[:d]
+
+
+@lru_cache(maxsize=None)
+def _reference_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_n, constant term first, monic."""
+    if n < 1:
+        raise SpecError(f"conductor must be positive, got {n}")
+    if n == 1:
+        return (-1, 1)
+    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _reference_poly_divmod_monic(num, _reference_cyclotomic_polynomial(d))
+            assert not any(r), f"Phi_{d} does not divide x^{n}-1"
+            num = q
+    return tuple(num)
+
+
+def _reference_reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
+    phi = cyclo._phi(n)
+    if len(coeffs) > phi:
+        _, coeffs = _reference_poly_divmod_monic(coeffs, _reference_cyclotomic_polynomial(n))
+    coeffs = list(coeffs) + [0] * (phi - len(coeffs))
+    return tuple(coeffs[:phi])
+
+
+def test_moebius_product_matches_the_division_oracle():
+    for n in range(1, 401):
+        assert cyclotomic_polynomial(n) == _reference_cyclotomic_polynomial(n), n
+
+
+def test_reduction_matches_the_division_oracle():
+    rng = random.Random(15)
+    for n in range(1, 211):
+        phi = cyclo._phi(n)
+        for size in (0, 1, phi, phi + 1, n, 2 * n + 1):
+            coeffs = [rng.randint(-9, 9) for _ in range(size)]
+            assert cyclo._reduce_mod_phi(list(coeffs), n) == _reference_reduce_mod_phi(coeffs, n), n
+
+
+def test_phi_of_a_large_squarefree_conductor_is_quick():
+    # The division oracle takes minutes here: x^30030 - 1 divided by the 63
+    # smaller Phi_d.
+    start = time.perf_counter()
+    phi = cyclotomic_polynomial(30030)
+    assert time.perf_counter() - start < 5
+    assert len(phi) == cyclo._phi(30030) + 1 and phi[-1] == 1
+    # Phi_2m(x) = Phi_m(-x) for odd m; 15015 = 3*5*7*11*13
+    assert phi == tuple(-c if k % 2 else c for k, c in enumerate(cyclotomic_polynomial(15015)))
+
+
+def test_exponents_are_read_mod_the_conductor():
+    assert Cyclo.from_coeffs(3, [0, 0, 0, 1]).as_integer() == 1
+    assert parse_cyclo("z^7 - z^13", 6).is_zero()
+    assert parse_cyclo("1/2 + 2*z^5 - z^9", 12).conj() == parse_cyclo("1/2 + 2*z^7 - z^3", 12)
+    assert zeta(5, -1) == zeta(5, 4)
