@@ -1,31 +1,29 @@
 """Exact character tables of finite groups.
 
-`character_table` runs the classic modular algorithm: build the class
-multiplication matrices, split a simultaneous eigenbasis over F_p for a prime
-p = 1 (mod exponent), p > 2*sqrt(|G|), then lift eigenvalue data back to exact
-cyclotomic values in Q(zeta_exponent) through the discrete-log correspondence
-between roots of unity in F_p and powers of zeta; the lift walks each class
-representative's powers only for one period (`_lift`). The row orthogonality
-relation X S X* = n I is verified exactly before a table is returned, by
-evaluation at primes q = 1 (mod N) whose product exceeds a bound on every
-residual, so a bug in the modular stage cannot leak a wrong table; for a
-square table it implies the column relation (both proofs are in
-`verify_table`).
+`character_table` runs the classic modular algorithm (Dixon, Numer. Math.
+10 (1967); Schneider, J. Symbolic Comput. 9 (1990)): split F_p^r into the
+common eigenvectors of the class multiplication matrices, for a prime
+p = 1 (mod exponent), p > 2*sqrt(|G|), then lift eigenvalue data back to
+exact cyclotomic values in Q(zeta_exponent) through the discrete-log
+correspondence between roots of unity in F_p and powers of zeta; the lift
+walks each class representative's powers only for one period (`_lift`). The
+row orthogonality relation X S X* = n I is verified exactly before a table
+is returned, by evaluation at primes q = 1 (mod N) whose product exceeds a
+bound on every residual, so a bug in the modular stage cannot leak a wrong
+table; for a square table it implies the column relation (both proofs are
+in `verify_table`).
 
-The split needs one F_p routine, `_kernel_mod`. A piece span(b_1..b_k) is
-split by a matrix A by taking, for each lam in F_p, the kernel of the matrix
-with columns (A - lam I) b_j, until the eigenvectors found fill the piece;
-filling it is also what proves the piece invariant under A.
-
-Random choices (the eigenspace splitting combinations) come from a seeded
-PRNG; if random combinations fail to split, a deterministic pass over every
-class matrix finishes the job, which makes the result reproducible and the
-abort path effectively unreachable.
+The split is deterministic and needs one F_p routine, `_kernel_mod`. Pieces
+are split by one class matrix at a time, each built only when a piece still
+needs it (`_omega_vectors`). A piece is kept reduced at pivot coordinates,
+which gives the matrix of a class matrix on it, an exact invariance check,
+and eigenvalue candidates as the roots of one annihilating polynomial
+(`_split_piece`). No random number is drawn; `seed` is accepted for
+compatibility and has no effect.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,9 +41,6 @@ __all__ = [
     "format_table",
     "tables_equal_up_to_row_order",
 ]
-
-_MAX_RANDOM_SPLITS = 12
-
 
 @dataclass(frozen=True)
 class CharTable:
@@ -72,8 +67,10 @@ class CharTable:
 # modular linear algebra helpers (dense, tiny matrices)
 
 
-def _mat_vec(m: list[list[int]], v: list[int], p: int) -> list[int]:
-    return [sum(mi[k] * v[k] for k in range(len(v))) % p for mi in m]
+def _mat_vec(m, v: list[int], p: int) -> list[int]:
+    """m v mod p, reading only the nonzero entries of v."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    return [sum(row[k] * x for k, x in nz) % p for row in m]
 
 
 def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
@@ -82,8 +79,10 @@ def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
     Forward elimination brings m to row echelon form. Each free column then
     gets one vector, found by back-substitution with that free variable 1
     and the others 0: the basis read off the reduced echelon form, which
-    depends only on the kernel. A matrix of full column rank costs one
-    forward pass.
+    depends only on the kernel. Every variable above that free column is 0
+    (the later free ones by choice, the later pivot ones by induction), so
+    each pivot row is read only up to it. A matrix of full column rank costs
+    one forward pass.
     """
     rows = [[x % p for x in row] for row in m]
     ncols = len(rows[0]) if rows else 0
@@ -108,7 +107,8 @@ def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
         vec = [0] * ncols
         vec[fc] = 1
         for row, pc in reversed(list(zip(rows, pivots))):
-            vec[pc] = -sum(row[j] * vec[j] for j in range(pc + 1, ncols)) % p
+            if pc < fc:
+                vec[pc] = -sum(map(mul, row[pc + 1:fc + 1], vec[pc + 1:fc + 1])) % p
         basis.append(vec)
     return basis
 
@@ -119,9 +119,9 @@ def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
 
 def _primes_one_mod(n: int, above: int):
     """Odd primes q = 1 (mod n) with q > above, in increasing order."""
-    q = n + 1
+    q = above + 1 + -above % n  # the least q > above with q = 1 (mod n)
     while True:
-        if q > above and q > 2 and _is_prime(q):
+        if q > 2 and _is_prime(q):
             yield q
         q += n
 
@@ -156,83 +156,94 @@ def _primitive_root(p: int) -> int:
     raise VerificationError(f"no primitive root mod {p}")
 
 
-def _split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) -> list[list[list[int]]]:
-    """Split span(basis) into the eigenspaces of amat that it contains.
+_Piece = tuple[list[int], list[list[int]]]  # (pivots, basis)
 
-    For lam = 0, 1, ..., p - 1 the kernel of the r x k matrix whose column j
-    is (amat - lam I) b_j gives the coordinates, in `basis`, of the
-    lam-eigenvectors inside the span; each kernel vector is lifted through
-    `basis`. The scan stops once the kernel dimensions add up to k.
 
-    A total of exactly k also proves that the span is invariant under amat:
-    eigenvectors for distinct eigenvalues are independent, so k of them
-    inside the k-dimensional span fill it, and a span of eigenvectors is
-    mapped into itself. Any other total raises.
+def _split_piece(pivots: list[int], basis: list[list[int]], amat, p: int) -> list[_Piece]:
+    """Split the piece span(basis) into the eigenspaces of amat it contains.
+
+    The basis is reduced at `pivots`: b_t[pivots[s]] = delta_ts. So the
+    coordinates of a vector v of the span are v read at the pivots, and the
+    k x k matrix C of amat on the piece has column j equal to amat b_j read
+    there. Checking amat b_j = sum_t C[t][j] b_t at every other coordinate
+    proves the piece invariant under amat.
+
+    The eigenvalue candidates are the roots in F_p of the annihilating
+    polynomial of the functional f(v) = v[0] under C: the first kernel
+    vector of the matrix with columns f, C^t f, ..., (C^t)^k f. Every
+    central character is 1 on the identity class, so f is nonzero on each
+    eigenvector omega of the piece, and P(C^t) f = 0 gives
+    0 = f(P(C) omega) = P(lam) f(omega), hence P(lam) = 0 for every
+    eigenvalue lam of C. The kernel of C - lam I, for each root lam, lifted
+    through the basis, is one new piece; `_kernel_mod` returns a vector per
+    free column s with 1 at s and 0 at the other free columns (and at every
+    column above s), so the lifted vectors are reduced at the pivots of
+    their free columns. Eigenvectors for distinct eigenvalues are
+    independent, so the kernels fill at most the piece. They fall short only
+    if C is not diagonalizable over F_p or some eigenvector is 0 at the
+    identity class; neither can give a table, so a shortfall raises.
     """
-    k, r = len(basis), len(basis[0])
+    k = len(basis)
+    pivot_set = set(pivots)
     images = [_mat_vec(amat, b, p) for b in basis]
+    cols = [[im[c] for c in pivots] for im in images]
+    rest = [c for c in range(len(basis[0])) if c not in pivot_set]
+    basis_at = [[b[c] for b in basis] for c in rest]
+    for im, col in zip(images, cols):
+        if any((im[c] - sum(map(mul, col, row))) % p for c, row in zip(rest, basis_at)):
+            raise VerificationError("class matrix does not preserve an eigenspace")
+    krylov = [[b[0] for b in basis]]
+    for _ in range(k):
+        krylov.append([sum(map(mul, col, krylov[-1])) % p for col in cols])
+    poly = _kernel_mod(list(zip(*krylov)), p)[0]
+    crows = [list(row) for row in zip(*cols)]
+    by_coord = list(zip(*basis))
     pieces = []
-    total = 0
     for lam in range(p):
-        shifted = [[a[i] - lam * b[i] for a, b in zip(images, basis)] for i in range(r)]
-        kern = _kernel_mod(shifted, p)
-        if not kern:
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * lam + c) % p
+        if acc:
             continue
-        total += len(kern)
-        pieces.append([[sum(c * b[t] for c, b in zip(w, basis)) % p for t in range(r)]
-                       for w in kern])
-        if total >= k:
-            break
-    if total != k:
+        for t in range(k):
+            crows[t][t] -= lam
+        kern = _kernel_mod(crows, p)
+        for t in range(k):
+            crows[t][t] += lam
+        pieces.append(([pivots[max(s for s, c in enumerate(w) if c)] for w in kern],
+                       [[sum(map(mul, w, at)) % p for at in by_coord] for w in kern]))
+    if sum(len(b) for _, b in pieces) != k:
         raise VerificationError("class matrix failed to diagonalize over F_p")
     return pieces
 
 
-def _omega_vectors(class_mats: list[list[list[int]]], p: int, seed: int) -> list[list[int]]:
-    r = len(class_mats)
-    rng = random.Random(seed)
-    # start from the standard basis of F_p^r
-    full = []
-    for i in range(r):
-        e = [0] * r
-        e[i] = 1
-        full.append(e)
-    pending: list[list[list[int]]] = [full]
-    finished: list[list[int]] = []
+def _omega_vectors(g: Group, cd: ClassData, p: int) -> list[list[int]]:
+    """The central characters omega, scaled to omega[0] = 1, read mod p.
 
-    def push(piece: list[list[int]]) -> None:
-        if len(piece) == 1:
-            finished.append(piece[0])
-        else:
-            pending.append(piece)
-
-    for _ in range(_MAX_RANDOM_SPLITS):
-        if not pending:
+    M_i omega = omega_i omega for every class matrix M_i, so the omegas are
+    the common eigenvectors of the M_i. Starting from all of F_p^r, each
+    pending piece is split by one class matrix at a time, built only when a
+    piece still needs it: the classes of the generators first, then the
+    others by (size, index). M_0 is the identity and is never built. Distinct
+    central characters differ on some class, so for consistent data every
+    piece ends one-dimensional; a piece left over raises.
+    """
+    r = cd.count
+    gen_classes = [c for c in dict.fromkeys(cd.class_of[x] for x in g.generators) if c]
+    others = sorted(set(range(1, r)) - set(gen_classes), key=lambda i: (cd.sizes[i], i))
+    pieces = [(list(range(r)), [[int(i == j) for j in range(r)] for i in range(r)])]
+    for i in gen_classes + others:
+        if all(len(basis) == 1 for _, basis in pieces):
             break
-        coefs = [rng.randrange(p) for _ in range(r)]
-        amat = [[sum(coefs[i] * class_mats[i][j][k] for i in range(r)) % p
-                 for k in range(r)] for j in range(r)]
-        work, pending = pending, []
-        for piece in work:
-            for sub in _split_subspace(piece, amat, p):
-                push(sub)
-    if pending:
-        # guaranteed full split: distinct central characters differ on some class
-        for i in range(r):
-            if not pending:
-                break
-            work, pending = pending, []
-            for piece in work:
-                for sub in _split_subspace(piece, class_mats[i], p):
-                    push(sub)
-    if pending:
+        amat = class_mult_coeffs(g, cd, i)
+        pieces = [sub for piece in pieces for sub in
+                  (_split_piece(*piece, amat, p) if len(piece[1]) > 1 else [piece])]
+    if any(len(basis) > 1 for _, basis in pieces):
         raise VerificationError(
             "eigenspace splitting did not converge; class algebra is inconsistent"
         )
-    if len(finished) != r:
-        raise VerificationError("wrong number of central characters")
     out = []
-    for v in finished:
+    for _, (v,) in pieces:
         if v[0] % p == 0:
             raise VerificationError("central character vanishes on the identity class")
         inv = pow(v[0], -1, p)
@@ -309,6 +320,8 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
 
     Rows are ordered with the trivial character first, then by (dimension,
     lexicographic value order); columns follow the conjugacy class order.
+    The algorithm is deterministic: `seed` is accepted for compatibility
+    and has no effect.
     """
     if cd is None:
         cd = conjugacy(g)
@@ -317,9 +330,7 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
     n = g.order
     p = _least_prime(e, n)
 
-    class_mats = [class_mult_coeffs(g, cd, i) for i in range(r)]
-    # (class_mats[i])[j][k] = a_ijk so that M_i omega = omega_i * omega
-    omegas = _omega_vectors(class_mats, p, seed)
+    omegas = _omega_vectors(g, cd, p)
 
     size_inv = [pow(s, -1, p) for s in cd.sizes]
     rows = []
@@ -375,19 +386,22 @@ def verify_table(t: CharTable) -> None:
     sum_i conj(chi_i(g_j)) chi_i(g_j2) = delta_{j,j2} n / |C_j|.
 
     The row relation is checked by evaluation at primes, exactly. Every
-    value lies in Q(zeta_N), N the lcm of the conductors; a value of
-    conductor c with coefficients a_k is sum_k a_k zeta_N^((N/c) k). Row i
-    times the lcm D_i of its denominators has integer coefficients a_ij, so
-    each residual
+    value lies in Q(zeta_L), L the lcm of the conductors; a value of
+    conductor c with coefficients a_k is sum_k a_k zeta_L^((L/c) k). If g is
+    the gcd of L and every exponent with a nonzero coefficient, every value
+    is a polynomial in zeta_L^g, a primitive N-th root of unity for
+    N = L/g, so the values lie in Q(zeta_N) with the exponents divided by
+    g; a rational table has N = 1. Row i times the lcm D_i of its
+    denominators has integer coefficients a_ij, so each residual
 
         R = D_i D_k (sum_j chi_ij conj(chi_kj) |C_j| - n delta_ik)
 
     lies in Z[zeta_N], and every Galois conjugate of it has absolute value
     at most B = max_{i<=k} sum_j |C_j| |a_ij|_1 |a_kj|_1 + n D_i D_k delta_ik.
-    For odd primes q = 1 (mod N), taken in increasing order until their
-    product M exceeds B, and each unit u mod N, the ring map zeta_N -> omega^u
-    mod q (omega of order N mod q) must send every R to 0; it sends conj(x)
-    to the image of x under the map for -u.
+    For odd primes q = 1 (mod N) above min(B, 2^31), taken in increasing
+    order until their product M exceeds B, and each unit u mod N, the ring
+    map zeta_N -> omega^u mod q (omega of order N mod q) must send every R
+    to 0; it sends conj(x) to the image of x under the map for -u.
 
     That suffices. q splits completely in Q(zeta_N): the phi(N) maps are the
     reductions modulo the phi(N) distinct primes above q. An R that vanishes
@@ -397,8 +411,10 @@ def verify_table(t: CharTable) -> None:
     absolute value at most B/M < 1, so |Norm(gamma)| < 1; the norm is an
     integer, hence 0, and gamma = 0. Conversely a zero R vanishes under
     every map, so the check accepts exactly the tables that satisfy the
-    relation. Several small primes avoid testing a large integer for
-    primality, and only the nonzero coefficients are evaluated, from one
+    relation. One prime is the common case: the first prime above B
+    already exceeds it. Starting no higher than 2^31 keeps the trial
+    division of each candidate short when B is larger, and then several
+    primes are taken. Only the nonzero coefficients are evaluated, from one
     table of powers of omega per prime. The maps are walked one pair
     {u, -u} at a time: each image of the table is evaluated once and used in
     both orientations, so only two images are held at once, and the failing
@@ -424,13 +440,16 @@ def verify_table(t: CharTable) -> None:
         dens.append(d)
         rows.append([[(k * (big_n // v.conductor), c * (d // v.den))
                       for k, c in enumerate(v.nums) if c] for v in row])
+    least = gcd(big_n, *(k for row in rows for cell in row for k, _ in cell))
+    big_n //= least
+    rows = [[[(k // least, c) for k, c in cell] for cell in row] for row in rows]
     norms = [[sum(abs(c) for _, c in cell) for cell in row] for row in rows]
     want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
     bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]
                 for i in range(r) for k in range(i, r))
     failing = set()
     product = 1
-    for q in _primes_one_mod(big_n, 0):
+    for q in _primes_one_mod(big_n, min(bound, 2**31)):
         omega = pow(_primitive_root(q), (q - 1) // big_n, q)
         pows = [1] * big_n
         for k in range(1, big_n):

@@ -43,11 +43,16 @@ CONDUCTOR_CAP = 10**6
 
 @lru_cache(maxsize=None)
 def _phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
+    """Euler's phi(n) = n prod (1 - 1/q) over the primes q dividing n,
+    found by trial division up to sqrt(n)."""
+    out, q = n, 2
+    while q * q <= n:
+        if n % q == 0:
+            out -= out // q
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out - out // n if n > 1 else out
 
 
 def _mobius(n: int) -> int:

@@ -19,6 +19,7 @@ from .errors import SpecError, VerificationError
 from .groups import _bracket_items, _compose, _int_list, _split_top_level, parse_cycles
 
 __all__ = [
+    "MAX_REP_DIM",
     "Rep",
     "trivial_rep",
     "regular_rep",
@@ -33,6 +34,13 @@ __all__ = [
 ]
 
 
+# A representation's dimension times the largest degree bounds every edge
+# count the graphs build from it, and the edge counts bound the K-group
+# torsion through Hadamard's inequality. Capping the dimension keeps those
+# integers far below the 4,300 digits Python will print.
+MAX_REP_DIM = 10**12
+
+
 @dataclass(frozen=True)
 class Rep:
     """A representation recorded as irreducible multiplicities."""
@@ -40,6 +48,10 @@ class Rep:
     table: CharTable
     mults: tuple[int, ...]
     name: str = ""
+
+    def __post_init__(self):
+        if self.dim > MAX_REP_DIM:
+            raise SpecError(f"representation dimension exceeds the cap of {MAX_REP_DIM:,}")
 
     @property
     def dim(self) -> int:

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import itertools
 import random
 import time
 import tracemalloc
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from published_tables import expected_doc
 from test_groups import ALL_SMALL_SPECS
+from test_table_golden import PIPELINE_SPECS
 
 from repcorr import chartable
 from repcorr.chartable import (
@@ -18,7 +22,7 @@ from repcorr.chartable import (
     _kernel_mod,
     _least_prime,
     _omega_vectors,
-    _split_subspace,
+    _split_piece,
     character_table,
     format_table,
     load_table,
@@ -283,45 +287,46 @@ def _class_data(spec):
     g = construct_group(spec)
     cd = conjugacy(g)
     mats = [class_mult_coeffs(g, cd, i) for i in range(cd.count)]
-    return mats, _least_prime(cd.exponent, g.order)
+    return g, cd, mats, _least_prime(cd.exponent, g.order)
 
 
-def _reference_omega_vectors(monkeypatch, mats, p, seed):
-    with monkeypatch.context() as m:
-        m.setattr(chartable, "_split_subspace", _reference_split_subspace)
-        return _omega_vectors(mats, p, seed)
-
-
-def test_omega_vectors_match_reference_split(monkeypatch):
-    for spec in ALL_SMALL_SPECS:
-        mats, p = _class_data(spec)
-        for seed in range(4):
-            want = _reference_omega_vectors(monkeypatch, mats, p, seed)
-            assert _omega_vectors(mats, p, seed) == want, (spec, seed)
+def test_omega_vectors_match_reference_split():
+    # The 37 groups of the table golden corpus. The random split with the
+    # characteristic-polynomial pieces is checked on the small ones too.
+    for spec in dict.fromkeys(ALL_SMALL_SPECS + PIPELINE_SPECS):
+        g, cd, mats, p = _class_data(spec)
+        got = sorted(_omega_vectors(g, cd, p))
+        assert got == sorted(_random_omega_vectors(mats, p, 0)), spec
+        if spec in ALL_SMALL_SPECS:
+            assert got == sorted(_random_omega_vectors(mats, p, 0, _reference_split_subspace)), spec
 
 
 def test_corrupted_class_matrix_fails_like_the_reference(monkeypatch):
-    # One a_ijk changed at a time. Where the reference split raises, so must
-    # the new one (the piece is not invariant or does not diagonalize), and
-    # where it does not, both return the same vectors.
+    # One a_ijk changed at a time in the class matrices `character_table`
+    # builds. A change the split reads either raises (a piece is not
+    # invariant or does not diagonalize, or a later check fails) or, like
+    # one in a matrix the split never builds, leaves the table as it was:
+    # no wrong table escapes.
+    real = class_mult_coeffs
     raised = 0
     for spec in ("symmetric:3", "symmetric:4", "dihedral:4"):
-        mats, p = _class_data(spec)
-        r = len(mats)
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    bad = [[list(row) for row in mat] for mat in mats]
-                    bad[i][j][k] += 1
-                    try:
-                        want = _reference_omega_vectors(monkeypatch, bad, p, 0)
-                    except VerificationError:
-                        with pytest.raises(VerificationError):
-                            _omega_vectors(bad, p, 0)
-                        raised += 1
-                    else:
-                        assert _omega_vectors(bad, p, 0) == want, (spec, i, j, k)
-    assert raised > 200
+        good = table_for(spec)
+        g, cd = good.group, good.classes
+        for i, j, k in itertools.product(range(cd.count), repeat=3):
+            def corrupted(g_, cd_, i_, i=i, j=j, k=k):
+                mat = [list(row) for row in real(g_, cd_, i_)]
+                if i_ == i:
+                    mat[j][k] += 1
+                return mat
+
+            monkeypatch.setattr(chartable, "class_mult_coeffs", corrupted)
+            try:
+                t = character_table(g, cd)
+            except VerificationError:
+                raised += 1
+            else:
+                assert (t.dims, t.values) == (good.dims, good.values), (spec, i, j, k)
+    assert raised > 50
 
 
 def test_split_rejects_a_piece_that_is_not_an_eigenbasis():
@@ -329,10 +334,34 @@ def test_split_rejects_a_piece_that_is_not_an_eigenbasis():
     shift = [[0, 0], [1, 0]]  # e0 -> e1: span(e0) is not invariant
     jordan = [[1, 1], [0, 1]]  # invariant but not diagonalizable
     for basis, amat in (([[1, 0]], shift), ([[1, 0], [0, 1]], jordan)):
-        for split in (_split_subspace, _reference_split_subspace):
+        with pytest.raises(VerificationError):
+            _split_piece(list(range(len(basis))), basis, amat, p)
+        for split in (_scan_split_subspace, _reference_split_subspace):
             with pytest.raises(VerificationError):
                 split(basis, amat, p)
-    assert _split_subspace([[1, 0], [0, 1]], [[2, 0], [0, 5]], p) == [[[1, 0]], [[0, 1]]]
+    # The eigenvector e1 is 0 at coordinate 0, where every central character
+    # is 1, so its eigenvalue 5 is no root of the functional's polynomial.
+    with pytest.raises(VerificationError):
+        _split_piece([0, 1], [[1, 0], [0, 1]], [[2, 0], [0, 5]], p)
+    assert _split_piece([0, 1], [[1, 0], [0, 1]], [[2, 3], [0, 5]], p) == \
+        [([0], [[1, 0]]), ([1], [[1, 1]])]
+    assert _scan_split_subspace([[1, 0], [0, 1]], [[2, 0], [0, 5]], p) == [[[1, 0]], [[0, 1]]]
+
+
+def test_character_table_draws_no_random_number(monkeypatch):
+    tree = ast.parse(inspect.getsource(chartable))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imported
+    assert not hasattr(chartable, "_MAX_RANDOM_SPLITS")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a random number was drawn")
+
+    monkeypatch.setattr(random.Random, "__init__", forbidden)
+    for spec in SPEC_POOL:
+        assert character_table(construct_group(spec), seed=2**40).values == table_for(spec).values
 
 
 def _null_count(m, p):
@@ -376,10 +405,102 @@ def test_kernel_mod_is_a_null_space_basis(p, m):
 
 
 # ---------------------------------------------------------------------------
+# The split as it was before it became deterministic: random combinations of
+# the class matrices, each piece split by a scan over every lam in F_p, and a
+# fallback pass over every class matrix. Kept verbatim (renamed, with the
+# piece splitter a parameter) as the oracle for `_omega_vectors`.
+
+
+def _scan_split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) -> list[list[list[int]]]:
+    """Split span(basis) into the eigenspaces of amat that it contains.
+
+    For lam = 0, 1, ..., p - 1 the kernel of the r x k matrix whose column j
+    is (amat - lam I) b_j gives the coordinates, in `basis`, of the
+    lam-eigenvectors inside the span; each kernel vector is lifted through
+    `basis`. The scan stops once the kernel dimensions add up to k.
+
+    A total of exactly k also proves that the span is invariant under amat:
+    eigenvectors for distinct eigenvalues are independent, so k of them
+    inside the k-dimensional span fill it, and a span of eigenvectors is
+    mapped into itself. Any other total raises.
+    """
+    k, r = len(basis), len(basis[0])
+    images = [_reference_mat_vec(amat, b, p) for b in basis]
+    pieces = []
+    total = 0
+    for lam in range(p):
+        shifted = [[a[i] - lam * b[i] for a, b in zip(images, basis)] for i in range(r)]
+        kern = _kernel_mod(shifted, p)
+        if not kern:
+            continue
+        total += len(kern)
+        pieces.append([[sum(c * b[t] for c, b in zip(w, basis)) % p for t in range(r)]
+                       for w in kern])
+        if total >= k:
+            break
+    if total != k:
+        raise VerificationError("class matrix failed to diagonalize over F_p")
+    return pieces
+
+
+def _random_omega_vectors(class_mats: list[list[list[int]]], p: int, seed: int,
+                          split=_scan_split_subspace) -> list[list[int]]:
+    r = len(class_mats)
+    rng = random.Random(seed)
+    # start from the standard basis of F_p^r
+    full = []
+    for i in range(r):
+        e = [0] * r
+        e[i] = 1
+        full.append(e)
+    pending: list[list[list[int]]] = [full]
+    finished: list[list[int]] = []
+
+    def push(piece: list[list[int]]) -> None:
+        if len(piece) == 1:
+            finished.append(piece[0])
+        else:
+            pending.append(piece)
+
+    for _ in range(12):
+        if not pending:
+            break
+        coefs = [rng.randrange(p) for _ in range(r)]
+        amat = [[sum(coefs[i] * class_mats[i][j][k] for i in range(r)) % p
+                 for k in range(r)] for j in range(r)]
+        work, pending = pending, []
+        for piece in work:
+            for sub in split(piece, amat, p):
+                push(sub)
+    if pending:
+        # guaranteed full split: distinct central characters differ on some class
+        for i in range(r):
+            if not pending:
+                break
+            work, pending = pending, []
+            for piece in work:
+                for sub in split(piece, class_mats[i], p):
+                    push(sub)
+    if pending:
+        raise VerificationError(
+            "eigenspace splitting did not converge; class algebra is inconsistent"
+        )
+    if len(finished) != r:
+        raise VerificationError("wrong number of central characters")
+    out = []
+    for v in finished:
+        if v[0] % p == 0:
+            raise VerificationError("central character vanishes on the identity class")
+        inv = pow(v[0], -1, p)
+        out.append([x * inv % p for x in v])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The split as it was before it became one kernel routine: the restriction
 # matrix, a span solve, the Lagrange characteristic polynomial and its
 # eigenvalues. Kept verbatim (renamed `_reference_*`) as the oracle for the
-# eigenvectors `_split_subspace` now finds directly.
+# eigenvectors `_scan_split_subspace` found directly.
 
 
 def _reference_mat_vec(m: list[list[int]], v: list[int], p: int) -> list[int]:
@@ -787,10 +908,44 @@ def _rejected_by_both(doc):
 
 
 def test_a_residual_below_the_first_prime_needs_the_second():
-    # Residual (0, 1) is 3 and B = 7 (entry (1, 1): 1 + 4 + n). The odd primes
-    # 1 (mod 1) are 3, 5, ...: 3 divides the residual, so only the second
-    # prime, which brings the product to 15 > 7, sees it.
-    _rejected_by_both(_c2_doc(1, "2"))
+    # The primes start above min(B, 2^31), so a second one is drawn only for
+    # B > 2^31. Take q the first prime above 2^31 and the cell c = q - 1:
+    # residual (0, 1) is 1 + c = q, residual (1, 1) is c^2 - 1 = (q - 2) q
+    # and B = 1 + c^2 + n > q. q divides both residuals, so only the second
+    # prime, which brings the product above B, sees that the table is wrong.
+    q = next(chartable._primes_one_mod(1, 2**31))
+    c = q - 1
+    assert (1 + c) % q == 0 and (c * c - 1) % q == 0 and 1 + c * c + 2 > q
+    _rejected_by_both(_c2_doc(1, str(c)))
+
+
+def test_verify_takes_one_prime_at_the_least_conductor(monkeypatch):
+    # Rational tables evaluate at N = 1, one map. A5's sqrt(5), written in
+    # the power basis of Q(zeta_30), keeps exponents prime to 30.
+    drawn = []
+    real = chartable._primes_one_mod
+
+    def recorded(n, above):
+        for q in real(n, above):
+            drawn.append(n)
+            yield q
+
+    for spec, n in (("symmetric:5", 1), ("symmetric:6", 1), ("cyclic:12", 12),
+                    ("perm:[(1 2 3), (3 4 5)]", 30)):
+        t = table_for(spec)
+        with monkeypatch.context() as m:
+            m.setattr(chartable, "_primes_one_mod", recorded)
+            drawn.clear()
+            verify_table(t)
+        assert drawn == [n], spec
+
+
+def test_a_rational_table_at_a_huge_declared_zeta_loads_quickly():
+    # Declared zeta 999999 (466,560 units); the values need conductor 1.
+    start = time.perf_counter()
+    t = load_table(_c2_doc(999999, "-1"))
+    assert time.perf_counter() - start < 2
+    assert t.values[1][1].as_integer() == -1
 
 
 def test_a_residual_that_vanishes_under_one_unit_is_still_caught():
@@ -843,11 +998,14 @@ def test_a_large_declared_zeta_decomposes_quickly():
 
 def test_verification_holds_one_pair_of_unit_images_at_a_time():
     # Holding the image of the table under all 5,760 units of Z/30030 at
-    # once peaks near 6 MB; the table of powers of omega is about 1 MB.
-    doc = _c2_doc(30030, "-1")
+    # once peaks near 6 MB; the table of powers of omega is about 1 MB. The
+    # cell z needs conductor 30030 itself, and a rejected table is walked
+    # over every unit before the least failing pair is reported.
+    doc = _c2_doc(30030, "z")
     tracemalloc.start()
     try:
-        load_table(doc)
+        with pytest.raises(VerificationError, match="orthogonality"):
+            load_table(doc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -908,9 +1066,8 @@ def test_lift_matches_the_reference(monkeypatch):
 
     monkeypatch.setattr(chartable, "_lift", recorded)
     for spec in ALL_SMALL_SPECS + ["dihedral:60", "cyclic:30"]:
-        for seed in (0, 1):
-            character_table(construct_group(spec), seed=seed)
-            args, got = calls.pop()
-            want = _reference_lift(*args)
-            assert [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in got] == \
-                [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in want], (spec, seed)
+        character_table(construct_group(spec))  # the split draws no seed
+        args, got = calls.pop()
+        want = _reference_lift(*args)
+        assert [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in got] == \
+            [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in want], spec

@@ -308,6 +308,14 @@ def test_skew_vertex_cap_exits_2_in_process(capsys):
         assert "more than 2500 vertices" in capsys.readouterr().err
 
 
+def test_huge_multiplicities_exit_2():
+    nines = "9" * 4000
+    code, out, err = run_in_process(["--group", "symmetric:3", "--rep",
+                                     f"r=mult:[{nines},{nines},{nines}]", "--task", "ktheory"])
+    assert (code, out) == (2, "")
+    assert "dimension exceeds the cap" in err and "Traceback" not in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     r = subprocess.run(
         [sys.executable, "-c", "import sys, repcorr.cli; print('numpy' in sys.modules)"],

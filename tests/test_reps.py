@@ -11,6 +11,7 @@ from repcorr.cyclo import Cyclo, zeta
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import MAX_PERM_POINTS, construct_group
 from repcorr.reps import (
+    MAX_REP_DIM,
     Rep,
     decompose,
     dsum,
@@ -210,6 +211,25 @@ def test_perm_rep_point_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_dimension_cap_raises_before_allocating():
+    # 4,000 nines per multiplicity: dimensions of 12,000 digits, which no
+    # output could print. Tensor and sum results are capped the same way.
+    t = table_for("symmetric:3")
+    nines = "9" * 4000
+    big = f"mult:[{10**6},{10**6},{10**6}]"
+    tracemalloc.start()
+    try:
+        for spec in (f"mult:[{nines},{nines},{nines}]", f"char:[{nines},{nines},{nines}]",
+                     f"tensor({big},{big})", f"dsum(mult:[{MAX_REP_DIM},0,0],trivial)"):
+            with pytest.raises(SpecError, match="exceeds the cap"):
+                parse_rep_spec(t, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000, peak
+    assert parse_rep_spec(t, f"mult:[{MAX_REP_DIM},0,0]").dim == MAX_REP_DIM
 
 
 def test_pi_injectivity_tracks_support():
