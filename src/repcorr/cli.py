@@ -26,6 +26,7 @@ from .corrgraph import CONVENTIONS, build_d_graph, build_e_graph, ktheory_corr
 from .errors import SpecError, VerificationError
 from .graphs import (
     CircleGraph,
+    cap_edge_copies,
     circle_analysis,
     dot_export,
     from_corr,
@@ -249,6 +250,7 @@ def _kgroups_payload(k: KGroups) -> dict:
 
 def _corr_result(rep: Rep, task: str, convention: str) -> tuple[str, dict, str, str]:
     g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
+    cap_edge_copies(g)
     edges = sorted(g.edges, key=lambda e: (e.src, e.dst))
     payload = {
         "task": task,

@@ -44,6 +44,8 @@ __all__ = [
     "CircleReport",
     "circle_analysis",
     "semigroup_r_check",
+    "MAX_EDGE_COPIES",
+    "cap_edge_copies",
     "dot_export",
 ]
 
@@ -371,8 +373,26 @@ def semigroup_r_check(freqs) -> bool | None:
 # rendering
 
 
+# JSON and dot output list one entry per edge copy, and a representation's
+# multiplicities (up to MAX_REP_DIM) set the copy counts, so the listing is
+# capped before it is built.
+MAX_EDGE_COPIES = 10**6
+
+
+def cap_edge_copies(obj: CorrGraph | MultiGraph) -> int:
+    """The number of edge copies in obj; SpecError above MAX_EDGE_COPIES."""
+    copies = sum(e.count for e in obj.edges) if isinstance(obj, CorrGraph) else obj.edge_count()
+    if copies > MAX_EDGE_COPIES:
+        raise SpecError(
+            f"graph has {copies:,} edge copies; listing them is capped at {MAX_EDGE_COPIES:,}"
+        )
+    return copies
+
+
 def dot_export(obj: CorrGraph | MultiGraph, graph_name: str = "g") -> str:
-    """Graphviz source, deterministic line order, arrows in drawn orientation."""
+    """Graphviz source, deterministic line order, arrows in drawn orientation.
+    One line per edge copy, so SpecError above MAX_EDGE_COPIES copies."""
+    cap_edge_copies(obj)
     lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
     if isinstance(obj, CorrGraph):
         for i, d in enumerate(obj.dims):

@@ -4,19 +4,35 @@ Everything here runs on arbitrary-precision Python integers. Intermediate
 entries in a Smith reduction can blow up well past machine words, so there is
 deliberately no fixed-width fast path.
 
-The Smith reduction is one elimination loop over the sparse rows of the
+The Smith reduction is one elimination loop over the sparse rows of an
 active block. It pivots on the entry of least (|x|, Markowitz cost, row,
 column), so units go first, and clears the pivot's column and row with
 nearest-integer quotients, so a remainder is at most half the pivot and the
-loop falls into Euclid's algorithm once the units are gone. The inverses of
-the transforms are carried only up to the first non-unit pivot; they are
-what lets the exact certificate prove u and v unimodular with a determinant
-of the small block that follows (see smith_normal_form).
+loop falls into Euclid's algorithm once the units are gone.
+
+The reduction is split into two certified factors at the first pivot that
+is not a unit. The unit phase gives u1*a*v1 = diag(I_k, B) and carries the
+inverses of u1 and v1. The loop then runs again on the remainder B alone,
+with transforms u2, v2 only as wide as B. When B is square with
+D = |det B| != 0, a Hermite step first replaces B by a triangular H = B*U,
+computed modulo D, so the transforms stay near the size of D. The proofs,
+also given in smith_normal_form:
+
+- Factored unimodularity. u1*u1^-1 = I gives det u1 * det u1^-1 = 1, so
+  det u1 = +-1, as both are integers; the same holds for v1. With
+  det u2 = det v2 = +-1, u = diag(I_k, u2)*u1 and v = v1*diag(I_k, U*v2)
+  have determinant +-1 once det U = +-1.
+- The Hermite step. B*adj(B) = det(B)*I, so D*Z^m is inside B*Z^m and the
+  column lattice can be reduced modulo D. Whatever produced H, B*U = H gives
+  det U = det H / det B, and det H = prod diag H for triangular H; so an
+  integral U with |prod diag H| = |det B| != 0 is unimodular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import SpecError, VerificationError
@@ -74,13 +90,9 @@ class IntMatrix:
             raise SpecError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(tuple(row))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        cols = tuple(zip(*other.entries)) or ((),) * other.cols
+        out = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
+        return IntMatrix(self.rows, other.cols, out)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return self.matmul(other)
@@ -112,11 +124,13 @@ class IntMatrix:
                         break
                 else:
                     return 0
+            mk, p = m[k], m[k][k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                mi, f = m[i], m[i][k]
+                if f or p != prev:  # else row i is unchanged
+                    tail = zip(mi[k + 1 :], mk[k + 1 :])
+                    mi[k:] = [0] + [(x * p - f * y) // prev for x, y in tail]
+            prev = p
         return sign * m[n - 1][n - 1]
 
 
@@ -204,92 +218,109 @@ def _nearest(x: int, p: int) -> int:
     return q + 1 if 2 * abs(r) > abs(p) else q
 
 
-class _Reduction(NamedTuple):
-    """A Smith reduction with the data that certifies it.
+class _Loop(NamedTuple):
+    """One run of the elimination loop (see smith_normal_form) over a block.
 
-    Rows of u and s, and columns of s and v, are in pivot order: the pivots
-    in the order they were retired, then the rest by index. u1 and v1 are the
-    transforms after the first k = units pivots, all units, and no other
-    operation; u1_inv and v1_inv are their exact inverses as sparse rows, in
-    the same order. Every later operation stays off those k rows and columns,
-    so u = diag(I_k, B) * u1 and v = v1 * diag(I_k, C).
+    pivots are (row, column, |p|) in the order they were retired. u holds the
+    rows of the row transform and v the columns of the column transform, by
+    the block's own indices; a units-only run also carries u_inv (the columns
+    of u^-1) and v_inv (the rows of v^-1). rows and cols are the active block
+    left over: every row and column not retired, in increasing index order.
     """
 
-    u: IntMatrix
-    s: IntMatrix
-    v: IntMatrix
-    units: int
-    u1_inv: list[dict[int, int]]
-    v1_inv: list[dict[int, int]]
+    pivots: list[tuple[int, int, int]]
+    u: list[dict[int, int]]
+    v: list[dict[int, int]]
+    u_inv: list[dict[int, int]]
+    v_inv: list[dict[int, int]]
+    rows: dict[int, dict[int, int]]
+    cols: dict[int, set[int]]
 
 
-def _reduce(a: IntMatrix) -> _Reduction:
-    """The elimination loop described in smith_normal_form, uncertified."""
-    nr, nc = a.rows, a.cols
-    # The active block: rows[i] holds row i's entries in active columns,
-    # cols[j] the active rows with an entry in column j. Both dicts keep
-    # increasing index order, as keys are only removed.
-    rows = dict(enumerate(_sparse_rows(a)))
-    cols: dict[int, set[int]] = {j: set() for j in range(nc)}
+def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Loop:
+    """Run the elimination loop on the sparse rows block.
+
+    With units_only it stops before the first pivot that is not a unit and
+    carries the inverses of both transforms; otherwise it runs until the
+    active block is empty and carries no inverse.
+    """
+    # rows[i] holds row i's entries in active columns, cols[j] the active
+    # rows with an entry in column j. Both dicts keep increasing index order,
+    # as keys are only removed.
+    rows = dict(enumerate(block))
+    cols: dict[int, set[int]] = {j: set() for j in range(ncols)}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(nr)]  # rows of u
-    v = [{j: 1} for j in range(nc)]  # columns of v
-    u1_inv = [{i: 1} for i in range(nr)]  # columns of u1^-1
-    v1_inv = [{j: 1} for j in range(nc)]  # rows of v1^-1
-    units = None  # set at the first non-unit pivot, where the inverses stop
+    u = [{i: 1} for i in range(len(block))]
+    v = [{j: 1} for j in range(ncols)]
+    u_inv = [{i: 1} for i in range(len(block))] if units_only else []
+    v_inv = [{j: 1} for j in range(ncols)] if units_only else []
     pivots: list[tuple[int, int, int]] = []
+    # keys[i] is the least pivot key in row i. It changes only with row i or
+    # with the nonzero count of one of its columns, so each step rescans only
+    # the rows in stale and the rows of the columns in moved.
+    keys: dict[int, tuple[int, int, int, int]] = {}
+    stale, moved = set(rows), set()
 
     def sub(k: int, c: int, vec: dict[int, int]) -> None:
-        # Block row k -= c * vec, keeping cols in step.
+        # Block row k -= c * vec, keeping cols, stale and moved in step.
         rk = rows[k]
+        stale.add(k)
         for l, x in vec.items():
             y = rk.get(l, 0) - c * x
-            if y:
-                rk[l] = y
-                cols[l].add(k)
-            else:
+            if not y:
                 del rk[l]
                 cols[l].discard(k)
+                moved.add(l)
+            else:
+                if l not in rk:
+                    cols[l].add(k)
+                    moved.add(l)
+                rk[l] = y
 
     def row_op(k: int, q: int, i: int) -> None:
         # Row k -= q * row i, so u row k -= q * u row i and, inversely,
-        # u1^-1 column i += q * u1^-1 column k.
+        # u^-1 column i += q * u^-1 column k.
         sub(k, q, rows[i])
         _axpy(u[k], -q, u[i])
-        if units is None:
-            _axpy(u1_inv[i], q, u1_inv[k])
+        if units_only:
+            _axpy(u_inv[i], q, u_inv[k])
 
     while True:
-        best = None
-        for i, row in rows.items():
+        stale.update(*(cols[l] for l in moved if l in cols))
+        moved.clear()
+        for i in stale:
+            row = rows.get(i)
+            if not row:
+                keys.pop(i, None)
+                continue
             r1 = len(row) - 1
+            best = None
             for j, x in row.items():
                 ax = abs(x)
                 if best is None or ax <= best[0]:
                     key = (ax, r1 * (len(cols[j]) - 1), i, j)
                     if best is None or key < best:
                         best = key
-            if best is not None and best[:2] == (1, 0):
-                break  # a later row can only tie, and ties go to the lower row
-        if best is None:
+            keys[i] = best
+        stale.clear()
+        best = min(keys.values(), default=None)
+        if best is None or (units_only and best[0] != 1):
             break
         ax, _, i, j = best
         prow = rows[i]
         p = prow[j]
-        if ax != 1 and units is None:
-            units = len(pivots)
         for k in [k for k in cols[j] if k != i]:
             row_op(k, _nearest(rows[k][j], p), i)
-        # Clear row i: col l -= q * col j, mirrored the same way into v, v1^-1.
+        # Clear row i: col l -= q * col j, mirrored the same way into v, v^-1.
         qs = {l: q for l, x in prow.items() if l != j and (q := _nearest(x, p))}
         for k in cols[j]:
             sub(k, rows[k][j], qs)
         for l, q in qs.items():
             _axpy(v[l], -q, v[j])
-            if units is None:
-                _axpy(v1_inv[j], q, v1_inv[l])
+            if units_only:
+                _axpy(v_inv[j], q, v_inv[l])
         if len(prow) > 1 or len(cols[j]) > 1:
             continue  # a remainder is left, so the next pivot is smaller
         if ax != 1:
@@ -297,39 +328,223 @@ def _reduce(a: IntMatrix) -> _Reduction:
             if bad is not None:
                 row_op(i, -1, bad)  # pull the first offending row up, re-clear
                 continue
-        del rows[i], cols[j]
+        del rows[i], cols[j], keys[i]
         if p < 0:
             u[i] = {m: -y for m, y in u[i].items()}
-            if units is None:
-                u1_inv[i] = {m: -y for m, y in u1_inv[i].items()}
+            if units_only:
+                u_inv[i] = {m: -y for m, y in u_inv[i].items()}
         pivots.append((i, j, ax))
+    return _Loop(pivots, u, v, u_inv, v_inv, rows, cols)
 
-    row_order = [i for i, _, _ in pivots] + list(rows)
-    col_order = [j for _, j, _ in pivots] + list(cols)
-    w_rows: list[dict[int, int]] = [{} for _ in range(nr)]
-    for t, i in enumerate(row_order):
-        for m, x in u1_inv[i].items():
-            w_rows[m][t] = x
-    s = [[0] * nc for _ in range(nr)]
-    for t, (_, _, d) in enumerate(pivots):
-        s[t][t] = d
+
+def _unit_rows(n: int) -> list[dict[int, int]]:
+    return [{t: 1} for t in range(n)]
+
+
+def _transpose(vecs: list[dict[int, int]], order: list[int], n: int) -> list[dict[int, int]]:
+    """Sparse rows of the matrix with n rows whose column t is vecs[order[t]]."""
+    out: list[dict[int, int]] = [{} for _ in range(n)]
+    for t, i in enumerate(order):
+        for m, x in vecs[i].items():
+            out[m][t] = x
+    return out
+
+
+def _dense(rows: list[dict[int, int]], ncols: int) -> IntMatrix:
+    out = []
+    for row in rows:
+        full = [0] * ncols
+        for j, x in row.items():
+            full[j] = x
+        out.append(tuple(full))
+    return IntMatrix(len(rows), ncols, tuple(out))
+
+
+class _Reduction(NamedTuple):
+    """A Smith reduction in two factors, with the data that certifies it.
+
+    The unit phase retires k = units unit pivots of a with the transforms u1
+    and v1, kept with their exact inverses as sparse rows, so that
+    u1*a*v1 = diag(I_k, b). Its rows and columns are in pivot order: the
+    pivots in the order they were retired, then the remainder b's rows and
+    columns by index. hermite is None or (t, h): the Hermite step's
+    unimodular t and triangular h = b*t, taken when b is square with
+    det b != 0. The remainder loop then runs on m = h, or on m = b without the
+    step, and gives u2*m*v2 = s2, again in pivot order.
+    """
+
+    units: int
+    u1: list[dict[int, int]]
+    u1_inv: list[dict[int, int]]
+    v1: list[dict[int, int]]
+    v1_inv: list[dict[int, int]]
+    b: IntMatrix
+    hermite: tuple[IntMatrix, IntMatrix] | None
+    u2: IntMatrix
+    s2: IntMatrix
+    v2: IntMatrix
+
+    def factors(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+        """(u, s, v) = (diag(I_k, u2)*u1, diag(I_k, s2), v1*diag(I_k, t*v2))."""
+        k, nr, nc = self.units, len(self.u1), len(self.v1)
+        w = self.v2 if self.hermite is None else self.hermite[0] @ self.v2
+        u = _dense(self.u1[:k] + _sparse_mul(_sparse_rows(self.u2), self.u1[k:]), nr).entries
+        v1 = _dense(self.v1, nc).entries
+        v_right = IntMatrix(nc, nc - k, tuple(row[k:] for row in v1)) @ w
+        s = [[0] * nc for _ in range(nr)]
+        for t in range(k):
+            s[t][t] = 1
+        for t, row in enumerate(self.s2.entries):
+            s[k + t][k:] = row
+        return (
+            IntMatrix(nr, nr, u),
+            IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
+            IntMatrix(nc, nc, tuple(row[:k] + rest for row, rest in zip(v1, v_right.entries))),
+        )
+
+
+def _reduce(a: IntMatrix) -> _Reduction:
+    """The two-factor reduction described in smith_normal_form, uncertified."""
+    nr, nc = a.rows, a.cols
+    one = _eliminate(_sparse_rows(a), nc, units_only=True)
+    k = len(one.pivots)
+    row_order = [i for i, _, _ in one.pivots] + list(one.rows)
+    col_order = [j for _, j, _ in one.pivots] + list(one.cols)
+    b = IntMatrix(nr - k, nc - k, tuple(
+        tuple(one.rows[i].get(j, 0) for j in col_order[k:]) for i in row_order[k:]
+    ))
+    hermite = None
+    m = b
+    if b.rows == b.cols > 0 and (d := b.det()):
+        h = _hermite_mod(b, abs(d))
+        hermite = (_solve(b, h), h)
+        m = h
+    two = _eliminate(_sparse_rows(m), m.cols, units_only=False)
+    rows2 = [i for i, _, _ in two.pivots] + list(two.rows)
+    cols2 = [j for _, j, _ in two.pivots] + list(two.cols)
+    s2 = [[0] * m.cols for _ in range(m.rows)]
+    for t, (_, _, x) in enumerate(two.pivots):
+        s2[t][t] = x
     return _Reduction(
-        u=IntMatrix(nr, nr, tuple(tuple(u[i].get(m, 0) for m in range(nr)) for i in row_order)),
-        s=IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
-        v=IntMatrix(nc, nc, tuple(tuple(v[j].get(m, 0) for j in col_order) for m in range(nc))),
-        units=len(pivots) if units is None else units,
-        u1_inv=w_rows,
-        v1_inv=[v1_inv[j] for j in col_order],
+        units=k,
+        u1=[one.u[i] for i in row_order],
+        u1_inv=_transpose(one.u_inv, row_order, nr),
+        v1=_transpose(one.v, col_order, nc),
+        v1_inv=[one.v_inv[j] for j in col_order],
+        b=b,
+        hermite=hermite,
+        u2=_dense([two.u[i] for i in rows2], m.rows),
+        s2=IntMatrix(m.rows, m.cols, tuple(tuple(row) for row in s2)),
+        v2=_dense(_transpose(two.v, cols2, m.cols), m.cols),
     )
+
+
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, c, e) with c*x + e*y = g = gcd(x, y) >= 0."""
+    c0, c1, e0, e1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        c0, c1 = c1, c0 - q * c1
+        e0, e1 = e1, e0 - q * e1
+    return (x, c0, e0) if x >= 0 else (-x, -c0, -e0)
+
+
+def _hermite_mod(b: IntMatrix, d: int) -> IntMatrix:
+    """An upper triangular basis h of the column lattice b*Z^m, by column
+    operations modulo d = |det b| > 0: Cohen's Algorithm 2.4.8 (HNF modulo D,
+    after Domich, Kannan and Trotter). Every entry stays below d.
+
+    Row i, from the last up, is cleared left of the diagonal by extended-gcd
+    steps between column i and each column j < i, with every entry reduced
+    modulo R. The diagonal entry is then gcd(x, R) for the remaining entry x,
+    column i is fixed as its multiple by the gcd cofactor, the columns to the
+    right are reduced by it in row i, and R is divided by that gcd. Only rows
+    0..i of the working columns can be nonzero at that point, so each column
+    shrinks as i falls. The columns to the right are also reduced modulo d:
+    d*e_t lies in the lattice, and a triangular set of lattice vectors with
+    the same diagonal still has determinant d, so it is still a basis.
+    """
+    m = b.rows
+    a = [list(col) for col in zip(*b.entries)]
+    w: list[list[int]] = [[] for _ in range(m)]
+    r = d
+    for i in range(m - 1, -1, -1):
+        for j in range(i - 1, -1, -1):
+            y = a[j][i]
+            if not y:
+                continue
+            x = a[i][i]
+            ck, cj = a[i][: i + 1], a[j][: i + 1]
+            if x and not y % x:  # the common case once x is 1: column i stays
+                q = y // x
+                a[j] = [(t - q * s) % r for s, t in zip(ck, cj)]
+                continue
+            g, c, e = _xgcd(x, y)
+            p, q = x // g, y // g
+            a[i] = [(c * s + e * t) % r for s, t in zip(ck, cj)]
+            a[j] = [(p * t - q * s) % r for s, t in zip(ck, cj)]
+        g, c, _ = _xgcd(a[i][i], r)
+        wi = [c * s % r for s in a[i][: i + 1]]
+        if not wi[i]:
+            wi[i] = r
+        for j in range(i + 1, m):
+            q = w[j][i] // wi[i]
+            if q:
+                w[j][: i + 1] = [(s - q * t) % d for s, t in zip(w[j], wi)]
+        w[i] = wi
+        r //= g
+    return IntMatrix(m, m, tuple(
+        tuple(w[c][i] if i <= c else 0 for c in range(m)) for i in range(m)
+    ))
+
+
+def _solve(b: IntMatrix, h: IntMatrix) -> IntMatrix:
+    """The integer matrix t with b*t = h, for b square with det b != 0, by
+    fraction-free (Bareiss) elimination on [b | h] and back substitution.
+
+    Bareiss leaves row i led by a leading minor of b, and the last pivot is
+    det = +-det b. Back substitution computes y = det * t row by row; each
+    division by a leading minor is exact, because the rows still hold for
+    the rational solution t and det * t is integral by Cramer's rule. t is
+    integral exactly when det divides every entry of y; if not, h is not in
+    the column lattice of b and VerificationError is raised.
+    """
+    m = b.rows
+    aug = [list(rb) + list(rh) for rb, rh in zip(b.entries, h.entries)]
+    prev = 1
+    for k in range(m):
+        piv = next(i for i in range(k, m) if aug[i][k])
+        aug[k], aug[piv] = aug[piv], aug[k]
+        pk = aug[k]
+        p = pk[k]
+        for i in range(k + 1, m):
+            ri = aug[i]
+            f = ri[k]
+            ri[k:] = [(x * p - f * y) // prev for x, y in zip(ri[k:], pk[k:])]
+        prev = p
+    y: list[list[int]] = [[] for _ in range(m)]
+    for i in range(m - 1, -1, -1):
+        row = aug[i]
+        acc = [prev * x for x in row[m:]]
+        for j in range(i + 1, m):
+            c = row[j]
+            if c:
+                acc = [s - c * t for s, t in zip(acc, y[j])]
+        y[i] = [s // row[i] for s in acc]
+    if any(s % prev for row in y for s in row):
+        raise VerificationError("SNF check failed: Hermite transform not integral")
+    return IntMatrix(m, m, tuple(tuple(s // prev for s in row) for row in y))
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (u, s, v) with u*a*v = s, u and v unimodular, s diagonal with
     each diagonal entry nonnegative and dividing the next.
 
-    s is unique. u and v are not; one deterministic loop fixes them. It works
-    on the sparse rows of the active block, in the manner of Havas, Holt and
-    Rees (Linear Algebra Appl. 192, 1993), and repeats these steps:
+    s is unique. u and v are not; one deterministic reduction fixes them. Its
+    core is one loop over the sparse rows of an active block, in the manner
+    of Havas, Holt and Rees (Linear Algebra Appl. 192, 1993), which repeats
+    these steps:
 
     - Pivot on the active entry with the least key (|x|, Markowitz cost
       (row nonzeros - 1) * (column nonzeros - 1), row, column). So while a
@@ -344,63 +559,96 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
       integer combination of active entries, so the diagonal is a
       divisibility chain.
 
-    The loop also carries the inverses u1^-1 and v1^-1, each elementary
-    operation mirrored by its inverse, but only while every operation so far
-    has used a unit pivot; k = units is the number of pivots retired by then.
+    The reduction runs in two factors, split at the first pivot that is not
+    a unit (Kannan and Bachem, SIAM J. Comput. 8, 1979, keep transforms small
+    the same way, by working on what is left):
 
-    Every call is certified exactly before it returns. Besides u*a*v = s and
-    the shape of s, unimodularity is checked without a determinant of u or
-    v. Every operation after the first k pivots stays off their rows and
-    columns, so with the pivots in order at the top left u = diag(I_k, B) * u1.
-    The check is that u * u1^-1 has the form diag(I_k, B), and det B = +-1 by
-    Bareiss on that small block. For integer matrices u, w with
-    u*w = diag(I_k, B), det u * det w = det B = +-1; a product of two integers
-    is +-1 only if each factor is, so det u = +-1 (w = I gives the plain case
-    u*w = I). The same argument covers v with v1^-1 * v = diag(I_k, C).
+    1. The unit phase runs the loop on a, until no unit is left, carrying the
+       transforms u1, v1 and their inverses as sparse rows. With its pivots
+       first, u1*a*v1 = diag(I_k, B) for the remainder B.
+    2. If B is square with D = |det B| != 0 (Bareiss on B's entries, which
+       the unit phase keeps small), the Hermite step replaces B by a column
+       basis H of its lattice, upper triangular with entries below D, and
+       the exact transform U with B*U = H (see _hermite_mod, _solve). For
+       random inputs H is all units but one or two diagonal entries.
+    3. The loop runs again on H (or on B, without the Hermite step), giving
+       u2*H*v2 = s2 with u2 and v2 only as wide as the remainder.
+
+    The result is u = diag(I_k, u2)*u1, s = diag(I_k, s2) and
+    v = v1*diag(I_k, U*v2) (U = I without the Hermite step), and then
+    u*a*v = diag(I_k, u2*B*U*v2) = diag(I_k, s2) = s.
+
+    Every call is certified by exact integer checks on the factors alone,
+    before the product is formed: u1*a*v1 = diag(I_k, B) as sparse rows,
+    u1*u1^-1 = I and v1^-1*v1 = I, B*U = H with H upper triangular and
+    |prod diag H| = |det B| != 0, u2*H*v2 = s2, det u2 = det v2 = +-1 by
+    Bareiss, and s2 diagonal with a nonnegative divisibility chain. That
+    makes u and v unimodular:
+
+    - Factored unimodularity. For integer matrices x, y with x*y = I,
+      det x * det y = 1, and a product of two integers is 1 only if each
+      factor is +-1; so det u1 = det v1 = +-1. Then
+      det u = det u2 * det u1 = +-1, and likewise for v once det U = +-1.
+    - The Hermite transform. B*adj(B) = det(B)*I, so every D*e_i is
+      B*(+-adj(B)*e_i): D*Z^m lies in B*Z^m, which is why the lattice can be
+      reduced modulo D. The certificate does not rely on that. From B*U = H,
+      det U = det H / det B, and det H = prod diag H for triangular H; so
+      |prod diag H| = |det B| != 0 gives det U = +-1, whatever algorithm
+      produced H; U is integral, as _solve refuses to return it otherwise.
+
+    s = diag(I_k, s2) inherits the chain from s2, since 1 divides everything.
     """
     r = _reduce(a)
     _check_snf(a, r)
-    return r.u, r.s, r.v
-
-
-def _is_unit_block(m: list[dict[int, int]], k: int) -> bool:
-    """Whether the n x n sparse rows m are diag(I_k, B) with det B = +-1."""
-    n = len(m)
-    if any(m[t] != {t: 1} for t in range(k)) or any(
-        not k <= c < n for row in m[k:] for c in row
-    ):
-        return False
-    b = tuple(tuple(row.get(c, 0) for c in range(k, n)) for row in m[k:])
-    return IntMatrix(n - k, n - k, b).det() in (1, -1)
+    return r.factors()
 
 
 def _check_snf(a: IntMatrix, r: _Reduction) -> None:
-    """Certify a reduction exactly, or raise VerificationError: u*a*v = s by
-    a product that skips zeros, u * u1_inv = diag(I_k, B) and v1_inv * v =
-    diag(I_k, C) with det B = det C = +-1, and s diagonal with a nonnegative
-    divisibility chain. smith_normal_form's docstring proves that this makes
-    u and v unimodular.
+    """Certify a two-factor reduction exactly, or raise VerificationError.
+    The clauses are listed, and shown to make u and v unimodular, in
+    smith_normal_form's docstring.
     """
-    u, s, v = r.u, r.s, r.v
     nr, nc, k = a.rows, a.cols, r.units
-    shapes = (u.rows, u.cols, s.rows, s.cols, v.rows, v.cols, len(r.u1_inv), len(r.v1_inv))
-    if shapes != (nr, nr, nr, nc, nc, nc, nr, nc) or not 0 <= k <= min(nr, nc):
+    b, u2, s2, v2 = r.b, r.u2, r.s2, r.v2
+    mr, mc = nr - k, nc - k
+    shapes = (len(r.u1), len(r.u1_inv), len(r.v1), len(r.v1_inv), b.rows, b.cols,
+              u2.rows, u2.cols, s2.rows, s2.cols, v2.rows, v2.cols)
+    if not 0 <= k <= min(nr, nc) or shapes != (nr, nr, nc, nc, mr, mc, mr, mr, mr, mc, mc, mc):
         raise VerificationError("SNF check failed: factor shapes do not match")
-    su, sv = _sparse_rows(u), _sparse_rows(v)
-    if _sparse_mul(_sparse_mul(su, _sparse_rows(a)), sv) != _sparse_rows(s):
-        raise VerificationError("SNF check failed: u*a*v != s")
-    if not _is_unit_block(_sparse_mul(su, r.u1_inv), k):
-        raise VerificationError("SNF check failed: u not unimodular")
-    if not _is_unit_block(_sparse_mul(r.v1_inv, sv), k):
-        raise VerificationError("SNF check failed: v not unimodular")
-    diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j and s.entries[i][j] != 0:
-                raise VerificationError("SNF check failed: s not diagonal")
-    for d1, d2 in zip(diag, diag[1:]):
-        if d1 < 0 or d2 < 0 or (d1 == 0 and d2 != 0) or (d1 != 0 and d2 % d1 != 0):
-            raise VerificationError("SNF check failed: divisibility chain broken")
+    diag_ib = _unit_rows(k) + [{k + j: x for j, x in enumerate(row) if x} for row in b.entries]
+    if _sparse_mul(_sparse_mul(r.u1, _sparse_rows(a)), r.v1) != diag_ib:
+        raise VerificationError("SNF check failed: u1*a*v1 != diag(I, B)")
+    if _sparse_mul(r.u1, r.u1_inv) != _unit_rows(nr):
+        raise VerificationError("SNF check failed: u1 not unimodular")
+    if _sparse_mul(r.v1_inv, r.v1) != _unit_rows(nc):
+        raise VerificationError("SNF check failed: v1 not unimodular")
+    m = b
+    if r.hermite is not None:
+        t, h = r.hermite
+        if (mr, t.rows, t.cols, h.rows, h.cols) != (mc,) + (mr,) * 4:
+            raise VerificationError("SNF check failed: factor shapes do not match")
+        if any(h.entries[i][j] for i in range(mr) for j in range(i)):
+            raise VerificationError("SNF check failed: H not upper triangular")
+        if b @ t != h:
+            raise VerificationError("SNF check failed: B*U != H")
+        d = b.det()
+        if not d or abs(prod(h.entries[i][i] for i in range(mr))) != abs(d):
+            raise VerificationError("SNF check failed: |prod diag H| != |det B|")
+        m = h
+    u2m = _sparse_mul(_sparse_rows(u2), _sparse_rows(m))
+    if _sparse_mul(u2m, _sparse_rows(v2)) != _sparse_rows(s2):
+        raise VerificationError("SNF check failed: u2*B*v2 != s2")
+    if u2.det() not in (1, -1):
+        raise VerificationError("SNF check failed: u2 not unimodular")
+    if v2.det() not in (1, -1):
+        raise VerificationError("SNF check failed: v2 not unimodular")
+    diag = [s2.entries[i][i] for i in range(min(mr, mc))]
+    if any(x for i, row in enumerate(s2.entries) for j, x in enumerate(row) if i != j):
+        raise VerificationError("SNF check failed: s not diagonal")
+    if any(d < 0 for d in diag) or any(
+        (d2 if d1 == 0 else d2 % d1) for d1, d2 in zip(diag, diag[1:])
+    ):
+        raise VerificationError("SNF check failed: divisibility chain broken")
 
 
 def coker_ker(a: IntMatrix) -> KGroups:

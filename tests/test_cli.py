@@ -8,8 +8,9 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repcorr import cli
+from repcorr import cli, graphs
 from repcorr.chartable import character_table, load_table, tables_equal_up_to_row_order
+from repcorr.graphs import MAX_EDGE_COPIES
 from repcorr.groups import MAX_PERM_POINTS, construct_group
 
 SYM3_REP = "rho=perm:[(1 2), (1 2 3)]"
@@ -316,6 +317,35 @@ def test_huge_multiplicities_exit_2():
     assert "dimension exceeds the cap" in err and "Traceback" not in err
 
 
+def test_edge_copy_cap_exits_2_before_listing(tmp_path):
+    # 3 * 10^12 edge copies: under the dimension cap, far over the listing cap.
+    huge = "r=mult:[1000000000000,0,0]"
+    for task, fmt in (("egraph", "json"), ("egraph", "text"), ("dgraph", "dot")):
+        code, out, err = run_in_process(["--group", "symmetric:3", "--rep", huge,
+                                         "--task", task, "--format", fmt])
+        assert (code, out) == (2, ""), (task, fmt)
+        assert "edge copies" in err and "Traceback" not in err
+    code, _, err = run_in_process(["--group", "symmetric:3", "--rep", huge, "--task", "export",
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2 and "edge copies" in err
+    # K-theory lists no edges, so the same representation goes through.
+    code, out, _ = run_in_process(["--group", "symmetric:3", "--rep", huge, "--task", "ktheory"])
+    assert code == 0 and "K0" in out
+    assert MAX_EDGE_COPIES == 10**6
+
+
+def test_edge_copy_cap_boundary(monkeypatch):
+    # The cap is read when a graph is listed: at the cap every copy is listed,
+    # one more is refused.
+    monkeypatch.setattr(graphs, "MAX_EDGE_COPIES", 10)
+    for task in ("egraph", "dgraph"):
+        argv = ["--group", "cyclic:1", "--task", task, "--format", "dot", "--rep"]
+        code, out, _ = run_in_process([*argv, "mult:[10]"])
+        assert code == 0 and out.count(" -> ") == 10
+        code, out, err = run_in_process([*argv, "mult:[11]"])
+        assert (code, out) == (2, "") and "capped at 10" in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     r = subprocess.run(
         [sys.executable, "-c", "import sys, repcorr.cli; print('numpy' in sys.modules)"],
@@ -426,6 +456,10 @@ _BAD_GROUPS = st.sampled_from([
     f"perm:[(1 {MAX_PERM_POINTS + 1})]", "bogus:1", "",
 ])
 _INTS = st.lists(st.integers(-1, 2), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+# Multiplicities near and past the edge-copy and dimension caps.
+_HUGE_INTS = st.lists(
+    st.sampled_from([0, 1, 3, 10**5, 333_334, 10**6, 10**12, 10**13]), min_size=1, max_size=5
+).map(lambda xs: ",".join(map(str, xs)))
 _CYCLES = st.lists(
     st.lists(st.integers(0, 5), max_size=4).map(lambda xs: "(" + " ".join(map(str, xs)) + ")"),
     max_size=2,
@@ -443,6 +477,7 @@ _LEAVES = st.one_of(
     st.sampled_from(["cocycle", "mult", "perm:", "char:[", "dsum(", "[]", "tensor()"]),
     _INTS.map("mult:[{}]".format),
     _INTS.map("mult:{}".format),
+    _HUGE_INTS.map("mult:[{}]".format),
     st.lists(_CYCLES, max_size=3).map(lambda cs: "perm:[" + ", ".join(cs) + "]"),
     st.lists(_NUMBERS, max_size=4).map(lambda vs: "char:[" + ",".join(vs) + "]"),
     st.tuples(
@@ -453,13 +488,18 @@ _LEAVES = st.one_of(
         lambda hv: f"{hv[0]}:[{','.join(hv[1])}]"
     ),
 )
+def _combined(operands):
+    return st.tuples(st.sampled_from(["tensor", "dsum"]), st.lists(operands, max_size=3)).map(
+        lambda ho: f"{ho[0]}({', '.join(ho[1])})"
+    )
+
+
 _SPECS = _mostly(
     _GOOD_SPECS,
     st.one_of(
         _LEAVES,
-        st.tuples(st.sampled_from(["tensor", "dsum"]), st.lists(_LEAVES, max_size=3)).map(
-            lambda ho: f"{ho[0]}({', '.join(ho[1])})"
-        ),
+        _combined(_LEAVES),
+        _combined(st.one_of(_GOOD_SPECS, _HUGE_INTS.map("mult:[{}]".format), _combined(_LEAVES))),
     ),
 )
 _NAMES = _mostly(st.sampled_from(["", "a=", "b="]), st.sampled_from(["1x=", "=", "a b="]))
