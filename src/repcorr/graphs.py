@@ -107,12 +107,14 @@ def ktheory_graph(g: MultiGraph) -> KGroups:
     that receive nothing (zero rows of a, the sinks after reversal) removed;
     K_0 is its cokernel and K_1 its kernel.
     """
-    n = g.n
-    t = IntMatrix.from_rows(
-        [[g.a[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    )
-    drop = {v for v in range(n) if g.in_degree(v) == 0}
-    return coker_ker(t.delete_columns(drop))
+    cols = []
+    for v in range(g.n):
+        if any(g.a[v]):  # column v of a^t - I is row v of a, less e_v
+            col = list(g.a[v])
+            col[v] -= 1
+            cols.append(col)
+    entries = tuple(zip(*cols)) if cols else ((),) * g.n
+    return coker_ker(IntMatrix(g.n, len(cols), entries))
 
 
 @dataclass(frozen=True)

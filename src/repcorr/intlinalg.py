@@ -10,18 +10,25 @@ column), so units go first, and clears the pivot's column and row with
 nearest-integer quotients, so a remainder is at most half the pivot and the
 loop falls into Euclid's algorithm once the units are gone.
 
-The reduction is split into two certified factors at the first pivot that
-is not a unit. The unit phase gives u1*a*v1 = diag(I_k, B) and carries the
-inverses of u1 and v1. The loop then runs again on the remainder B alone,
-with transforms u2, v2 only as wide as B. When B is square with
-D = |det B| != 0, a Hermite step first replaces B by a triangular H = B*U,
-computed modulo D, so the transforms stay near the size of D. The proofs,
-also given in smith_normal_form:
+The loop carries no transform: it logs its elementary operations (row k
+-= q*row i with k != i, one column clear per pivot, and a row negation for
+a pivot -1), and a transform is that log applied to identity rows or
+columns. The reduction is split into two certified factors at the first
+pivot that is not a unit. The certificate replays the unit phase's log on a
+fresh sparse copy of a, which must give diag(I_k, B) in pivot order. The
+loop then runs again on the remainder B alone, so u2 and v2 are only as
+wide as B. When B is square with D = |det B| != 0, a Hermite step first
+replaces B by a triangular H = B*U, computed modulo D, so the transforms
+stay near the size of D; one Bareiss elimination of B serves D, the solve
+for U and the certificate. The whole u and v are assembled from the two
+factors only once the certificate has passed. The proofs, also given in
+smith_normal_form:
 
-- Factored unimodularity. u1*u1^-1 = I gives det u1 * det u1^-1 = 1, so
-  det u1 = +-1, as both are integers; the same holds for v1. With
-  det u2 = det v2 = +-1, u = diag(I_k, u2)*u1 and v = v1*diag(I_k, U*v2)
-  have determinant +-1 once det U = +-1.
+- The replayed unit phase. Every logged operation is an integer matrix of
+  determinant +-1 (k != i and j not a key make the determinant lemma give
+  1), so the replay proves u1*a*v1 = diag(I_k, B) with u1 and v1
+  unimodular. With det u2 = det v2 = +-1, u = diag(I_k, u2)*u1 and
+  v = v1*diag(I_k, U*v2) have determinant +-1 once det U = +-1.
 - The Hermite step. B*adj(B) = det(B)*I, so D*Z^m is inside B*Z^m and the
   column lattice can be reduced modulo D. Whatever produced H, B*U = H gives
   det U = det H / det B, and det H = prod diag H for triangular H; so an
@@ -31,6 +38,7 @@ also given in smith_normal_form:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from operator import mul
 from typing import NamedTuple
@@ -109,29 +117,48 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise SpecError("determinant of a non-square matrix")
+        return self._echelon.det
+
+    @cached_property
+    def _echelon(self) -> "_Echelon":
+        """The fraction-free elimination of a square matrix, run once: det,
+        the Hermite modulus and _solve all read this one elimination."""
         n = self.rows
-        if n == 0:
-            return 1
         m = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
+        steps: list[tuple[int, list[int]]] = []
+        sign = prev = 1
+        for k in range(n):
+            piv = next((i for i in range(k, n) if m[i][k]), None)
+            if piv is None:
+                return _Echelon(0, m, steps)
+            if piv != k:
+                m[k], m[piv] = m[piv], m[k]
+                sign = -sign
             mk, p = m[k], m[k][k]
-            for i in range(k + 1, n):
-                mi, f = m[i], m[i][k]
+            fs = [m[i][k] for i in range(k + 1, n)]
+            for i, f in enumerate(fs, k + 1):
                 if f or p != prev:  # else row i is unchanged
-                    tail = zip(mi[k + 1 :], mk[k + 1 :])
-                    mi[k:] = [0] + [(x * p - f * y) // prev for x, y in tail]
+                    tail = zip(m[i][k + 1 :], mk[k + 1 :])
+                    m[i][k:] = [0] + [(x * p - f * y) // prev for x, y in tail]
+            steps.append((piv, fs))
             prev = p
-        return sign * m[n - 1][n - 1]
+        return _Echelon(sign * prev, m, steps)
+
+
+class _Echelon(NamedTuple):
+    """A fraction-free (Bareiss) elimination of a square matrix.
+
+    Step k swaps row steps[k][0] into place k, then replaces each row i > k
+    by (row_i * p - f * row_k) / prev, with p the pivot rows[k][k], prev the
+    pivot before it (1 at k = 0) and f = steps[k][1][i - k - 1], row i's entry
+    in column k. Each division is exact, and each pivot is a leading minor of
+    the row-permuted matrix, so the last pivot is +-det. If some column has no
+    pivot, det is 0 and rows and steps stop there.
+    """
+
+    det: int
+    rows: list[list[int]]
+    steps: list[tuple[int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -221,41 +248,32 @@ def _nearest(x: int, p: int) -> int:
 class _Loop(NamedTuple):
     """One run of the elimination loop (see smith_normal_form) over a block.
 
-    pivots are (row, column, |p|) in the order they were retired. u holds the
-    rows of the row transform and v the columns of the column transform, by
-    the block's own indices; a units-only run also carries u_inv (the columns
-    of u^-1) and v_inv (the rows of v^-1). rows and cols are the active block
-    left over: every row and column not retired, in increasing index order.
+    pivots are (row, column, |p|) in the order they were retired, and log
+    holds the run's elementary operations in order (see _replay), by the
+    block's own indices. rows and cols are the active block left over: every
+    row and column not retired, in increasing index order.
     """
 
     pivots: list[tuple[int, int, int]]
-    u: list[dict[int, int]]
-    v: list[dict[int, int]]
-    u_inv: list[dict[int, int]]
-    v_inv: list[dict[int, int]]
+    log: list[tuple]
     rows: dict[int, dict[int, int]]
     cols: dict[int, set[int]]
 
 
 def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Loop:
-    """Run the elimination loop on the sparse rows block.
-
-    With units_only it stops before the first pivot that is not a unit and
-    carries the inverses of both transforms; otherwise it runs until the
-    active block is empty and carries no inverse.
+    """Run the elimination loop on a copy of the sparse rows block, logging
+    its operations. With units_only it stops before the first pivot that is
+    not a unit; otherwise it runs until the active block is empty.
     """
     # rows[i] holds row i's entries in active columns, cols[j] the active
     # rows with an entry in column j. Both dicts keep increasing index order,
     # as keys are only removed.
-    rows = dict(enumerate(block))
+    rows = {i: dict(row) for i, row in enumerate(block)}
     cols: dict[int, set[int]] = {j: set() for j in range(ncols)}
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
-    u = [{i: 1} for i in range(len(block))]
-    v = [{j: 1} for j in range(ncols)]
-    u_inv = [{i: 1} for i in range(len(block))] if units_only else []
-    v_inv = [{j: 1} for j in range(ncols)] if units_only else []
+    log: list[tuple] = []
     pivots: list[tuple[int, int, int]] = []
     # keys[i] is the least pivot key in row i. It changes only with row i or
     # with the nonzero count of one of its columns, so each step rescans only
@@ -280,12 +298,8 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
                 rk[l] = y
 
     def row_op(k: int, q: int, i: int) -> None:
-        # Row k -= q * row i, so u row k -= q * u row i and, inversely,
-        # u^-1 column i += q * u^-1 column k.
         sub(k, q, rows[i])
-        _axpy(u[k], -q, u[i])
-        if units_only:
-            _axpy(u_inv[i], q, u_inv[k])
+        log.append(("row", k, q, i))
 
     while True:
         stale.update(*(cols[l] for l in moved if l in cols))
@@ -313,14 +327,12 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
         p = prow[j]
         for k in [k for k in cols[j] if k != i]:
             row_op(k, _nearest(rows[k][j], p), i)
-        # Clear row i: col l -= q * col j, mirrored the same way into v, v^-1.
+        # Clear row i: col l -= q * col j.
         qs = {l: q for l, x in prow.items() if l != j and (q := _nearest(x, p))}
         for k in cols[j]:
             sub(k, rows[k][j], qs)
-        for l, q in qs.items():
-            _axpy(v[l], -q, v[j])
-            if units_only:
-                _axpy(v_inv[j], q, v_inv[l])
+        if qs:
+            log.append(("col", j, qs))
         if len(prow) > 1 or len(cols[j]) > 1:
             continue  # a remainder is left, so the next pivot is smaller
         if ax != 1:
@@ -330,11 +342,54 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
                 continue
         del rows[i], cols[j], keys[i]
         if p < 0:
-            u[i] = {m: -y for m, y in u[i].items()}
-            if units_only:
-                u_inv[i] = {m: -y for m, y in u_inv[i].items()}
+            log.append(("neg", i))
         pivots.append((i, j, ax))
-    return _Loop(pivots, u, v, u_inv, v_inv, rows, cols)
+    return _Loop(pivots, log, rows, cols)
+
+
+def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
+    """Apply the operations of one kind in a log of _eliminate to vecs, in
+    place and in log order: for kind "row", the row operations and negations
+    to the sparse rows vecs; for kind "col", the column clears to the sparse
+    columns vecs. Raise VerificationError for any operation, of either kind, that is
+    not one of the three that _eliminate logs, each of determinant +-1:
+
+    - ("row", k, q, i): row k -= q * row i, for an integer q and k != i;
+    - ("col", j, {l: q}): column l -= q * column j for each key l != j;
+    - ("neg", i): row i = -row i.
+
+    Row and column operations commute, as (x*a)*y = x*(a*y), so the row
+    operations of a log can be replayed first and its column clears after.
+    """
+    n = len(vecs)
+
+    def index(x: object) -> bool:
+        return type(x) is int and 0 <= x < n
+
+    for op in log:
+        if op[0] == "row" and len(op) == 4:
+            if kind == "row":
+                _, k, q, i = op
+                if k == i or not (index(k) and index(i)) or type(q) is not int:
+                    raise VerificationError("SNF check failed: log row operation not elementary")
+                _axpy(vecs[k], -q, vecs[i])
+        elif op[0] == "neg" and len(op) == 2:
+            if kind == "row":
+                if not index(i := op[1]):
+                    raise VerificationError("SNF check failed: log negation not elementary")
+                vecs[i] = {m: -y for m, y in vecs[i].items()}
+        elif op[0] == "col" and len(op) == 3:
+            if kind == "col":
+                _, j, qs = op
+                if not index(j) or j in qs or not all(
+                    index(l) and type(q) is int for l, q in qs.items()
+                ):
+                    raise VerificationError("SNF check failed: log column clear not elementary")
+                vj = vecs[j]
+                for l, q in qs.items():
+                    _axpy(vecs[l], -q, vj)
+        else:
+            raise VerificationError("SNF check failed: unknown operation in the log")
 
 
 def _unit_rows(n: int) -> list[dict[int, int]]:
@@ -360,58 +415,88 @@ def _dense(rows: list[dict[int, int]], ncols: int) -> IntMatrix:
     return IntMatrix(len(rows), ncols, tuple(out))
 
 
+def _pivot_order(
+    pivots: list[tuple[int, int]], nr: int, nc: int
+) -> tuple[list[int], list[int]]:
+    """Rows and columns in pivot order: the pivots' in the order they were
+    retired, then the rest by index."""
+    prows, pcols = [i for i, _ in pivots], [j for _, j in pivots]
+    done_r, done_c = set(prows), set(pcols)
+    return (
+        prows + [i for i in range(nr) if i not in done_r],
+        pcols + [j for j in range(nc) if j not in done_c],
+    )
+
+
 class _Reduction(NamedTuple):
     """A Smith reduction in two factors, with the data that certifies it.
 
-    The unit phase retires k = units unit pivots of a with the transforms u1
-    and v1, kept with their exact inverses as sparse rows, so that
-    u1*a*v1 = diag(I_k, b). Its rows and columns are in pivot order: the
-    pivots in the order they were retired, then the remainder b's rows and
-    columns by index. hermite is None or (t, h): the Hermite step's
-    unimodular t and triangular h = b*t, taken when b is square with
-    det b != 0. The remainder loop then runs on m = h, or on m = b without the
-    step, and gives u2*m*v2 = s2, again in pivot order.
+    The unit phase retires the unit pivots (row, column), in order, by the
+    operations in log (see _replay). Let u1 and v1 be the log applied to
+    identity rows and columns, with rows and columns put in pivot order
+    (_pivot_order); then u1*a*v1 = diag(I_k, b) for k = units. hermite is None
+    or (t, h): the Hermite step's unimodular t and triangular h = b*t, taken
+    when b is square with det b != 0. The remainder loop then runs on m = h,
+    or on m = b without the step, and gives u2*m*v2 = s2, again in pivot
+    order.
     """
 
-    units: int
-    u1: list[dict[int, int]]
-    u1_inv: list[dict[int, int]]
-    v1: list[dict[int, int]]
-    v1_inv: list[dict[int, int]]
+    pivots: list[tuple[int, int]]
+    log: list[tuple]
     b: IntMatrix
     hermite: tuple[IntMatrix, IntMatrix] | None
     u2: IntMatrix
     s2: IntMatrix
     v2: IntMatrix
 
+    @property
+    def units(self) -> int:
+        return len(self.pivots)
+
     def factors(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        """(u, s, v) = (diag(I_k, u2)*u1, diag(I_k, s2), v1*diag(I_k, t*v2))."""
-        k, nr, nc = self.units, len(self.u1), len(self.v1)
+        """(u, s, v) = (diag(I_k, u2)*u1, diag(I_k, s2), v1*diag(I_k, t*v2)),
+        with u1 and v1 rebuilt from the log.
+
+        The clears build v1 = E_1*...*E_m*P from identity columns, for E_i
+        the clears in log order and P the permutation to pivot order, so v
+        is computed as E_1*(...*(E_m*(P*diag(I_k, t*v2)))). A clear {l: q_l}
+        of column j is E = I - e_j*q^t, which subtracts from row j each row
+        l, q_l times; that touches only the clears' pairs, where the product
+        of v1's remainder columns with t*v2 would be dense.
+        """
+        k = self.units
+        nr, nc = k + self.b.rows, k + self.b.cols
+        row_order, col_order = _pivot_order(self.pivots, nr, nc)
+        rows = _unit_rows(nr)
+        _replay(self.log, rows, "row")
+        u1 = [rows[i] for i in row_order]
+        u = _dense(u1[:k] + _sparse_mul(_sparse_rows(self.u2), u1[k:]), nr)
         w = self.v2 if self.hermite is None else self.hermite[0] @ self.v2
-        u = _dense(self.u1[:k] + _sparse_mul(_sparse_rows(self.u2), self.u1[k:]), nr).entries
-        v1 = _dense(self.v1, nc).entries
-        v_right = IntMatrix(nc, nc - k, tuple(row[k:] for row in v1)) @ w
+        v: list[dict[int, int]] = [{} for _ in range(nc)]
+        for t, j in enumerate(col_order[:k]):
+            v[j] = {t: 1}
+        for j, row in zip(col_order[k:], w.entries):
+            v[j] = {k + c: x for c, x in enumerate(row) if x}
+        for op in reversed(self.log):
+            if op[0] == "col":
+                _, j, qs = op
+                for l, q in qs.items():
+                    _axpy(v[j], -q, v[l])
         s = [[0] * nc for _ in range(nr)]
         for t in range(k):
             s[t][t] = 1
         for t, row in enumerate(self.s2.entries):
             s[k + t][k:] = row
-        return (
-            IntMatrix(nr, nr, u),
-            IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
-            IntMatrix(nc, nc, tuple(row[:k] + rest for row, rest in zip(v1, v_right.entries))),
-        )
+        return u, IntMatrix(nr, nc, tuple(tuple(row) for row in s)), _dense(v, nc)
 
 
-def _reduce(a: IntMatrix) -> _Reduction:
-    """The two-factor reduction described in smith_normal_form, uncertified."""
-    nr, nc = a.rows, a.cols
-    one = _eliminate(_sparse_rows(a), nc, units_only=True)
+def _reduce(a: list[dict[int, int]], ncols: int) -> _Reduction:
+    """The two-factor reduction, described in smith_normal_form, of the
+    matrix with sparse rows a and ncols columns; uncertified."""
+    one = _eliminate(a, ncols, units_only=True)
     k = len(one.pivots)
-    row_order = [i for i, _, _ in one.pivots] + list(one.rows)
-    col_order = [j for _, j, _ in one.pivots] + list(one.cols)
-    b = IntMatrix(nr - k, nc - k, tuple(
-        tuple(one.rows[i].get(j, 0) for j in col_order[k:]) for i in row_order[k:]
+    b = IntMatrix(len(a) - k, ncols - k, tuple(
+        tuple(row.get(j, 0) for j in one.cols) for row in one.rows.values()
     ))
     hermite = None
     m = b
@@ -422,20 +507,20 @@ def _reduce(a: IntMatrix) -> _Reduction:
     two = _eliminate(_sparse_rows(m), m.cols, units_only=False)
     rows2 = [i for i, _, _ in two.pivots] + list(two.rows)
     cols2 = [j for _, j, _ in two.pivots] + list(two.cols)
+    u2, v2 = _unit_rows(m.rows), _unit_rows(m.cols)
+    _replay(two.log, u2, "row")
+    _replay(two.log, v2, "col")
     s2 = [[0] * m.cols for _ in range(m.rows)]
     for t, (_, _, x) in enumerate(two.pivots):
         s2[t][t] = x
     return _Reduction(
-        units=k,
-        u1=[one.u[i] for i in row_order],
-        u1_inv=_transpose(one.u_inv, row_order, nr),
-        v1=_transpose(one.v, col_order, nc),
-        v1_inv=[one.v_inv[j] for j in col_order],
+        pivots=[(i, j) for i, j, _ in one.pivots],
+        log=one.log,
         b=b,
         hermite=hermite,
-        u2=_dense([two.u[i] for i in rows2], m.rows),
+        u2=_dense([u2[i] for i in rows2], m.rows),
         s2=IntMatrix(m.rows, m.cols, tuple(tuple(row) for row in s2)),
-        v2=_dense(_transpose(two.v, cols2, m.cols), m.cols),
+        v2=_dense(_transpose(v2, cols2, m.cols), m.cols),
     )
 
 
@@ -500,33 +585,33 @@ def _hermite_mod(b: IntMatrix, d: int) -> IntMatrix:
 
 
 def _solve(b: IntMatrix, h: IntMatrix) -> IntMatrix:
-    """The integer matrix t with b*t = h, for b square with det b != 0, by
-    fraction-free (Bareiss) elimination on [b | h] and back substitution.
+    """The integer matrix t with b*t = h, for b square with det b != 0: the
+    steps of b's one fraction-free elimination (IntMatrix._echelon) applied
+    to h, then back substitution.
 
-    Bareiss leaves row i led by a leading minor of b, and the last pivot is
-    det = +-det b. Back substitution computes y = det * t row by row; each
-    division by a leading minor is exact, because the rows still hold for
-    the rational solution t and det * t is integral by Cramer's rule. t is
-    integral exactly when det divides every entry of y; if not, h is not in
-    the column lattice of b and VerificationError is raised.
+    The steps applied to h give the right half of the elimination of [b | h],
+    whose divisions are exact for the same reason as b's own: row i is led
+    by a leading minor of b, and the last pivot is det = +-det b. Back
+    substitution computes y = det * t row by row; each division by a leading
+    minor is exact, because the rows still hold for the rational solution t
+    and det * t is integral by Cramer's rule. t is integral exactly when det
+    divides every entry of y; if not, h is not in the column lattice of b and
+    VerificationError is raised.
     """
-    m = b.rows
-    aug = [list(rb) + list(rh) for rb, rh in zip(b.entries, h.entries)]
+    m, e = b.rows, b._echelon
+    z = [list(row) for row in h.entries]
     prev = 1
-    for k in range(m):
-        piv = next(i for i in range(k, m) if aug[i][k])
-        aug[k], aug[piv] = aug[piv], aug[k]
-        pk = aug[k]
-        p = pk[k]
-        for i in range(k + 1, m):
-            ri = aug[i]
-            f = ri[k]
-            ri[k:] = [(x * p - f * y) // prev for x, y in zip(ri[k:], pk[k:])]
+    for k, (piv, fs) in enumerate(e.steps):
+        z[k], z[piv] = z[piv], z[k]
+        zk, p = z[k], e.rows[k][k]
+        for i, f in enumerate(fs, k + 1):
+            if f or p != prev:
+                z[i] = [(x * p - f * w) // prev for x, w in zip(z[i], zk)]
         prev = p
     y: list[list[int]] = [[] for _ in range(m)]
     for i in range(m - 1, -1, -1):
-        row = aug[i]
-        acc = [prev * x for x in row[m:]]
+        row = e.rows[i]
+        acc = [prev * x for x in z[i]]
         for j in range(i + 1, m):
             c = row[j]
             if c:
@@ -563,32 +648,52 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     a unit (Kannan and Bachem, SIAM J. Comput. 8, 1979, keep transforms small
     the same way, by working on what is left):
 
-    1. The unit phase runs the loop on a, until no unit is left, carrying the
-       transforms u1, v1 and their inverses as sparse rows. With its pivots
-       first, u1*a*v1 = diag(I_k, B) for the remainder B.
-    2. If B is square with D = |det B| != 0 (Bareiss on B's entries, which
-       the unit phase keeps small), the Hermite step replaces B by a column
-       basis H of its lattice, upper triangular with entries below D, and
-       the exact transform U with B*U = H (see _hermite_mod, _solve). For
-       random inputs H is all units but one or two diagonal entries.
-    3. The loop runs again on H (or on B, without the Hermite step), giving
-       u2*H*v2 = s2 with u2 and v2 only as wide as the remainder.
+    1. The unit phase runs the loop on a until no unit is left. The loop
+       carries no transform: it logs its elementary operations in order,
+       each row k -= q*row i with k != i, one column clear {l: q} per pivot
+       (column l -= q*column j, j not a key) and a row negation when the
+       pivot is -1. The log applied to identity rows and columns gives u1
+       and v1 with, pivots first, u1*a*v1 = diag(I_k, B) for the remainder
+       B.
+    2. If B is square with D = |det B| != 0 (one Bareiss elimination of B's
+       entries, which the unit phase keeps small), the Hermite step replaces
+       B by a column basis H of its lattice, upper triangular with entries
+       below D, and the exact transform U with B*U = H (see _hermite_mod,
+       _solve). For random inputs H is all units but one or two diagonal
+       entries.
+    3. The loop runs again on H (or on B, without the Hermite step), and its
+       log applied to identity rows and columns gives u2*H*v2 = s2, with u2
+       and v2 only as wide as the remainder.
 
     The result is u = diag(I_k, u2)*u1, s = diag(I_k, s2) and
     v = v1*diag(I_k, U*v2) (U = I without the Hermite step), and then
-    u*a*v = diag(I_k, u2*B*U*v2) = diag(I_k, s2) = s.
+    u*a*v = diag(I_k, u2*B*U*v2) = diag(I_k, s2) = s. u and v are assembled
+    only after the certificate below has passed (_Reduction.factors).
 
     Every call is certified by exact integer checks on the factors alone,
-    before the product is formed: u1*a*v1 = diag(I_k, B) as sparse rows,
-    u1*u1^-1 = I and v1^-1*v1 = I, B*U = H with H upper triangular and
-    |prod diag H| = |det B| != 0, u2*H*v2 = s2, det u2 = det v2 = +-1 by
-    Bareiss, and s2 diagonal with a nonnegative divisibility chain. That
-    makes u and v unimodular:
+    before the product is formed. The log is replayed on a fresh sparse copy
+    of a by _replay, which refuses any operation of another kind, and the
+    result must have every pivot row exactly {j_t: 1}, every pivot column
+    otherwise empty, and B in pivot order on what is left. Then B*U = H with
+    H upper triangular and |prod diag H| = |det B| != 0, det B coming from
+    Bareiss on B itself (B's one cached elimination, which also gave D and
+    U, never a number kept in the reduction); u2*H*v2 = s2; det u2 =
+    det v2 = +-1 by Bareiss; and s2 diagonal with a nonnegative
+    divisibility chain. That makes u and v unimodular:
 
-    - Factored unimodularity. For integer matrices x, y with x*y = I,
-      det x * det y = 1, and a product of two integers is 1 only if each
-      factor is +-1; so det u1 = det v1 = +-1. Then
-      det u = det u2 * det u1 = +-1, and likewise for v once det U = +-1.
+    - The replayed unit phase. Row k -= q*row i multiplies on the left by
+      I - q*e_k*e_i^t, and a column clear {l: q} multiplies on the right by
+      I - e_j*w^t with w = sum of q*e_l. By the matrix determinant lemma,
+      det(I + x*y^t) = 1 + y^t*x, these have determinant 1 - q*[k = i] and
+      1 - w_j, so k != i and j not a key make each 1; a negation has
+      determinant -1, and putting rows and columns in pivot order is a
+      permutation, of determinant +-1. With integer multipliers, u1 and v1
+      are then integral with det u1 = det v1 = +-1, and the replay shows
+      u1*a*v1 = diag(I_k, B) exactly. That is what the sparse products
+      u1*a*v1, u1*u1^-1 = I and v1^-1*v1 = I showed when the unit phase
+      still carried u1, v1 and their inverses.
+    - Unimodularity of the product. det u = det u2 * det u1 = +-1, and
+      likewise for v once det U = +-1.
     - The Hermite transform. B*adj(B) = det(B)*I, so every D*e_i is
       B*(+-adj(B)*e_i): D*Z^m lies in B*Z^m, which is why the lattice can be
       reduced modulo D. The certificate does not rely on that. From B*U = H,
@@ -598,30 +703,40 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     s = diag(I_k, s2) inherits the chain from s2, since 1 divides everything.
     """
-    r = _reduce(a)
-    _check_snf(a, r)
+    rows = _sparse_rows(a)
+    r = _reduce(rows, a.cols)
+    _check_snf(rows, a.cols, r)
     return r.factors()
 
 
-def _check_snf(a: IntMatrix, r: _Reduction) -> None:
-    """Certify a two-factor reduction exactly, or raise VerificationError.
-    The clauses are listed, and shown to make u and v unimodular, in
-    smith_normal_form's docstring.
+def _check_snf(a: list[dict[int, int]], ncols: int, r: _Reduction) -> None:
+    """Certify a two-factor reduction of the matrix with sparse rows a and
+    ncols columns exactly, or raise VerificationError. The clauses are
+    listed, and shown to make u and v unimodular, in smith_normal_form's
+    docstring.
     """
-    nr, nc, k = a.rows, a.cols, r.units
+    nr, nc, k = len(a), ncols, r.units
     b, u2, s2, v2 = r.b, r.u2, r.s2, r.v2
     mr, mc = nr - k, nc - k
-    shapes = (len(r.u1), len(r.u1_inv), len(r.v1), len(r.v1_inv), b.rows, b.cols,
-              u2.rows, u2.cols, s2.rows, s2.cols, v2.rows, v2.cols)
-    if not 0 <= k <= min(nr, nc) or shapes != (nr, nr, nc, nc, mr, mc, mr, mr, mr, mc, mc, mc):
+    row_order, col_order = _pivot_order(r.pivots, nr, nc)
+    shapes = (b.rows, b.cols, u2.rows, u2.cols, s2.rows, s2.cols, v2.rows, v2.cols)
+    if (
+        not 0 <= k <= min(nr, nc)
+        or shapes != (mr, mc, mr, mr, mr, mc, mc, mc)
+        or sorted(row_order) != list(range(nr))
+        or sorted(col_order) != list(range(nc))
+    ):
         raise VerificationError("SNF check failed: factor shapes do not match")
-    diag_ib = _unit_rows(k) + [{k + j: x for j, x in enumerate(row) if x} for row in b.entries]
-    if _sparse_mul(_sparse_mul(r.u1, _sparse_rows(a)), r.v1) != diag_ib:
+    work = [dict(row) for row in a]
+    _replay(r.log, work, "row")
+    cols = _transpose(work, list(range(nr)), nc)
+    _replay(r.log, cols, "col")
+    b_cols = list(zip(*b.entries)) if mr else [()] * mc
+    want = [{i: 1} for i in row_order[:k]] + [
+        {row_order[k + t]: x for t, x in enumerate(col) if x} for col in b_cols
+    ]
+    if [cols[j] for j in col_order] != want:
         raise VerificationError("SNF check failed: u1*a*v1 != diag(I, B)")
-    if _sparse_mul(r.u1, r.u1_inv) != _unit_rows(nr):
-        raise VerificationError("SNF check failed: u1 not unimodular")
-    if _sparse_mul(r.v1_inv, r.v1) != _unit_rows(nc):
-        raise VerificationError("SNF check failed: v1 not unimodular")
     m = b
     if r.hermite is not None:
         t, h = r.hermite
@@ -659,10 +774,9 @@ def coker_ker(a: IntMatrix) -> KGroups:
     """
     _, s, _ = smith_normal_form(a)
     diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-    rank = sum(1 for d in diag if d != 0)
-    torsion = tuple(d for d in diag if d > 1)
+    rank = sum(1 for d in diag if d)
     return KGroups(
         k0_free_rank=a.rows - rank,
-        k0_torsion=torsion,
+        k0_torsion=tuple(d for d in diag if d > 1),
         k1_rank=a.cols - rank,
     )
