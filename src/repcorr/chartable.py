@@ -6,7 +6,8 @@ common eigenvectors of the class multiplication matrices, for a prime
 p = 1 (mod exponent), p > 2*sqrt(|G|), then lift eigenvalue data back to
 exact cyclotomic values in Q(zeta_exponent) through the discrete-log
 correspondence between roots of unity in F_p and powers of zeta; the lift
-walks each class representative's powers only for one period (`_lift`). The
+walks one representative's powers per rational class, for one period, and
+moves the result to the other classes of its Galois orbit (`_lift`). The
 row orthogonality relation X S X* = n I is verified exactly before a table
 is returned, by evaluation at primes q = 1 (mod N) whose product exceeds a
 bound on every residual, so a bug in the modular stage cannot leak a wrong
@@ -56,11 +57,32 @@ class CharTable:
         return len(self.dims)
 
     @cached_property
-    def weights(self) -> tuple[tuple[Cyclo, ...], ...]:
-        """W[i][j] = conj(chi_i(g_j)) * |C_j|, the factor S X* of X S X* read
-        by rows, cached for `reps.decompose`."""
+    def weights(self) -> tuple[int, list[_Row]]:
+        """S X* read by rows as integer terms, cached for `reps.decompose`:
+        (N, rows) as `_integer_terms` gives for the table, with each term
+        (k, c) of cell (i, j) replaced by (-k, c |C_j|). That is
+        D_i conj(chi_ij) |C_j|, as conj sends zeta_N^k to zeta_N^-k; no
+        value is built or reduced."""
+        big_n, rows = _integer_terms(self.values)
         sizes = self.classes.sizes
-        return tuple(tuple(v.conj().scale(s) for v, s in zip(row, sizes)) for row in self.values)
+        return big_n, [(d, [[(-k, c * s) for k, c in cell] for cell, s in zip(cells, sizes)])
+                       for d, cells in rows]
+
+
+_Row = tuple[int, list[list[tuple[int, int]]]]  # (D, cells): cells[j] the terms of D chi_j
+
+
+def _integer_terms(values) -> tuple[int, list[_Row]]:
+    """(N, rows) for a table of values, N the lcm of their conductors: row i
+    is (D_i, cells), D_i the lcm of the row's denominators and cells[j] the
+    (exponent at zeta_N, integer coefficient) terms of D_i chi_ij."""
+    big_n = lcm(*(v.conductor for row in values for v in row))
+    rows = []
+    for row in values:
+        d = lcm(*(v.den for v in row))
+        rows.append((d, [[(k * (big_n // v.conductor), c * (d // v.den)) for k, c in v._terms()]
+                         for v in row]))
+    return big_n, rows
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +273,16 @@ def _omega_vectors(g: Group, cd: ClassData, p: int) -> list[list[int]]:
     return out
 
 
+def _power_path(g: Group, cd: ClassData, x: int) -> list[int]:
+    """The classes of x^0, x^1, ..., x^(o-1), o the order of x."""
+    path, y = [], 0
+    while True:
+        path.append(cd.class_of[y])
+        y = g.mul(y, x)
+        if y == 0:
+            return path
+
+
 def _lift(g: Group, cd: ClassData, p: int,
           rows: list[tuple[int, list[int]]]) -> list[tuple[int, tuple[Cyclo, ...]]]:
     """Lift each row (dim, chi_hat), a character read mod p class by class,
@@ -280,6 +312,24 @@ def _lift(g: Group, cd: ClassData, p: int,
     where (e/o) s' l mod e = (e/o)(s' l mod o): an o x o transform per class
     in place of an e x e one. The multiplicities are integers, so each value
     is built from them directly, with denominator 1.
+
+    One transform per rational class. Write m_s (s < o) for the multiplicity
+    of zeta_o^s in g, the output of g's transform. For k prime to o the
+    eigenvalues of g^k are the k-th powers of those of g, so
+    chi(g^k) = sum_s m_s zeta_o^(ks): the multiplicities of g^k are those of
+    g moved by s -> ks mod o. The residues move the same way. A
+    representative h of the class of g^k is conjugate to g^k, so h^l lies in
+    the class of g^(kl mod o), and substituting l' = kl mod o in h's
+    transform gives h's residue at ks mod o as g's at s. So only the first
+    class of each orbit {class of g^k : gcd(k, o) = 1} walks its powers and
+    runs the transform. Every other class c of the orbit takes the moved
+    residues, for any k that reaches it, and gets the value and the check
+    sum(m) == dim that its own transform would give. Its datum chi_hat(c) is
+    read by the orbit's transform, as g^k is one of the powers walked. A
+    separate comparison of sum_s m_s z^((e/o)(ks mod o)) with chi_hat(c)
+    mod p would add nothing: inverting the transform, it holds for every
+    residue vector. Values with the same terms are one value, built and
+    reduced once.
     """
     e = cd.exponent
     z_inv = pow(pow(_primitive_root(p), (p - 1) // e, p), -1, p)
@@ -288,29 +338,37 @@ def _lift(g: Group, cd: ClassData, p: int,
         z_inv_pows[s] = z_inv_pows[s - 1] * z_inv % p
 
     transforms: dict[int, list[list[int]]] = {}
-    paths = []
-    for rep in cd.representatives:
-        path, x = [], 0
-        while True:
-            path.append(cd.class_of[x])
-            x = g.mul(x, rep)
-            if x == 0:
-                break
+    orbits = []
+    lifted: set[int] = set()
+    for j, rep in enumerate(cd.representatives):
+        if j in lifted:
+            continue
+        path = _power_path(g, cd, rep)
         o = len(path)
-        step = e // o
+        moves: dict[int, int] = {}  # class -> one k with class of g^k, gcd(k, o) = 1
+        for k in range(o):
+            if gcd(k, o) == 1:
+                moves.setdefault(path[k], k)
+        lifted.update(moves)
         if o not in transforms:
-            transforms[o] = [[z_inv_pows[step * (s * l % o)] for l in range(o)] for s in range(o)]
-        paths.append((path, step, pow(o, -1, p), transforms[o]))
+            transforms[o] = [[z_inv_pows[e // o * (s * l % o)] for l in range(o)] for s in range(o)]
+        orbits.append((path, e // o, pow(o, -1, p), transforms[o], moves.items()))
 
     out = []
+    built: dict[tuple, Cyclo] = {}  # one value per distinct list of terms
     for dim, chi_hat in rows:
-        vals = []
-        for path, step, o_inv, transform in paths:
+        vals = [None] * cd.count
+        for path, step, o_inv, transform, moves in orbits:
             seq = [chi_hat[c] for c in path]
             mults = [sum(map(mul, seq, t)) % p * o_inv % p for t in transform]
             if sum(mults) != dim:
                 raise VerificationError("root-of-unity multiplicities failed to lift")
-            vals.append(Cyclo._from_terms(e, ((s * step, m) for s, m in enumerate(mults) if m), 1))
+            o = len(path)
+            for c, k in moves:
+                terms = tuple(sorted((k * s % o * step, m) for s, m in enumerate(mults) if m))
+                if terms not in built:
+                    built[terms] = Cyclo._from_terms(e, terms, 1)
+                vals[c] = built[terms]
         out.append((dim, tuple(vals)))
     return out
 
@@ -433,16 +491,11 @@ def verify_table(t: CharTable) -> None:
         raise VerificationError("row 0 must be the trivial character")
 
     sizes = t.classes.sizes
-    big_n = lcm(*(v.conductor for row in t.values for v in row))
-    dens, rows = [], []  # rows[i][j]: the (exponent at N, coefficient) terms of D_i chi_ij
-    for row in t.values:
-        d = lcm(*(v.den for v in row))
-        dens.append(d)
-        rows.append([[(k * (big_n // v.conductor), c * (d // v.den))
-                      for k, c in enumerate(v.nums) if c] for v in row])
-    least = gcd(big_n, *(k for row in rows for cell in row for k, _ in cell))
+    big_n, terms = _integer_terms(t.values)
+    dens = [d for d, _ in terms]
+    least = gcd(big_n, *(k for _, row in terms for cell in row for k, _ in cell))
     big_n //= least
-    rows = [[[(k // least, c) for k, c in cell] for cell in row] for row in rows]
+    rows = [[[(k // least, c) for k, c in cell] for cell in row] for _, row in terms]
     norms = [[sum(abs(c) for _, c in cell) for cell in row] for row in rows]
     want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
     bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]

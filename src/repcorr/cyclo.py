@@ -306,17 +306,17 @@ class Cyclo:
         """Render as `c0 + c1*z + c2*z^2 + ...`, omitting zero terms."""
         parts: list[str] = []
         for k, x in self._terms():
-            c = Fraction(x, self.den)
-            mag = abs(c)
+            g = gcd(x, self.den)
+            mag = str(abs(x) // g) + ("" if g == self.den else f"/{self.den // g}")
             if k == 0:
-                body = str(mag)
+                body = mag
             else:
                 zpow = "z" if k == 1 else f"z^{k}"
-                body = zpow if mag == 1 else f"{mag}*{zpow}"
+                body = zpow if mag == "1" else f"{mag}*{zpow}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if x > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if x > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
 
 
@@ -349,7 +349,7 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
     if not s:
         raise SpecError("empty cyclotomic value")
     s = s.replace("-", "+-")
-    sums: dict[int, Fraction] = {}
+    terms = []  # (exponent, numerator, denominator)
     for raw in s.split("+"):
         term = raw.strip().replace(" ", "")
         if not term:
@@ -360,18 +360,15 @@ def parse_cyclo(text: str, conductor: int) -> Cyclo:
         m = _TERM_RE.match(term)
         if not m:
             raise SpecError(f"bad cyclotomic term {raw.strip()!r} in {text!r}")
+        num, _, den = (m.group("coef") or "1").partition("/")
+        k = m.group("k") or m.group("kc") or ("1" if m.group("z") or m.group("zc") else "0")
         try:
-            if m.group("z"):
-                coef = Fraction(1)
-                k = int(m.group("k") or 1)
-            else:
-                coef = Fraction(m.group("coef"))
-                k = int(m.group("kc") or 1) if m.group("zc") else 0
-        except ZeroDivisionError as exc:
-            raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}") from exc
+            num, den = int(num), int(den or 1)
+            if den == 0:
+                raise SpecError(f"zero denominator in cyclotomic term {raw.strip()!r}")
+            k = int(k)
         except ValueError as exc:
             raise too_long("cyclotomic value") from exc
-        sums[k] = sums.get(k, 0) + (-coef if neg else coef)
-    den = lcm(*(c.denominator for c in sums.values()))
-    return Cyclo._from_terms(conductor, ((k, c.numerator * (den // c.denominator))
-                                         for k, c in sums.items()), den)
+        terms.append((k, -num if neg else num, den))
+    den = lcm(*(d for _, _, d in terms))
+    return Cyclo._from_terms(conductor, ((k, num * (den // d)) for k, num, d in terms), den)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
-from .chartable import CharTable
+from .chartable import CharTable, _integer_terms
 from .cyclo import Cyclo, parse_cyclo
 from .errors import SpecError, VerificationError
 from .groups import _bracket_items, _compose, _int_list, _split_top_level, parse_cycles
@@ -103,6 +104,13 @@ def decompose(table: CharTable, values) -> tuple[int, ...]:
     X S X* = n I and S X*/n is the inverse of the square X. Hence
     c = f S X*/n gives c X = f (S X* X)/n = f for every class function f,
     in any cyclotomic field containing both.
+
+    Each inner product is summed on integer terms in Q(zeta_L), L the lcm
+    of the conductors of f and of the table. A product of two terms is one
+    term with the exponents added, so the terms of every f_j W[i][j] go
+    into one accumulator, read mod L, that `Cyclo._from_terms` reduces mod
+    Phi_L once. The reduced form is unique, so rationality reads the same
+    as off a sum of reduced products.
     """
     values = tuple(values)
     if len(values) != table.count:
@@ -110,9 +118,15 @@ def decompose(table: CharTable, values) -> tuple[int, ...]:
             f"class function has {len(values)} values, expected {table.count}"
         )
     n = table.group.order
+    wn, rows = table.weights
+    fn, ((fden, fcells),) = _integer_terms([values])
+    big_n = lcm(wn, fn)
+    fs, ws = big_n // fn, big_n // wn
+    fcells = [[(a * fs, x) for a, x in cell] for cell in fcells]
     mults = []
-    for label, w in zip(table.labels, table.weights):
-        acc = sum((f * x for f, x in zip(values, w)), Cyclo.from_rational(0))
+    for label, (d, cells) in zip(table.labels, rows):
+        acc = Cyclo._from_terms(big_n, ((a + b * ws, x * y) for fcell, cell in zip(fcells, cells)
+                                        for b, y in cell for a, x in fcell), fden * d)
         q = acc.as_rational()
         if q is None:
             raise VerificationError(f"inner product with {label} is not rational")

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -1056,6 +1057,9 @@ def _reference_lift(g, cd, p, rows):
     return table_rows
 
 
+A5 = "perm:[(1 2 3 4 5), (1 2 3)]"
+
+
 def test_lift_matches_the_reference(monkeypatch):
     calls = []
     real = chartable._lift
@@ -1065,9 +1069,66 @@ def test_lift_matches_the_reference(monkeypatch):
         return calls[-1][1]
 
     monkeypatch.setattr(chartable, "_lift", recorded)
-    for spec in ALL_SMALL_SPECS + ["dihedral:60", "cyclic:30"]:
+    for spec in ALL_SMALL_SPECS + ["dihedral:60", "cyclic:30", A5, "product:[6,6]"]:
         character_table(construct_group(spec))  # the split draws no seed
         args, got = calls.pop()
         want = _reference_lift(*args)
         assert [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in got] == \
             [(d, [(v.conductor, v.nums, v.den) for v in vals]) for d, vals in want], spec
+
+
+def _rational_classes(g, cd) -> list[list[int]]:
+    """The orbits {class of x^k : gcd(k, o(x)) = 1}, each listed from its
+    least class, found by powering the representatives."""
+    orbits = {}
+    for x in cd.representatives:
+        o = g.element_order(x)
+        orbit = sorted({cd.class_of[g.power(x, k)] for k in range(1, o + 1) if math.gcd(k, o) == 1})
+        orbits[orbit[0]] = orbit
+    return list(orbits.values())
+
+
+def _lift_args(spec):
+    """The arguments character_table passes to `_lift` for spec."""
+    seen = []
+    real = chartable._lift
+    with mock.patch.object(chartable, "_lift", lambda *a: seen.append(a) or real(*a)):
+        character_table(construct_group(spec))
+    return seen[0]
+
+
+def test_lift_walks_the_powers_of_one_class_per_rational_class(monkeypatch):
+    walked = []
+    real = chartable._power_path
+    monkeypatch.setattr(chartable, "_power_path", lambda g, cd, x: walked.append(x) or real(g, cd, x))
+    for spec in ("dihedral:60", "cyclic:30"):
+        g, cd, p, rows = _lift_args(spec)
+        walked.clear()
+        chartable._lift(g, cd, p, rows)
+        assert walked == [cd.representatives[orbit[0]] for orbit in _rational_classes(g, cd)], spec
+
+
+def test_lifted_values_agree_with_the_modular_data_at_every_class():
+    # Each value, read at a primitive e-th root of unity mod p, is the
+    # modular datum of its class, also at the classes lifted by a move.
+    for spec in ("dihedral:60", "cyclic:30", A5):
+        g, cd, p, rows = _lift_args(spec)
+        e = cd.exponent
+        z = pow(chartable._primitive_root(p), (p - 1) // e, p)
+        for (_, chi_hat), (_, vals) in zip(rows, chartable._lift(g, cd, p, rows)):
+            assert [sum(c * pow(z, k, p) for k, c in enumerate(v.nums)) % p for v in vals] == \
+                [x % p for x in chi_hat], spec
+
+
+def test_a_corrupted_datum_at_a_moved_class_fails_the_lift():
+    for spec in ("dihedral:60", "cyclic:30", A5):
+        g, cd, p, rows = _lift_args(spec)
+        moved = [c for orbit in _rational_classes(g, cd) for c in orbit[1:]]
+        assert moved, spec
+        for c in moved:
+            i = c % len(rows)
+            dim, chi_hat = rows[i]
+            bad = list(chi_hat)
+            bad[c] = (bad[c] + 1) % p
+            with pytest.raises(VerificationError, match="failed to lift"):
+                chartable._lift(g, cd, p, rows[:i] + [(dim, bad)] + rows[i + 1:])

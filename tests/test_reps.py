@@ -3,8 +3,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repcorr import corrgraph, reps
+from repcorr import corrgraph, cyclo, reps
 from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
@@ -252,10 +254,10 @@ def test_rep_from_character_matches_perm_construction():
 # ---------------------------------------------------------------------------
 # `decompose` as it was before the rebuild of the character was dropped: the
 # inner products and then the reconstruction, class by class. Kept verbatim
-# (renamed `_reference_decompose`) as the oracle for the inner products alone.
+# (renamed `_rebuild_decompose`) as the oracle for the inner products alone.
 
 
-def _reference_decompose(table: CharTable, values) -> tuple[int, ...]:
+def _rebuild_decompose(table: CharTable, values) -> tuple[int, ...]:
     """Multiplicity of each irreducible in a class function, exactly.
 
     Raises VerificationError unless the input is a nonnegative integer
@@ -298,10 +300,10 @@ def _reference_decompose(table: CharTable, values) -> tuple[int, ...]:
 
 
 def _both_decompose(t, values):
-    """The outcomes of decompose and of the reference: the multiplicities, or
-    "raised" for a VerificationError."""
+    """The outcomes of decompose and of the rebuilding reference: the
+    multiplicities, or "raised" for a VerificationError."""
     out = []
-    for f in (decompose, _reference_decompose):
+    for f in (decompose, _rebuild_decompose):
         try:
             out.append(f(t, values))
         except VerificationError:
@@ -336,6 +338,91 @@ def test_decompose_and_the_reference_reject_the_same_class_functions():
             }
             for kind, values in bad.items():
                 assert _both_decompose(t, values) == ["raised", "raised"], (spec, kind)
+
+
+# ---------------------------------------------------------------------------
+# `decompose` as it was before it summed integer terms: one Cyclo product,
+# reduced mod Phi_N, per class of each inner product, with the weights
+# conj(chi_ij) |C_j| as Cyclo values. Kept verbatim but for its docstring
+# (renamed `_reference_decompose`), except that the weights, which
+# `CharTable.weights` now holds as integer terms, are built by
+# `_reference_weights`, the body of the old cached property.
+
+
+def _reference_weights(table: CharTable) -> tuple[tuple[Cyclo, ...], ...]:
+    sizes = table.classes.sizes
+    return tuple(tuple(v.conj().scale(s) for v, s in zip(row, sizes)) for row in table.values)
+
+
+def _reference_decompose(table: CharTable, values) -> tuple[int, ...]:
+    values = tuple(values)
+    if len(values) != table.count:
+        raise VerificationError(
+            f"class function has {len(values)} values, expected {table.count}"
+        )
+    n = table.group.order
+    mults = []
+    for label, w in zip(table.labels, _reference_weights(table)):
+        acc = sum((f * x for f, x in zip(values, w)), Cyclo.from_rational(0))
+        q = acc.as_rational()
+        if q is None:
+            raise VerificationError(f"inner product with {label} is not rational")
+        m = Fraction(q, n)
+        if m.denominator != 1 or m < 0:
+            raise VerificationError(
+                f"multiplicity of {label} is {m}, not a nonnegative integer"
+            )
+        mults.append(int(m))
+    return tuple(mults)
+
+
+def _outcome(f, t, values):
+    """f(t, values), or the message of the VerificationError it raises."""
+    try:
+        return f(t, values)
+    except VerificationError as exc:
+        return str(exc)
+
+
+@st.composite
+def _class_functions(draw):
+    """A table and a class function on it: an integer combination of its
+    rows, some coefficients negative, plus a few terms q zeta_c^k with
+    fractional q and conductors foreign to the table, and every value
+    embedded at a multiple of its conductor."""
+    t = table_for(draw(st.sampled_from(HYPOTHESIS_POOL)))
+    coeffs = draw(st.lists(st.integers(-2, 3), min_size=t.count, max_size=t.count))
+    values = [sum((row[j].scale(c) for c, row in zip(coeffs, t.values) if c), Cyclo.from_rational(0))
+              for j in range(t.count)]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, t.count - 1))
+        c = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
+        q = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        values[j] = values[j] + zeta(c, draw(st.integers(0, c - 1))).scale(q)
+    return t, [v.to_conductor(v.conductor * draw(st.sampled_from([1, 2, 3, 5]))) for v in values]
+
+
+HYPOTHESIS_POOL = ["symmetric:3", "cyclic:6", "dihedral:5", "cyclic:12",
+                   "perm:[(1 2 3), (1 2)(3 4)]", "perm:[(1 2 3 4)(5 6 7 8), (1 5 3 7)(2 8 4 6)]"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_class_functions())
+def test_decompose_matches_the_cyclo_inner_products(case):
+    t, values = case
+    assert _outcome(decompose, t, values) == _outcome(_reference_decompose, t, values)
+
+
+def test_decompose_reduces_once_per_multiplicity(monkeypatch):
+    t = character_table(construct_group("dihedral:60"))
+    t.weights  # cached before counting
+    mults = tuple(range(t.count))
+    values = rep_from_mults(t, mults).character()
+    calls = []
+    real = cyclo._reduce_mod_phi
+    monkeypatch.setattr(cyclo, "_reduce_mod_phi", lambda c, n: calls.append(n) or real(c, n))
+    assert decompose(t, values) == mults
+    assert 0 < len(calls) <= t.count
 
 
 # ---------------------------------------------------------------------------
