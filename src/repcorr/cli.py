@@ -20,6 +20,8 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict
 
 from .chartable import CharTable, character_table, format_table
 from .corrgraph import CONVENTIONS, build_d_graph, build_e_graph, ktheory_corr
@@ -55,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--rep",
         action="append",
-        default=None,
         metavar="NAME=SPEC",
         help="representation or auxiliary input; repeatable. Bare SPEC gets "
         "a default name. Heads: trivial, regular, perm:[..], mult:[..], "
@@ -147,6 +148,10 @@ def _gather_settings(args) -> dict:
         if t not in TASKS:
             raise SpecError(f"unknown task {t!r}; choose from {', '.join(TASKS)}")
     cfg["tasks"] = list(dict.fromkeys(tasks))
+    # each input names its output files, so a repeated name would overwrite them
+    repeated = [name for name, count in Counter(name for name, _ in cfg["reps"]).items() if count > 1]
+    if repeated:
+        raise SpecError(f"input name {repeated[0]!r} is given more than once")
     return cfg
 
 
@@ -232,7 +237,11 @@ class _Inputs:
 
 
 # ---------------------------------------------------------------------------
-# task handlers produce (stem, payload, text, dot)
+# task handlers do the math and return (stem, renderings): renderings maps
+# "json" (to the payload), "txt" and, where the result is a graph, "dot" to
+# a function that builds that rendering alone, so a run builds only what it
+# emits. Every text and dot rendering ends in one newline, so a run's
+# renderings concatenate.
 
 
 _WORDS = {True: "yes", False: "no", None: "undecided"}
@@ -248,73 +257,83 @@ def _kgroups_payload(k: KGroups) -> dict:
     }
 
 
-def _corr_result(rep: Rep, task: str, convention: str) -> tuple[str, dict, str, str]:
+def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
     g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
     cap_edge_copies(g)
     edges = sorted(g.edges, key=lambda e: (e.src, e.dst))
-    payload = {
-        "task": task,
-        "rep": rep.name,
-        "convention": g.convention,
-        "vertices": [
-            {"index": i, "algebra_dim": d} for i, d in enumerate(g.dims)
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "label_rows": e.rows, "label_cols": e.cols}
-            for e in edges
-            for _ in range(e.count)
-        ],
-        "B": [list(row) for row in g.b_matrix.entries],
-    }
-    lines = [f"{task} for {rep.name} ({g.convention})"]
-    lines.append("vertices: " + ", ".join(f"pi{i}:M{d}" for i, d in enumerate(g.dims)))
-    lines.append("B matrix (B[k][i] = edges i->k):")
-    for row in g.b_matrix.entries:
-        lines.append("  " + " ".join(str(x) for x in row))
-    for e in edges:
-        lines.append(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}")
-    return (f"{task}_{rep.name}", payload, "\n".join(lines) + "\n", dot_export(g, task))
+
+    def payload() -> dict:
+        return {
+            "task": task,
+            "rep": rep.name,
+            "convention": g.convention,
+            "vertices": [
+                {"index": i, "algebra_dim": d} for i, d in enumerate(g.dims)
+            ],
+            "edges": [
+                {"src": e.src, "dst": e.dst, "label_rows": e.rows, "label_cols": e.cols}
+                for e in edges
+                for _ in range(e.count)
+            ],
+            "B": [list(row) for row in g.b_matrix.entries],
+        }
+
+    def text() -> str:
+        return "\n".join([
+            f"{task} for {rep.name} ({g.convention})",
+            "vertices: " + ", ".join(f"pi{i}:M{d}" for i, d in enumerate(g.dims)),
+            "B matrix (B[k][i] = edges i->k):",
+            *("  " + " ".join(map(str, row)) for row in g.b_matrix.entries),
+            *(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}" for e in edges),
+        ]) + "\n"
+
+    return f"{task}_{rep.name}", {"json": payload, "txt": text, "dot": lambda: dot_export(g, task)}
 
 
 def _table_results(inputs: _Inputs) -> list:
     t = inputs.table()
-    payload = {
-        "task": "table",
-        "group": t.group.spec,
-        "classes": t.classes.count,
-        "zeta": t.zeta_order,
-        "class_sizes": list(t.classes.sizes),
-        "class_representatives": [
-            t.group.labels[r] for r in t.classes.representatives
-        ],
-        "irreps": [
-            {
-                "name": t.labels[i],
-                "dim": t.dims[i],
-                "values": [v.text() for v in t.values[i]],
-            }
-            for i in range(t.count)
-        ],
-    }
-    return [("table", payload, format_table(t), None)]
+
+    def payload() -> dict:
+        return {
+            "task": "table",
+            "group": t.group.spec,
+            "classes": t.classes.count,
+            "zeta": t.zeta_order,
+            "class_sizes": list(t.classes.sizes),
+            "class_representatives": [
+                t.group.labels[r] for r in t.classes.representatives
+            ],
+            "irreps": [
+                {
+                    "name": t.labels[i],
+                    "dim": t.dims[i],
+                    "values": [v.text() for v in t.values[i]],
+                }
+                for i in range(t.count)
+            ],
+        }
+
+    return [("table", {"json": payload, "txt": lambda: format_table(t)})]
 
 
 def _decompose_result(rep: Rep, convention: str) -> tuple:
-    payload = {
-        "task": "decompose",
-        "rep": rep.name,
-        "dim": rep.dim,
-        "mults": list(rep.mults),
-        "pi_injective": is_pi_injective(rep),
-        "character": [v.text() for v in rep.character()],
-    }
-    text = (
-        f"decompose {rep.name}: dim {rep.dim}, "
-        "mults "
-        + " ".join(f"{lbl}:{m}" for lbl, m in zip(rep.table.labels, rep.mults))
-        + f", pi injective: {_WORDS[payload['pi_injective']]}\n"
-    )
-    return (f"decompose_{rep.name}", payload, text, None)
+    injective = is_pi_injective(rep)
+
+    def payload() -> dict:
+        return {
+            "task": "decompose",
+            "rep": rep.name,
+            "dim": rep.dim,
+            "mults": list(rep.mults),
+            "pi_injective": injective,
+            "character": [v.text() for v in rep.character()],
+        }
+
+    def text() -> str:
+        mults = " ".join(f"{lbl}:{m}" for lbl, m in zip(rep.table.labels, rep.mults))
+        return f"decompose {rep.name}: dim {rep.dim}, mults {mults}, pi injective: {_WORDS[injective]}\n"
+
+    return f"decompose_{rep.name}", {"json": payload, "txt": text}
 
 
 def _ktheory_result(rep: Rep, convention: str) -> tuple:
@@ -323,37 +342,37 @@ def _ktheory_result(rep: Rep, convention: str) -> tuple:
     via_bimodule = ktheory_corr(rep)
     agree = via_graph == via_bimodule
     simp = simplicity_check(mg)
-    sources, sinks = sources_sinks(mg)
-    payload = {
-        "task": "ktheory",
-        "rep": rep.name,
-        "convention": convention,
-        "graph_path": _kgroups_payload(via_graph),
-        "bimodule_path": _kgroups_payload(via_bimodule),
-        "agree": agree,
-        "authoritative": "bimodule_path",
-        "sources": list(sources),
-        "sinks": list(sinks),
-        "simplicity": {
-            "every_cycle_has_exit": simp.every_cycle_has_exit,
-            "cofinal": simp.cofinal,
-            "simple": simp.simple,
-            "purely_infinite_simple": simp.purely_infinite_simple,
-        },
-    }
-    text = (
-        f"ktheory for {rep.name} ({convention})\n"
-        f"graph path:    K0 = {via_graph.k0_pretty()}, "
-        f"K1 = {via_graph.k1_pretty()}\n"
-        f"bimodule path: K0 = {via_bimodule.k0_pretty()}, "
-        f"K1 = {via_bimodule.k1_pretty()}\n"
-        f"paths agree: {'yes' if agree else 'no (bimodule path is authoritative)'}\n"
-        f"simple: {_WORDS[simp.simple]}"
-        f" (every cycle has an exit: {_WORDS[simp.every_cycle_has_exit]},"
-        f" cofinal: {_WORDS[simp.cofinal]})\n"
-        f"purely infinite simple: {_WORDS[simp.purely_infinite_simple]}\n"
-    )
-    return (f"ktheory_{rep.name}", payload, text, None)
+
+    def payload() -> dict:
+        sources, sinks = sources_sinks(mg)
+        return {
+            "task": "ktheory",
+            "rep": rep.name,
+            "convention": convention,
+            "graph_path": _kgroups_payload(via_graph),
+            "bimodule_path": _kgroups_payload(via_bimodule),
+            "agree": agree,
+            "authoritative": "bimodule_path",
+            "sources": list(sources),
+            "sinks": list(sinks),
+            "simplicity": asdict(simp),
+        }
+
+    def text() -> str:
+        return (
+            f"ktheory for {rep.name} ({convention})\n"
+            f"graph path:    K0 = {via_graph.k0_pretty()}, "
+            f"K1 = {via_graph.k1_pretty()}\n"
+            f"bimodule path: K0 = {via_bimodule.k0_pretty()}, "
+            f"K1 = {via_bimodule.k1_pretty()}\n"
+            f"paths agree: {'yes' if agree else 'no (bimodule path is authoritative)'}\n"
+            f"simple: {_WORDS[simp.simple]}"
+            f" (every cycle has an exit: {_WORDS[simp.every_cycle_has_exit]},"
+            f" cofinal: {_WORDS[simp.cofinal]})\n"
+            f"purely infinite simple: {_WORDS[simp.purely_infinite_simple]}\n"
+        )
+
+    return f"ktheory_{rep.name}", {"json": payload, "txt": text}
 
 
 def _skew_results(inputs: _Inputs) -> list:
@@ -371,53 +390,59 @@ def _skew_results(inputs: _Inputs) -> list:
         spec = SkewSpec(cocycle=values, orders=None, rank=rank, window=window)
         dual = f"Z^{rank} (window {window})"
     sk = skew_product(spec)
-    sources, sinks = sources_sinks(sk)
-    payload = {
-        "task": "skew",
-        "cocycle": cname,
-        "dual_group": dual,
-        "edges_per_vertex": len(values),
-        "vertices": [
-            {"index": i, "name": name} for i, name in enumerate(sk.names)
-        ],
-        "A": [list(row) for row in sk.a],
-        "stubs": [
-            {"src": s.src, "target": s.target, "count": s.count}
-            for s in sk.stubs
-        ],
-        "sources": list(sources),
-        "sinks": list(sinks),
-    }
-    text_lines = [
-        f"skew product of the {len(values)}-edge rose by {cname} over {dual}",
-        f"vertices: {sk.n}, edges: {sk.edge_count()}, stubs: {len(sk.stubs)}",
-        "A matrix (A[v][w] = edges w->v):",
-    ]
-    for row in sk.a:
-        text_lines.append("  " + " ".join(str(x) for x in row))
-    for s in sk.stubs:
-        text_lines.append(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}")
-    return [(f"skew_{cname}", payload, "\n".join(text_lines) + "\n", dot_export(sk, "skew"))]
+    # the dot listing's cap refuses the graph in every format
+    edge_count = cap_edge_copies(sk)
+
+    def payload() -> dict:
+        sources, sinks = sources_sinks(sk)
+        return {
+            "task": "skew",
+            "cocycle": cname,
+            "dual_group": dual,
+            "edges_per_vertex": len(values),
+            "vertices": [
+                {"index": i, "name": name} for i, name in enumerate(sk.names)
+            ],
+            "A": [list(row) for row in sk.a],
+            "stubs": [
+                {"src": s.src, "target": s.target, "count": s.count}
+                for s in sk.stubs
+            ],
+            "sources": list(sources),
+            "sinks": list(sinks),
+        }
+
+    def text() -> str:
+        return "\n".join([
+            f"skew product of the {len(values)}-edge rose by {cname} over {dual}",
+            f"vertices: {sk.n}, edges: {edge_count}, stubs: {len(sk.stubs)}",
+            "A matrix (A[v][w] = edges w->v):",
+            *("  " + " ".join(map(str, row)) for row in sk.a),
+            *(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}" for s in sk.stubs),
+        ]) + "\n"
+
+    return [(f"skew_{cname}", {"json": payload, "txt": text, "dot": lambda: dot_export(sk, "skew")})]
+
+
+def _circle_result(name: str, kind: str, freqs) -> tuple:
+    if kind == "angles":
+        c = circle_analysis(CircleGraph(angles=freqs))
+        found = {"orbit_group_order": c.orbit_group_order, "dense": c.dense}
+        orbit = f"finite orbit group of order {c.orbit_group_order}"
+        if c.dense:
+            orbit = "dense, infinite orbit group"
+        text = f"circle orbit for {name}: {orbit}\n"
+    else:
+        found = {"fills_line": semigroup_r_check(freqs)}
+        text = f"frequency semigroup {name} fills the line: {_WORDS[found['fills_line']]}\n"
+    payload = {"task": "circle", "input": name, "kind": kind, **found}
+    return f"circle_{name}", {"json": lambda: payload, "txt": lambda: text}
 
 
 def _circle_results(inputs: _Inputs) -> list:
     if not inputs.freq_lists:
         raise SpecError("circle needs angles:[...] or freqs:[...] inputs")
-    results = []
-    for name, kind, freqs in inputs.freq_lists:
-        payload = {"task": "circle", "input": name, "kind": kind}
-        if kind == "angles":
-            rep = circle_analysis(CircleGraph(angles=freqs))
-            payload.update(orbit_group_order=rep.orbit_group_order, dense=rep.dense)
-            orbit = f"finite orbit group of order {rep.orbit_group_order}"
-            if rep.dense:
-                orbit = "dense, infinite orbit group"
-            text = f"circle orbit for {name}: {orbit}\n"
-        else:
-            payload["fills_line"] = semigroup_r_check(freqs)
-            text = f"frequency semigroup {name} fills the line: {_WORDS[payload['fills_line']]}\n"
-        results.append((f"circle_{name}", payload, text, None))
-    return results
+    return [_circle_result(*entry) for entry in inputs.freq_lists]
 
 
 def _export_results(inputs: _Inputs) -> list:
@@ -432,7 +457,7 @@ def _each_rep(result):
     return lambda inputs: [result(rep, inputs.cfg["convention"]) for rep in inputs.need_reps()]
 
 
-# task name -> the (stem, payload, text, dot) results it adds, in this order
+# task name -> the (stem, renderings) results it adds, in this order
 _TASK_RESULTS = {
     "table": _table_results,
     "decompose": _each_rep(_decompose_result),
@@ -447,59 +472,50 @@ _TASK_RESULTS = {
 TASKS = tuple(_TASK_RESULTS)
 
 
-def _run_tasks(cfg) -> list[tuple[str, dict, str, str | None]]:
-    inputs = _Inputs(cfg)
-    return [res for task in cfg["tasks"] for res in _TASK_RESULTS[task](inputs)]
-
-
-def _emit(cfg, results) -> None:
-    fmt = cfg["format"]
+def _emit(cfg, results: list[tuple[str, dict]]) -> None:
+    ext = "txt" if cfg["format"] == "text" else cfg["format"]
     if cfg["out"] is None:
-        if fmt == "json":
+        if ext == "json":
             doc = {
                 "group": cfg["group"],
                 "convention": cfg["convention"],
-                "results": [payload for _, payload, _, _ in results],
+                "results": [renderings["json"]() for _, renderings in results],
             }
             print(json.dumps(doc, indent=2, sort_keys=True))
-        elif fmt == "dot":
-            print("".join(_body(*res, "dot") for res in results), end="")
         else:
-            print("\n".join(text.rstrip("\n") for _, _, text, _ in results))
+            print("".join(_render(*res, ext) for res in results), end="")
         return
     os.makedirs(cfg["out"], exist_ok=True)
-    for stem, payload, text, dot in results:
+    for stem, renderings in results:
         # export writes the table as text and every other result as json,
         # plus dot where it has one; the other tasks write --format
         if "export" not in cfg["tasks"]:
-            exts = ["txt" if fmt == "text" else fmt]
+            exts = [ext]
         elif stem == "table":
             exts = ["txt"]
         else:
-            exts = ["json"] if dot is None else ["json", "dot"]
-        for ext in exts:
-            body = _body(stem, payload, text, dot, ext)
-            path = os.path.join(cfg["out"], f"{stem}.{ext}")
+            exts = [x for x in ("json", "dot") if x in renderings]
+        for suffix in exts:
+            body = _render(stem, renderings, suffix)
+            path = os.path.join(cfg["out"], f"{stem}.{suffix}")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(body)
             print(f"wrote {path}")
 
 
-def _body(stem: str, payload: dict, text: str, dot: str | None, ext: str) -> str:
-    if ext == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if ext == "dot":
-        if dot is None:
-            raise SpecError(f"task output {stem} has no dot rendering")
-        return dot
-    return text
+def _render(stem: str, renderings: dict, ext: str) -> str:
+    if ext not in renderings:
+        raise SpecError(f"task output {stem} has no {ext} rendering")
+    body = renderings[ext]()
+    return json.dumps(body, indent=2, sort_keys=True) + "\n" if ext == "json" else body
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _gather_settings(args)
-        results = _run_tasks(cfg)
+        inputs = _Inputs(cfg)
+        results = [res for task in cfg["tasks"] for res in _TASK_RESULTS[task](inputs)]
         _emit(cfg, results)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,7 +71,7 @@ class MultiGraph:
             raise SpecError("adjacency matrix shape does not match vertex count")
         if len(self.names) != self.n:
             raise SpecError("vertex name count does not match vertex count")
-        if any(x < 0 for row in self.a for x in row):
+        if any(min(row) < 0 for row in self.a):
             raise SpecError("edge multiplicities must be nonnegative")
 
     def in_degree(self, v: int) -> int:

@@ -21,6 +21,7 @@ from .groups import _bracket_items, _compose, _int_list, _split_top_level, parse
 
 __all__ = [
     "MAX_REP_DIM",
+    "MAX_SPEC_DEPTH",
     "Rep",
     "trivial_rep",
     "regular_rep",
@@ -40,6 +41,10 @@ __all__ = [
 # torsion through Hadamard's inequality. Capping the dimension keeps those
 # integers far below the 4,300 digits Python will print.
 MAX_REP_DIM = 10**12
+
+# tensor(...) and dsum(...) specs are parsed recursively, a few interpreter
+# frames per level, so their nesting is capped far below the recursion limit.
+MAX_SPEC_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -218,12 +223,14 @@ def parse_rep_spec(table: CharTable, text: str, name: str = "") -> Rep:
         | char:[v0, v1, ...]                 character values per class
         | tensor(spec, spec, ...)            tensor product
         | dsum(spec, spec, ...)              direct sum
+
+    tensor and dsum nest at most MAX_SPEC_DEPTH levels.
     """
     rep = _parse(table, text.strip())
     return rep.renamed(name) if name else rep
 
 
-def _parse(table: CharTable, text: str) -> Rep:
+def _parse(table: CharTable, text: str, depth: int = 1) -> Rep:
     if text == "trivial":
         return trivial_rep(table)
     if text == "regular":
@@ -242,10 +249,12 @@ def _parse(table: CharTable, text: str) -> Rep:
         return rep_from_character(table, values, name=text)
     for head, op in (("tensor", tensor), ("dsum", dsum)):
         if text.startswith(head + "(") and text.endswith(")"):
+            if depth > MAX_SPEC_DEPTH:
+                raise SpecError(f"representation spec nests deeper than {MAX_SPEC_DEPTH} levels")
             parts = _split_top_level(text[len(head) + 1 : -1], text)
             if len(parts) < 2:
                 raise SpecError(f"{head} needs at least two operands: {text!r}")
-            reps = [_parse(table, part) for part in parts]
+            reps = [_parse(table, part, depth + 1) for part in parts]
             acc = reps[0]
             for nxt in reps[1:]:
                 acc = op(acc, nxt)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -344,6 +345,85 @@ def test_edge_copy_cap_boundary(monkeypatch):
         assert code == 0 and out.count(" -> ") == 10
         code, out, err = run_in_process([*argv, "mult:[11]"])
         assert (code, out) == (2, "") and "capped at 10" in err
+
+
+def test_runs_build_only_the_renderings_they_emit(monkeypatch):
+    # Each case names the renderers its run must not call: text never builds
+    # a dot listing, and only JSON lists sources and sinks. The output stays
+    # byte-identical.
+    zskew = ["--rep", "c=zcocycle:[(1,0),(0,1),(-1,-1)]", "--task", "skew", "--window", "3"]
+    cskew = ["--group", "cyclic:12", "--rep", "c=cocycle:[1,5,7]", "--task", "skew"]
+    both = ("dot_export", "sources_sinks")
+    cases = [
+        (["--group", "symmetric:3", "--rep", SYM3_REP, "--task", "egraph,dgraph,ktheory"], both),
+        (["--group", "symmetric:3", "--rep", SYM3_REP, "--task", "egraph", "--format", "json"],
+         ("dot_export",)),
+        (zskew + ["--format", "text"], both),
+        (cskew + ["--format", "text"], both),
+        (cskew + ["--format", "dot"], ("sources_sinks",)),
+    ]
+
+    def refuse(*args):
+        raise AssertionError("built a rendering the run does not emit")
+
+    for argv, unused in cases:
+        expected = run_in_process(argv)
+        assert expected[0] == 0, argv
+        with monkeypatch.context() as m:
+            for name in unused:
+                m.setattr(cli, name, refuse)
+            assert run_in_process(argv) == expected, argv
+
+
+def test_text_of_many_edge_copies_lists_no_copy():
+    # 3 * 10^5 edge copies per graph: the text prints one line per edge, so
+    # no per-copy JSON or dot listing may be built.
+    argv = ["--group", "symmetric:3", "--rep", "r=mult:[100000,0,0]", "--task", "egraph,dgraph",
+            "--format", "text"]
+    tracemalloc.start()
+    try:
+        code, out, _ = run_in_process(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "pi0 -> pi0: 100000 x M_1x1" in out
+    assert peak < 5 * 2**20, peak
+
+
+def test_repeated_input_names_exit_2(tmp_path):
+    # Each input names its output files, so a repeated name is refused before
+    # anything is written; a bare spec's default name counts too.
+    out = tmp_path / "D"
+    for reps, name in (
+        (["a=regular", "a=trivial"], "a"),
+        (["rep2=trivial", "regular"], "rep2"),
+        (["c=regular", "c=cocycle:[1]"], "c"),
+    ):
+        argv = ["--group", "cyclic:3", "--task", "decompose", "--format", "json", "--out", str(out)]
+        for rep in reps:
+            argv += ["--rep", rep]
+        assert run_in_process(argv) == (2, "", f"error: input name {name!r} is given more than once\n")
+        assert not out.exists()
+    job = tmp_path / "dup.job"
+    job.write_text("group = cyclic:3\nrep.a = regular\nrep.b = trivial\nrep.a = trivial\n"
+                   "tasks = decompose\n")
+    assert run_in_process(["--job", str(job)]) == (
+        2, "", "error: input name 'a' is given more than once\n")
+    # --rep flags replace the job file's inputs
+    code, out_text, _ = run_in_process(["--job", str(job), "--rep", "a=regular"])
+    assert code == 0 and out_text.startswith("decompose a: dim 3")
+
+
+def test_deeply_nested_specs_exit_2(tmp_path):
+    # Nesting far past reps.MAX_SPEC_DEPTH used to end in a RecursionError.
+    for head in ("dsum", "tensor"):
+        spec = f"{head}(trivial, " * 500 + "regular" + ")" * 500
+        err = "error: representation spec nests deeper than 100 levels\n"
+        argv = ["--group", "cyclic:2", "--rep", spec, "--task", "decompose"]
+        assert run_in_process(argv) == (2, "", err)
+        job = tmp_path / f"{head}.job"
+        job.write_text(f"group = cyclic:2\nrep.r = {spec}\ntasks = decompose\n")
+        assert run_in_process(["--job", str(job)]) == (2, "", err)
 
 
 def test_cli_import_leaves_numpy_unloaded():

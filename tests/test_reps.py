@@ -14,6 +14,7 @@ from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import MAX_PERM_POINTS, construct_group
 from repcorr.reps import (
     MAX_REP_DIM,
+    MAX_SPEC_DEPTH,
     Rep,
     decompose,
     dsum,
@@ -232,6 +233,23 @@ def test_dimension_cap_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 200_000, peak
     assert parse_rep_spec(t, f"mult:[{MAX_REP_DIM},0,0]").dim == MAX_REP_DIM
+
+
+def _nested(head: str, depth: int) -> str:
+    return f"{head}(trivial, " * depth + "regular" + ")" * depth
+
+
+def test_spec_nesting_is_capped_before_recursing():
+    # At the cap both heads parse; one level more is refused before the
+    # recursion that would exhaust the interpreter's stack.
+    t = table_for("cyclic:2")
+    assert MAX_SPEC_DEPTH == 100
+    assert parse_rep_spec(t, _nested("dsum", MAX_SPEC_DEPTH)).mults == (MAX_SPEC_DEPTH + 1, 1)
+    assert parse_rep_spec(t, _nested("tensor", MAX_SPEC_DEPTH)).mults == (1, 1)
+    for head in ("dsum", "tensor"):
+        for depth in (MAX_SPEC_DEPTH + 1, 500, 5000):
+            with pytest.raises(SpecError, match=f"nests deeper than {MAX_SPEC_DEPTH} levels"):
+                parse_rep_spec(t, _nested(head, depth))
 
 
 def test_pi_injectivity_tracks_support():
