@@ -13,30 +13,29 @@ loop falls into Euclid's algorithm once the units are gone.
 The loop carries no transform: it logs its elementary operations (row k
 -= q*row i with k != i, one column clear per pivot, and a row negation for
 a pivot -1), and a transform is that log applied to identity rows or
-columns. The reduction is split into two certified factors at the first
-pivot that is not a unit. The certificate replays the unit phase's log on a
-fresh sparse copy of a, which must give diag(I_k, B) in pivot order. The
-loop then runs again on the remainder B alone, so u2 and v2 are only as
-wide as B. When B is square with D = |det B| != 0, a Hermite step first
-replaces B by a triangular H = B*U, computed modulo D, so the transforms
-stay near the size of D; one Bareiss elimination of B serves D, the solve
-for U and the certificate. The whole u and v are assembled from the two
-factors only once the certificate has passed. The proofs, also given in
+columns. The reduction is split into two factors at the first pivot that is
+not a unit, and the loop runs again on the remainder B alone. When B is
+square with D = |det B| != 0, a Hermite step first replaces B by a
+triangular basis H of its column lattice, computed modulo D. Both factors
+are certified by one kind of check: the factor's log is replayed on a fresh
+sparse copy of its matrix and must give the claimed diagonal in pivot
+order. smith_normal_form certifies s this way and nothing else; u and v are
+assembled from the logs only when they are read, so K-groups, which read s
+alone, never build a transform. The proofs, also given in
 smith_normal_form:
 
-- The replayed unit phase. Every logged operation is an integer matrix of
+- A replayed log. Every logged operation is an integer matrix of
   determinant +-1 (k != i and j not a key make the determinant lemma give
-  1), so the replay proves u1*a*v1 = diag(I_k, B) with u1 and v1
-  unimodular. With det u2 = det v2 = +-1, u = diag(I_k, u2)*u1 and
-  v = v1*diag(I_k, U*v2) have determinant +-1 once det U = +-1.
-- The Hermite step. B*adj(B) = det(B)*I, so D*Z^m is inside B*Z^m and the
-  column lattice can be reduced modulo D. Whatever produced H, B*U = H gives
-  det U = det H / det B, and det H = prod diag H for triangular H; so an
-  integral U with |prod diag H| = |det B| != 0 is unimodular.
+  1), so a replay that gives diag(I_k, B) from a, or diag(s2) from the
+  remainder, proves it with unimodular factors.
+- The Hermite step. B = H*X with X integral gives B*Z^m inside H*Z^m, and
+  |prod diag H| = |det B| != 0 gives both lattices the index |det B| in
+  Z^m, so they are equal and coker B = coker H.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
@@ -48,6 +47,7 @@ from .errors import SpecError, VerificationError
 __all__ = [
     "IntMatrix",
     "KGroups",
+    "SmithForm",
     "smith_normal_form",
     "coker_ker",
     "parse_matrix",
@@ -392,8 +392,6 @@ def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
             raise VerificationError("SNF check failed: unknown operation in the log")
 
 
-def _unit_rows(n: int) -> list[dict[int, int]]:
-    return [{t: 1} for t in range(n)]
 
 
 def _transpose(vecs: list[dict[int, int]], order: list[int], n: int) -> list[dict[int, int]]:
@@ -415,79 +413,51 @@ def _dense(rows: list[dict[int, int]], ncols: int) -> IntMatrix:
     return IntMatrix(len(rows), ncols, tuple(out))
 
 
-def _pivot_order(
-    pivots: list[tuple[int, int]], nr: int, nc: int
-) -> tuple[list[int], list[int]]:
-    """Rows and columns in pivot order: the pivots' in the order they were
-    retired, then the rest by index."""
-    prows, pcols = [i for i, _ in pivots], [j for _, j in pivots]
-    done_r, done_c = set(prows), set(pcols)
-    return (
-        prows + [i for i in range(nr) if i not in done_r],
-        pcols + [j for j in range(nc) if j not in done_c],
-    )
+def _unit_rows(n: int) -> list[dict[int, int]]:
+    return [{t: 1} for t in range(n)]
+
+
+def _pivot_order(pivots: list[tuple], n: int, side: int) -> list[int]:
+    """Rows (side 0) or columns (side 1) in pivot order: the pivots' in the
+    order they were retired, then the rest by index."""
+    first = [p[side] for p in pivots]
+    done = set(first)
+    return first + [i for i in range(n) if i not in done]
+
+
+def _factor(log: list[tuple], pivots: list[tuple], n: int, kind: str) -> list[dict[int, int]]:
+    """The operations of one kind in log applied to n identity rows (kind
+    "row") or columns (kind "col"), put in pivot order: the sparse rows of
+    u1 or u2, or the sparse columns of v2."""
+    vecs = _unit_rows(n)
+    _replay(log, vecs, kind)
+    return [vecs[i] for i in _pivot_order(pivots, n, int(kind == "col"))]
 
 
 class _Reduction(NamedTuple):
-    """A Smith reduction in two factors, with the data that certifies it.
+    """A Smith reduction in two factors, as logs, with the data that
+    certifies it.
 
     The unit phase retires the unit pivots (row, column), in order, by the
     operations in log (see _replay). Let u1 and v1 be the log applied to
     identity rows and columns, with rows and columns put in pivot order
-    (_pivot_order); then u1*a*v1 = diag(I_k, b) for k = units. hermite is None
-    or (t, h): the Hermite step's unimodular t and triangular h = b*t, taken
-    when b is square with det b != 0. The remainder loop then runs on m = h,
-    or on m = b without the step, and gives u2*m*v2 = s2, again in pivot
-    order.
+    (_pivot_order); then u1*a*v1 = diag(I_k, b) for k = units. m is the
+    matrix the remainder loop ran on: b, or the Hermite form of b when b is
+    square with det b != 0. The loop retires pivots2 (row, column, d) by the
+    operations in log2; with u2 and v2 built from log2 the same way,
+    u2*m*v2 = s2 = diag(d_1, d_2, ...).
     """
 
     pivots: list[tuple[int, int]]
     log: list[tuple]
     b: IntMatrix
-    hermite: tuple[IntMatrix, IntMatrix] | None
-    u2: IntMatrix
-    s2: IntMatrix
-    v2: IntMatrix
+    m: IntMatrix
+    pivots2: list[tuple[int, int, int]]
+    log2: list[tuple]
 
     @property
     def units(self) -> int:
         return len(self.pivots)
-
-    def factors(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-        """(u, s, v) = (diag(I_k, u2)*u1, diag(I_k, s2), v1*diag(I_k, t*v2)),
-        with u1 and v1 rebuilt from the log.
-
-        The clears build v1 = E_1*...*E_m*P from identity columns, for E_i
-        the clears in log order and P the permutation to pivot order, so v
-        is computed as E_1*(...*(E_m*(P*diag(I_k, t*v2)))). A clear {l: q_l}
-        of column j is E = I - e_j*q^t, which subtracts from row j each row
-        l, q_l times; that touches only the clears' pairs, where the product
-        of v1's remainder columns with t*v2 would be dense.
-        """
-        k = self.units
-        nr, nc = k + self.b.rows, k + self.b.cols
-        row_order, col_order = _pivot_order(self.pivots, nr, nc)
-        rows = _unit_rows(nr)
-        _replay(self.log, rows, "row")
-        u1 = [rows[i] for i in row_order]
-        u = _dense(u1[:k] + _sparse_mul(_sparse_rows(self.u2), u1[k:]), nr)
-        w = self.v2 if self.hermite is None else self.hermite[0] @ self.v2
-        v: list[dict[int, int]] = [{} for _ in range(nc)]
-        for t, j in enumerate(col_order[:k]):
-            v[j] = {t: 1}
-        for j, row in zip(col_order[k:], w.entries):
-            v[j] = {k + c: x for c, x in enumerate(row) if x}
-        for op in reversed(self.log):
-            if op[0] == "col":
-                _, j, qs = op
-                for l, q in qs.items():
-                    _axpy(v[j], -q, v[l])
-        s = [[0] * nc for _ in range(nr)]
-        for t in range(k):
-            s[t][t] = 1
-        for t, row in enumerate(self.s2.entries):
-            s[k + t][k:] = row
-        return u, IntMatrix(nr, nc, tuple(tuple(row) for row in s)), _dense(v, nc)
 
 
 def _reduce(a: list[dict[int, int]], ncols: int) -> _Reduction:
@@ -498,30 +468,11 @@ def _reduce(a: list[dict[int, int]], ncols: int) -> _Reduction:
     b = IntMatrix(len(a) - k, ncols - k, tuple(
         tuple(row.get(j, 0) for j in one.cols) for row in one.rows.values()
     ))
-    hermite = None
     m = b
     if b.rows == b.cols > 0 and (d := b.det()):
-        h = _hermite_mod(b, abs(d))
-        hermite = (_solve(b, h), h)
-        m = h
+        m = _hermite_mod(b, abs(d))
     two = _eliminate(_sparse_rows(m), m.cols, units_only=False)
-    rows2 = [i for i, _, _ in two.pivots] + list(two.rows)
-    cols2 = [j for _, j, _ in two.pivots] + list(two.cols)
-    u2, v2 = _unit_rows(m.rows), _unit_rows(m.cols)
-    _replay(two.log, u2, "row")
-    _replay(two.log, v2, "col")
-    s2 = [[0] * m.cols for _ in range(m.rows)]
-    for t, (_, _, x) in enumerate(two.pivots):
-        s2[t][t] = x
-    return _Reduction(
-        pivots=[(i, j) for i, j, _ in one.pivots],
-        log=one.log,
-        b=b,
-        hermite=hermite,
-        u2=_dense([u2[i] for i in rows2], m.rows),
-        s2=IntMatrix(m.rows, m.cols, tuple(tuple(row) for row in s2)),
-        v2=_dense(_transpose(v2, cols2, m.cols), m.cols),
-    )
+    return _Reduction([(i, j) for i, j, _ in one.pivots], one.log, b, m, two.pivots, two.log)
 
 
 def _xgcd(x: int, y: int) -> tuple[int, int, int]:
@@ -622,9 +573,11 @@ def _solve(b: IntMatrix, h: IntMatrix) -> IntMatrix:
     return IntMatrix(m, m, tuple(tuple(s // prev for s in row) for row in y))
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (u, s, v) with u*a*v = s, u and v unimodular, s diagonal with
-    each diagonal entry nonnegative and dividing the next.
+def smith_normal_form(a: IntMatrix) -> "SmithForm":
+    """Return the Smith normal form of a as a SmithForm: s, and u and v
+    with u*a*v = s, u and v unimodular, s diagonal with each diagonal entry
+    nonnegative and dividing the next. s is certified here; u and v are
+    assembled the first time they are read, and iterating gives (u, s, v).
 
     s is unique. u and v are not; one deterministic reduction fixes them. Its
     core is one loop over the sparse rows of an active block, in the manner
@@ -644,126 +597,211 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
       integer combination of active entries, so the diagonal is a
       divisibility chain.
 
-    The reduction runs in two factors, split at the first pivot that is not
-    a unit (Kannan and Bachem, SIAM J. Comput. 8, 1979, keep transforms small
-    the same way, by working on what is left):
+    The loop carries no transform: it logs its elementary operations in
+    order, each row k -= q*row i with k != i, one column clear {l: q} per
+    pivot (column l -= q*column j, j not a key) and a row negation when the
+    pivot is -1. The reduction runs in two factors, split at the first pivot
+    that is not a unit (Kannan and Bachem, SIAM J. Comput. 8, 1979, keep
+    transforms small the same way, by working on what is left):
 
-    1. The unit phase runs the loop on a until no unit is left. The loop
-       carries no transform: it logs its elementary operations in order,
-       each row k -= q*row i with k != i, one column clear {l: q} per pivot
-       (column l -= q*column j, j not a key) and a row negation when the
-       pivot is -1. The log applied to identity rows and columns gives u1
-       and v1 with, pivots first, u1*a*v1 = diag(I_k, B) for the remainder
-       B.
+    1. The unit phase runs the loop on a until no unit is left. Its log
+       applied to identity rows and columns gives u1 and v1 with, pivots
+       first, u1*a*v1 = diag(I_k, B) for the remainder B.
     2. If B is square with D = |det B| != 0 (one Bareiss elimination of B's
        entries, which the unit phase keeps small), the Hermite step replaces
        B by a column basis H of its lattice, upper triangular with entries
-       below D, and the exact transform U with B*U = H (see _hermite_mod,
-       _solve). For random inputs H is all units but one or two diagonal
-       entries.
-    3. The loop runs again on H (or on B, without the Hermite step), and its
-       log applied to identity rows and columns gives u2*H*v2 = s2, with u2
-       and v2 only as wide as the remainder.
+       below D (_hermite_mod, after Domich, Kannan and Trotter, Math. Oper.
+       Res. 12, 1987). For these inputs H is the identity outside a few
+       rows.
+    3. The loop runs again on M = H, or on M = B without the Hermite step
+       (also when B is not square or det B = 0). Its log applied to identity
+       rows and columns gives u2*M*v2 = s2 = diag(d_1, ..., d_r).
 
-    The result is u = diag(I_k, u2)*u1, s = diag(I_k, s2) and
-    v = v1*diag(I_k, U*v2) (U = I without the Hermite step), and then
-    u*a*v = diag(I_k, u2*B*U*v2) = diag(I_k, s2) = s. u and v are assembled
-    only after the certificate below has passed (_Reduction.factors).
+    Then s = diag(I_k, s2), u = diag(I_k, u2)*u1 and v = v1*diag(I_k, U*v2),
+    with U the exact transform B*U = H (_solve; U = I without the Hermite
+    step), so u*a*v = diag(I_k, u2*B*U*v2) = diag(I_k, s2) = s.
 
-    Every call is certified by exact integer checks on the factors alone,
-    before the product is formed. The log is replayed on a fresh sparse copy
-    of a by _replay, which refuses any operation of another kind, and the
-    result must have every pivot row exactly {j_t: 1}, every pivot column
-    otherwise empty, and B in pivot order on what is left. Then B*U = H with
-    H upper triangular and |prod diag H| = |det B| != 0, det B coming from
-    Bareiss on B itself (B's one cached elimination, which also gave D and
-    U, never a number kept in the reduction); u2*H*v2 = s2; det u2 =
-    det v2 = +-1 by Bareiss; and s2 diagonal with a nonnegative
-    divisibility chain. That makes u and v unimodular:
+    The certificate of s reads the logs and H, never a transform, and is
+    exact integer arithmetic throughout:
 
-    - The replayed unit phase. Row k -= q*row i multiplies on the left by
+    - Unit phase: the log, replayed by _replay (which refuses any operation
+      of another kind) on a fresh sparse copy of a, leaves every pivot column
+      exactly {i_t: 1} and B in pivot order on what is left.
+    - Hermite step: H is upper triangular, |prod diag H| = |det B| != 0 with
+      det B from B's own cached elimination (never a number kept in the
+      reduction), and B = H*X for an integral X, found by back substitution
+      on H's sparse rows (_left_divides).
+    - Remainder: the d_t are positive and each divides the next, and the
+      remainder's log, replayed on a fresh sparse copy of M, leaves every
+      pivot column exactly {i_t: d_t} and every other column empty.
+
+    Why that proves s:
+
+    - A replayed log. Row k -= q*row i multiplies on the left by
       I - q*e_k*e_i^t, and a column clear {l: q} multiplies on the right by
       I - e_j*w^t with w = sum of q*e_l. By the matrix determinant lemma,
       det(I + x*y^t) = 1 + y^t*x, these have determinant 1 - q*[k = i] and
       1 - w_j, so k != i and j not a key make each 1; a negation has
       determinant -1, and putting rows and columns in pivot order is a
-      permutation, of determinant +-1. With integer multipliers, u1 and v1
-      are then integral with det u1 = det v1 = +-1, and the replay shows
-      u1*a*v1 = diag(I_k, B) exactly. That is what the sparse products
-      u1*a*v1, u1*u1^-1 = I and v1^-1*v1 = I showed when the unit phase
-      still carried u1, v1 and their inverses.
-    - Unimodularity of the product. det u = det u2 * det u1 = +-1, and
-      likewise for v once det U = +-1.
-    - The Hermite transform. B*adj(B) = det(B)*I, so every D*e_i is
-      B*(+-adj(B)*e_i): D*Z^m lies in B*Z^m, which is why the lattice can be
-      reduced modulo D. The certificate does not rely on that. From B*U = H,
-      det U = det H / det B, and det H = prod diag H for triangular H; so
-      |prod diag H| = |det B| != 0 gives det U = +-1, whatever algorithm
-      produced H; U is integral, as _solve refuses to return it otherwise.
+      permutation. With integer multipliers, the log applied to identity rows
+      and columns gives integral factors of determinant +-1, and the replay
+      shows that they take a to diag(I_k, B) and M to s2 exactly. The
+      remainder loop's "pull the offending row up" step is row i -= -1*row
+      k; k = i never happens, as the pivot row then holds only the pivot,
+      which divides itself, and _replay refuses k = i anyway.
+    - The Hermite step. B = H*X gives B*Z^m inside H*Z^m. Both lattices
+      have index |det B| = |prod diag H| = |det H| in Z^m, so they are
+      equal, and coker B = coker H. Equivalently det X = +-1, so X is
+      unimodular and U = X^-1 is integral. (B*adj(B) = det(B)*I puts D*Z^m
+      in B*Z^m, which is why H can be computed modulo D; the certificate
+      does not rely on that, whatever algorithm produced H.)
+    - So diag(I_k, s2) is the Smith form of diag(I_k, B), hence of a, and
+      its diagonal is a chain, since 1 divides everything.
 
-    s = diag(I_k, s2) inherits the chain from s2, since 1 divides everything.
+    Reading u or v replays the logs on identity rows and columns and, for v,
+    solves B*U = H, refusing a non-integral U and checking B*U = H exactly.
+    Then U = X^-1, and u and v are unimodular by the proofs above.
     """
     rows = _sparse_rows(a)
     r = _reduce(rows, a.cols)
     _check_snf(rows, a.cols, r)
-    return r.factors()
+    return SmithForm(r)
 
 
-def _check_snf(a: list[dict[int, int]], ncols: int, r: _Reduction) -> None:
-    """Certify a two-factor reduction of the matrix with sparse rows a and
-    ncols columns exactly, or raise VerificationError. The clauses are
-    listed, and shown to make u and v unimodular, in smith_normal_form's
-    docstring.
+class SmithForm:
+    """The result of smith_normal_form: s, certified before it is built,
+    and u and v, assembled from the reduction's logs the first time they
+    are read. Iterating gives (u, s, v), so u, s, v = smith_normal_form(a)
+    unpacks."""
+
+    def __init__(self, r: _Reduction) -> None:
+        self._r = r
+        k = r.units
+        diag = [{t: d} for t, d in enumerate([1] * k + [d for _, _, d in r.pivots2])]
+        self.s = _dense(diag + [{}] * (k + r.b.rows - len(diag)), k + r.b.cols)
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        """diag(I_k, u2)*u1, with u1 and u2 rebuilt from the logs."""
+        r = self._r
+        k, m = r.units, r.m
+        u1 = _factor(r.log, r.pivots, k + m.rows, "row")
+        u2 = _factor(r.log2, r.pivots2, m.rows, "row")
+        return _dense(u1[:k] + _sparse_mul(u2, u1[k:]), k + m.rows)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        """v1*diag(I_k, U*v2), with v1 and v2 rebuilt from the logs and the
+        Hermite transform U with B*U = H solved for (U = I without the
+        Hermite step). _solve refuses a non-integral U.
+
+        The clears build v1 = E_1*...*E_m*P from identity columns, for E_i
+        the clears in log order and P the permutation to pivot order, so v
+        is computed as E_1*(...*(E_m*(P*diag(I_k, U*v2)))). A clear {l: q_l}
+        of column j is E = I - e_j*q^t, which subtracts from row j each row
+        l, q_l times; that touches only the clears' pairs, where the product
+        of v1's remainder columns with U*v2 would be dense.
+        """
+        r = self._r
+        k, b, m = r.units, r.b, r.m
+        v2 = _factor(r.log2, r.pivots2, m.cols, "col")
+        w = _dense(_transpose(v2, list(range(m.cols)), m.cols), m.cols)
+        if m != b:
+            t = _solve(b, m)
+            if b @ t != m:
+                raise VerificationError("SNF check failed: B*U != H")
+            w = t @ w
+        nc = k + m.cols
+        col_order = _pivot_order(r.pivots, nc, 1)
+        v: list[dict[int, int]] = [{} for _ in range(nc)]
+        for t, j in enumerate(col_order[:k]):
+            v[j] = {t: 1}
+        for j, row in zip(col_order[k:], w.entries):
+            v[j] = {k + c: x for c, x in enumerate(row) if x}
+        for op in reversed(r.log):
+            if op[0] == "col":
+                _, j, qs = op
+                for l, q in qs.items():
+                    _axpy(v[j], -q, v[l])
+        return _dense(v, nc)
+
+    def __iter__(self) -> Iterator[IntMatrix]:
+        return iter((self.u, self.s, self.v))
+
+
+def _replays_to(a: list[dict[int, int]], ncols: int, log: list[tuple],
+                pivots: list[tuple[int, int, int]], rest: IntMatrix) -> bool:
+    """Whether log, replayed on a fresh copy of the sparse rows a (row
+    operations first, then the column clears), gives diag(d_1, ..., d_r,
+    rest) in pivot order for the pivots (row, column, d). Raise
+    VerificationError if the pivots are no one-to-one map into a's shape
+    that leaves rest's shape.
     """
-    nr, nc, k = len(a), ncols, r.units
-    b, u2, s2, v2 = r.b, r.u2, r.s2, r.v2
-    mr, mc = nr - k, nc - k
-    row_order, col_order = _pivot_order(r.pivots, nr, nc)
-    shapes = (b.rows, b.cols, u2.rows, u2.cols, s2.rows, s2.cols, v2.rows, v2.cols)
+    nr, k = len(a), len(pivots)
+    row_order, col_order = _pivot_order(pivots, nr, 0), _pivot_order(pivots, ncols, 1)
     if (
-        not 0 <= k <= min(nr, nc)
-        or shapes != (mr, mc, mr, mr, mr, mc, mc, mc)
-        or sorted(row_order) != list(range(nr))
-        or sorted(col_order) != list(range(nc))
+        sorted(row_order) != list(range(nr))
+        or sorted(col_order) != list(range(ncols))
+        or (rest.rows, rest.cols) != (nr - k, ncols - k)
     ):
         raise VerificationError("SNF check failed: factor shapes do not match")
     work = [dict(row) for row in a]
-    _replay(r.log, work, "row")
-    cols = _transpose(work, list(range(nr)), nc)
-    _replay(r.log, cols, "col")
-    b_cols = list(zip(*b.entries)) if mr else [()] * mc
-    want = [{i: 1} for i in row_order[:k]] + [
-        {row_order[k + t]: x for t, x in enumerate(col) if x} for col in b_cols
+    _replay(log, work, "row")
+    cols = _transpose(work, list(range(nr)), ncols)
+    _replay(log, cols, "col")
+    rest_cols = list(zip(*rest.entries)) if rest.rows else [()] * rest.cols
+    want = [{i: d} for i, _, d in pivots] + [
+        {row_order[k + t]: x for t, x in enumerate(col) if x} for col in rest_cols
     ]
-    if [cols[j] for j in col_order] != want:
+    return [cols[j] for j in col_order] == want
+
+
+def _check_snf(a: list[dict[int, int]], ncols: int, r: _Reduction) -> None:
+    """Certify the s of a two-factor reduction of the matrix with sparse rows
+    a and ncols columns exactly, or raise VerificationError. The clauses are
+    listed, and shown to prove s, in smith_normal_form's docstring; the
+    Hermite clauses run whenever the remainder loop ran on some m != b.
+    """
+    b, m = r.b, r.m
+    if not _replays_to(a, ncols, r.log, [(i, j, 1) for i, j in r.pivots], b):
         raise VerificationError("SNF check failed: u1*a*v1 != diag(I, B)")
-    m = b
-    if r.hermite is not None:
-        t, h = r.hermite
-        if (mr, t.rows, t.cols, h.rows, h.cols) != (mc,) + (mr,) * 4:
+    if m != b:
+        n = b.rows
+        if (b.cols, m.rows, m.cols) != (n, n, n):
             raise VerificationError("SNF check failed: factor shapes do not match")
-        if any(h.entries[i][j] for i in range(mr) for j in range(i)):
+        if any(m.entries[i][j] for i in range(n) for j in range(i)):
             raise VerificationError("SNF check failed: H not upper triangular")
-        if b @ t != h:
-            raise VerificationError("SNF check failed: B*U != H")
         d = b.det()
-        if not d or abs(prod(h.entries[i][i] for i in range(mr))) != abs(d):
+        if not d or abs(prod(m.entries[i][i] for i in range(n))) != abs(d):
             raise VerificationError("SNF check failed: |prod diag H| != |det B|")
-        m = h
-    u2m = _sparse_mul(_sparse_rows(u2), _sparse_rows(m))
-    if _sparse_mul(u2m, _sparse_rows(v2)) != _sparse_rows(s2):
-        raise VerificationError("SNF check failed: u2*B*v2 != s2")
-    if u2.det() not in (1, -1):
-        raise VerificationError("SNF check failed: u2 not unimodular")
-    if v2.det() not in (1, -1):
-        raise VerificationError("SNF check failed: v2 not unimodular")
-    diag = [s2.entries[i][i] for i in range(min(mr, mc))]
-    if any(x for i, row in enumerate(s2.entries) for j, x in enumerate(row) if i != j):
-        raise VerificationError("SNF check failed: s not diagonal")
-    if any(d < 0 for d in diag) or any(
-        (d2 if d1 == 0 else d2 % d1) for d1, d2 in zip(diag, diag[1:])
+        if not _left_divides(m, b):
+            raise VerificationError("SNF check failed: B = H*X has no integral X")
+    diag = [d for _, _, d in r.pivots2]
+    if any(type(d) is not int or d < 1 for d in diag) or any(
+        d2 % d1 for d1, d2 in zip(diag, diag[1:])
     ):
         raise VerificationError("SNF check failed: divisibility chain broken")
+    rest = IntMatrix.zeros(m.rows - len(diag), m.cols - len(diag))
+    if not _replays_to(_sparse_rows(m), m.cols, r.log2, r.pivots2, rest):
+        raise VerificationError("SNF check failed: u2*B*v2 is not diag(s2)")
+
+
+def _left_divides(h: IntMatrix, b: IntMatrix) -> bool:
+    """Whether b = h*x for an integral x, h upper triangular with a nonzero
+    diagonal: back substitution on h's sparse rows, x from the last row up.
+    A Hermite form is the identity outside a few rows, so most rows of x are
+    rows of b."""
+    hs = _sparse_rows(h)
+    x: list[list[int]] = [[] for _ in hs]
+    for i in range(len(hs) - 1, -1, -1):
+        p = hs[i].pop(i)
+        acc = b.entries[i]
+        for j, c in hs[i].items():
+            acc = [s - c * y for s, y in zip(acc, x[j])]
+        if any(s % p for s in acc):
+            return False
+        x[i] = [s // p for s in acc]
+    return True
 
 
 def coker_ker(a: IntMatrix) -> KGroups:
@@ -772,7 +810,7 @@ def coker_ker(a: IntMatrix) -> KGroups:
     coker = Z^rows / im(a) described by free rank plus invariant factors > 1,
     ker rank = cols - rank(a).
     """
-    _, s, _ = smith_normal_form(a)
+    s = smith_normal_form(a).s
     diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
     rank = sum(1 for d in diag if d)
     return KGroups(

@@ -1,7 +1,8 @@
 import itertools
+import random
 import tracemalloc
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,56 @@ def test_finite_skew_product_is_the_d_graph_of_the_cocycle_characters(case):
     for v in range(sk.n):
         assert [sk.a[v][w] for w in range(sk.n)] == [d.a[pi[v]][pi[w]] for w in range(sk.n)]
     assert kt(sk) == kt(d)
+
+
+def _character_sums(spec: SkewSpec) -> tuple[int, int | None]:
+    """(#{g : lambda_g = 1}, |prod_g (lambda_g - 1)| when that count is 0)
+    for a finite dual, lambda_g = sum_i chi_{c_i}(g), with no SNF.
+
+    The vertices are the elements of the finite dual, and each c_i adds the
+    edges x -> x + c_i, so a^t - I is multiplication by sum_i delta_{c_i}
+    - 1 on Z[dual]: square, as every vertex receives n edges, and normal.
+    The characters chi_g(x) = prod_j zeta_{o_j}^(g_j x_j), g in G,
+    diagonalise it with eigenvalues conj(lambda_g) - 1. So the kernel rank,
+    the cokernel's free rank and the number of g with lambda_g = 1 agree,
+    and a nonsingular a^t - I has |det| = the order of its cokernel.
+    """
+    big = lcm(*spec.orders)
+    ones, det = 0, 1
+    for g in itertools.product(*(range(o) for o in spec.orders)):
+        lam = sum(zeta(big, sum(x * y * (big // o) for x, y, o in zip(c, g, spec.orders)))
+                  for c in spec.cocycle)
+        if lam == 1:
+            ones += 1
+        else:
+            det = det * (lam - 1)
+    return ones, None if ones else abs(det.as_integer())
+
+
+def test_finite_dual_kgroups_match_the_character_sums():
+    # The finite duals of the ktheory_skew bench, with two to four characters:
+    # with three, some g of order 2 nearly always has lambda_g = 1 + 1 - 1.
+    rng = random.Random(16)
+    specs = []
+    for _ in range(8):
+        cocycle = tuple((rng.randrange(12), rng.randrange(12)) for _ in range(rng.randint(2, 4)))
+        specs.append(SkewSpec(cocycle=cocycle, orders=(12, 12)))
+    for n in (2, 5, 6, 7, 9, 12, 16):
+        cocycle = tuple((rng.randrange(n),) for _ in range(rng.randint(1, 4)))
+        specs.append(SkewSpec(cocycle=cocycle, orders=(n,)))
+    # A zero factor: over Z/4, lambda_g = 1 + i^g + i^-g is 1 at g = 1, 3.
+    specs.append(SkewSpec(cocycle=((0,), (1,), (3,)), orders=(4,)))
+    seen = set()
+    for spec in specs:
+        k = ktheory_graph(skew_product(spec))
+        ones, det = _character_sums(spec)
+        assert k.k1_rank == k.k0_free_rank == ones, spec
+        if not ones:
+            assert prod(k.k0_torsion) == det, spec
+        seen.add((spec.orders == (12, 12), ones > 0))
+    # Both branches run, on the Z/12 x Z/12 duals and on the Z/n ones.
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+    assert _character_sums(specs[-1])[0] == 2
 
 
 def test_skew_rejects_bad_specs():

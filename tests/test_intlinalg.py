@@ -13,6 +13,7 @@ from repcorr.graphs import SkewSpec, ktheory_graph, skew_product
 from repcorr.intlinalg import (
     IntMatrix,
     KGroups,
+    SmithForm,
     _axpy,
     _check_snf,
     _dense,
@@ -806,12 +807,6 @@ def _reduction_of(rows):
     return a, r
 
 
-def _with_row_doubled(m: IntMatrix, i: int) -> IntMatrix:
-    rows = [list(row) for row in m.entries]
-    rows[i] = [2 * x for x in rows[i]]
-    return IntMatrix.from_rows(rows)
-
-
 def test_certificate_rejects_factor_shapes():
     a, r = _reduction_of([[1, 0], [0, 2]])
     with pytest.raises(VerificationError, match="factor shapes"):
@@ -819,6 +814,11 @@ def test_certificate_rejects_factor_shapes():
     # The right number of pivots, but a pivot row outside a.
     with pytest.raises(VerificationError, match="factor shapes"):
         _check(a, r._replace(pivots=[(2, 0)]))
+    # A remainder pivot repeated: still a divisibility chain, but no
+    # one-to-one map into the remainder's shape.
+    assert r.pivots2 == [(0, 0, 2)]
+    with pytest.raises(VerificationError, match="factor shapes"):
+        _check(a, r._replace(pivots2=r.pivots2 * 2))
 
 
 def test_certificate_rejects_phase1_u_with_row_doubled():
@@ -835,14 +835,13 @@ def test_certificate_rejects_phase1_u_with_row_doubled():
 
 
 def test_certificate_rejects_phase2_u_with_row_doubled():
-    # No unit pivot and det B = 0: an empty log, no Hermite step, and
-    # u2*B*v2 = s2 survives a doubled row of u2; only det u2 can see it.
+    # No unit pivot and det B = 0: empty logs and no Hermite step. Doubling
+    # row 1 of u2 by row 1 -= -1 * row 1 in the remainder's log leaves
+    # u2*B*v2 = s2 intact on this zero B; only the clause k != i can see it.
     a, r = _reduction_of([[0, 0], [0, 0]])
-    assert r.units == 0 and r.log == [] and r.hermite is None
-    bad = r._replace(u2=_with_row_doubled(r.u2, 0))
-    assert (bad.u2 @ bad.b @ bad.v2) == bad.s2
-    with pytest.raises(VerificationError, match="u2 not unimodular"):
-        _check(a, bad)
+    assert r.units == 0 and r.log == r.log2 == [] and r.m is r.b
+    with pytest.raises(VerificationError, match="row operation not elementary"):
+        _check(a, r._replace(log2=[("row", 1, -1, 1)]))
 
 
 def test_certificate_rejects_v_with_column_doubled():
@@ -851,11 +850,10 @@ def test_certificate_rejects_v_with_column_doubled():
     a, r = _reduction_of([[1, 0], [0, 0]])
     with pytest.raises(VerificationError, match="column clear not elementary"):
         _check(a, r._replace(log=r.log + [("col", 1, {1: -1})]))
+    # The same for v2, in the remainder's log.
     a, r = _reduction_of([[0, 0], [0, 0]])
-    bad = r._replace(v2=_with_row_doubled(r.v2.transpose(), 1).transpose())
-    assert (bad.u2 @ bad.b @ bad.v2) == bad.s2
-    with pytest.raises(VerificationError, match="v2 not unimodular"):
-        _check(a, bad)
+    with pytest.raises(VerificationError, match="column clear not elementary"):
+        _check(a, r._replace(log2=[("col", 1, {1: -1})]))
 
 
 def test_certificate_rejects_a_changed_multiplier():
@@ -867,11 +865,38 @@ def test_certificate_rejects_a_changed_multiplier():
             _check(a, r._replace(log=log))
 
 
+def test_certificate_rejects_a_changed_multiplier_in_the_remainder_log():
+    # No unit and a non-square B, so the remainder loop runs on B itself.
+    a, r = _reduction_of([[2, 4, 0], [6, 8, 0]])
+    assert r.units == 0 and r.m is r.b
+    assert r.log2 == [("row", 1, 3, 0), ("col", 0, {1: 2}), ("neg", 1)]
+    for log2 in ([("row", 1, 4, 0)] + r.log2[1:],
+                 [r.log2[0], ("col", 0, {1: 3}), r.log2[2]]):
+        with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+            _check(a, r._replace(log2=log2))
+
+
 def test_certificate_rejects_a_dropped_negation():
     a, r = _reduction_of([[-1, 0], [0, 2]])
     assert r.log == [("neg", 0)]
     with pytest.raises(VerificationError, match=r"u1\*a\*v1 != diag\(I, B\)"):
         _check(a, r._replace(log=[]))
+
+
+def test_certificate_rejects_a_dropped_negation_in_the_remainder_log():
+    # The pivot -2 is retired as 2 by a negation of its row.
+    a, r = _reduction_of([[-2, 0]])
+    assert r.pivots2 == [(0, 0, 2)] and r.log2 == [("neg", 0)]
+    with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+        _check(a, r._replace(log2=[]))
+
+
+def test_certificate_rejects_a_row_doubling_in_the_remainder_log():
+    # After the Hermite step, row 0 -= -1 * row 0 doubles a row of u2.
+    a, r = _reduction_of([[2, 4], [6, 8]])
+    assert r.m != r.b
+    with pytest.raises(VerificationError, match="row operation not elementary"):
+        _check(a, r._replace(log2=r.log2 + [("row", 0, -1, 0)]))
 
 
 def test_certificate_refuses_other_operations():
@@ -883,15 +908,17 @@ def test_certificate_refuses_other_operations():
 
 
 def _trivial_reduction(rows):
-    """u = v = I and s = a: honest except where a itself is not in SNF."""
+    """Empty logs, B = a and the claim s2 = diag(a): honest except where a
+    itself is not in SNF."""
     a = IntMatrix.from_rows(rows)
     zero = IntMatrix.zeros(a.rows, a.cols)
-    return a, _reduce(_sparse_rows(zero), zero.cols)._replace(b=a, s2=a)
+    pivots2 = [(t, t, a.entries[t][t]) for t in range(min(a.rows, a.cols))]
+    return a, _reduce(_sparse_rows(zero), zero.cols)._replace(b=a, m=a, pivots2=pivots2)
 
 
 def test_certificate_rejects_offdiagonal_s():
     a, r = _trivial_reduction([[1, 1], [0, 1]])
-    with pytest.raises(VerificationError, match="not diagonal"):
+    with pytest.raises(VerificationError, match="not diag"):
         _check(a, r)
 
 
@@ -908,46 +935,55 @@ def test_certificate_rejects_wrong_product():
     assert r.units == 1 and r.b.entries == ((2,),)
     with pytest.raises(VerificationError, match=r"u1\*a\*v1 != diag\(I, B\)"):
         _check(a, r._replace(b=IntMatrix.from_rows([[4]])))
-    # The remainder loop: s2 with an entry doubled, still a divisibility
-    # chain, and v2 with an extra entry.
+    # The remainder loop: the last d doubled, still a divisibility chain,
+    # and a column clear appended to the remainder's log.
     a, r = _reduction_of([[2, 4], [6, 8]])
-    s2 = [list(row) for row in r.s2.entries]
-    s2[1][1] *= 2
-    with pytest.raises(VerificationError, match=r"u2\*B\*v2 != s2"):
-        _check(a, r._replace(s2=IntMatrix.from_rows(s2)))
-    v2 = [list(row) for row in r.v2.entries]
-    v2[0][1] += 1
-    with pytest.raises(VerificationError, match=r"u2\*B\*v2 != s2"):
-        _check(a, r._replace(v2=IntMatrix.from_rows(v2)))
+    assert r.pivots2 == [(1, 1, 2), (0, 0, 4)]
+    with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+        _check(a, r._replace(pivots2=[(1, 1, 2), (0, 0, 8)]))
+    with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+        _check(a, r._replace(log2=r.log2 + [("col", 0, {1: 1})]))
 
 
-def test_certificate_rejects_wrong_hermite_transform():
+def test_certificate_rejects_wrong_hermite_transform(monkeypatch):
+    # U is solved for only when v is read, and B*U = H is checked there.
     a, r = _reduction_of([[2, 4], [6, 8]])
-    t, h = r.hermite
-    wrong = [list(row) for row in t.entries]
+    wrong = [list(row) for row in _solve(r.b, r.m).entries]
     wrong[0][0] += 1
+    monkeypatch.setattr(intlinalg, "_solve", lambda b, h: IntMatrix.from_rows(wrong))
+    form = SmithForm(r)
+    assert form.u == smith_normal_form(a).u  # u needs no U
     with pytest.raises(VerificationError, match=r"B\*U != H"):
-        _check(a, r._replace(hermite=(IntMatrix.from_rows(wrong), h)))
+        form.v
 
 
 def test_certificate_rejects_lower_triangular_entry_in_h():
-    # B*U = H with U = I: everything holds but the shape of H.
+    # H has the lattice of B = 2I (B = H*X with X = [[1, 0], [-1, 1]]) and
+    # |prod diag H| = det B; only the shape of H is wrong.
     a, r = _reduction_of([[2, 0], [0, 2]])
-    assert r.hermite is not None
-    b = IntMatrix.from_rows([[2, 0], [2, 2]])
-    bad = r._replace(b=b, hermite=(IntMatrix.identity(2), b))
+    h = IntMatrix.from_rows([[2, 0], [2, 2]])
+    assert h @ IntMatrix.from_rows([[1, 0], [-1, 1]]) == r.b
     with pytest.raises(VerificationError, match="H not upper triangular"):
-        _check(b, bad)
+        _check(a, r._replace(m=h))
 
 
 def test_certificate_rejects_hermite_diagonal_off_det():
-    # U = 2I is integral and B*U = H is triangular, but det U = 4: only
-    # |prod diag H| = |det B| can see it.
+    # H = I is triangular with B = H*B, and an honest empty remainder on I
+    # gives s2 = I; but det H = 1 while det B = 4 (the lattice of H is
+    # larger): only |prod diag H| = |det B| can see it.
     a, r = _reduction_of([[2, 0], [0, 2]])
-    t = IntMatrix.from_rows([[2, 0], [0, 2]])
-    h = r.b @ t
+    bad = r._replace(m=IntMatrix.identity(2), pivots2=[(0, 0, 1), (1, 1, 1)], log2=[])
     with pytest.raises(VerificationError, match=r"\|prod diag H\| != \|det B\|"):
-        _check(a, r._replace(hermite=(t, h)))
+        _check(a, bad)
+
+
+def test_certificate_rejects_a_hermite_form_of_another_lattice():
+    # H = [[4, 0], [0, 2]] is triangular with |prod diag H| = 8 = |det B|,
+    # but B = H*X needs X = [[1/2, 1], [3, 4]].
+    a, r = _reduction_of([[2, 4], [6, 8]])
+    assert r.m.entries == ((4, 2), (0, 2))
+    with pytest.raises(VerificationError, match="B = H\\*X has no integral X"):
+        _check(a, r._replace(m=IntMatrix.from_rows([[4, 0], [0, 2]])))
 
 
 def test_hermite_solve_rejects_a_non_integral_transform():
@@ -965,21 +1001,24 @@ def test_reduction_clears_unit_pivots_of_a_skew_presentation():
     rows = [[(1 if (i - j) % n in (1, 2) else 0) - (i == j) for j in range(n)] for i in range(n)]
     a, r = _reduction_of(rows)
     assert r.units == n - 1
-    assert _diag(r.factors()[1]) == _diag(_reference_snf(a)[1])
+    assert _diag(SmithForm(r).s) == _diag(_reference_snf(a)[1])
 
 
 def test_both_remainder_paths_run():
     rng = random.Random(12)
     dense = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
     a, r = _reduction_of(dense.entries)
-    assert r.hermite is not None and r.b.rows == r.b.cols > 0
-    assert r.hermite[1].entries == (r.b @ r.hermite[0]).entries
+    assert r.m != r.b and r.b.rows == r.b.cols > 0
+    h = r.m.entries
+    assert not any(h[i][j] for i in range(len(h)) for j in range(i))
+    assert abs(prod(h[i][i] for i in range(len(h)))) == abs(r.b.det())
+    assert r.b @ _solve(r.b, r.m) == r.m
     # rank 2 in a 4x4 square with no unit: det B = 0, so no Hermite step.
     low = IntMatrix.from_rows([[2, 4], [6, 2], [4, 8], [2, 6]]) @ IntMatrix.from_rows(
         [[2, 0, 4, 6], [0, 2, 2, 4]]
     )
     a, r = _reduction_of(low.entries)
-    assert r.units == 0 and r.b.rows == r.b.cols == 4 and r.hermite is None
+    assert r.units == 0 and r.b.rows == r.b.cols == 4 and r.m is r.b
 
 
 def test_transforms_stay_near_the_determinant_size():
@@ -1112,3 +1151,46 @@ def test_kgroups_go_through_smith_normal_form(monkeypatch):
         seen.clear()
         assert coker_ker(a) == _carried_kgroups(a)
         assert seen == [a]
+
+
+def _rank_deficient(n: int, seed: int) -> IntMatrix:
+    """The product of seeded n x (n-1) and (n-1) x n factors in [-3, 3]."""
+    rng = random.Random(seed)
+    x = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)])
+    y = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)])
+    return x @ y
+
+
+def test_kgroups_never_assemble_transforms(monkeypatch):
+    # coker_ker reads s alone: no Hermite transform U, no factor u1, u2 or
+    # v2 replayed on identity rows or columns, and no u or v.
+    def refuse(*args):
+        raise AssertionError("a K-group assembled a transform")
+
+    monkeypatch.setattr(intlinalg, "_solve", refuse)
+    monkeypatch.setattr(intlinalg, "_factor", refuse)
+    monkeypatch.setattr(intlinalg.SmithForm, "u", property(refuse))
+    monkeypatch.setattr(intlinalg.SmithForm, "v", property(refuse))
+    # The seeded inputs of test_kgroups_go_through_smith_normal_form.
+    rng = random.Random(13)
+    specs = [SkewSpec(cocycle=((1,), (2,), (3,)), rank=1, window=20)]
+    for window in (3, 4, 5, 6):
+        cocycle = tuple(tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(3))
+        specs.append(SkewSpec(cocycle=cocycle, rank=2, window=window))
+    for window in (20, 30, 40, 50, 60):
+        cocycle = tuple((rng.randint(-3, 3),) for _ in range(3))
+        specs.append(SkewSpec(cocycle=cocycle, rank=1, window=window))
+    cocycle = tuple((rng.randrange(12), rng.randrange(12)) for _ in range(3))
+    specs.append(SkewSpec(cocycle=cocycle, orders=(12, 12)))
+    for spec in specs:
+        g = skew_product(spec)
+        assert ktheory_graph(g) == _carried_kgroups(_dense_presentation(g)), spec
+    squares = [
+        IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        for n in (20, 30, 40)
+    ]
+    # Rank-deficient remainders, where no Hermite step applies.
+    squares += [_rank_deficient(30, 30), _rank_deficient(40, 40)]
+    for a in squares:
+        assert coker_ker(a) == _carried_kgroups(a)
+    assert [coker_ker(a).k1_rank for a in squares[-2:]] == [1, 1]

@@ -1,11 +1,14 @@
-"""The line counter in tools/src_lines.py."""
+"""The tools: the line counter in tools/src_lines.py and the K-group
+timing harness in tools/kgroup_times.py."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "src_lines.py"
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_TOOL = _TOOLS / "src_lines.py"
 _SPEC = importlib.util.spec_from_file_location("src_lines", _TOOL)
 src_lines = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(src_lines)
@@ -33,3 +36,19 @@ def test_src_lines_counts_code_lines_only(tmp_path):
     r = subprocess.run([sys.executable, str(_TOOL), str(tmp_path)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     assert r.stdout == f"{module}: 11 lines, 4 code\n{tmp_path}: 11 lines, 4 code\n"
+
+
+def test_kgroup_times_prints_one_json_line_per_input():
+    r = subprocess.run([sys.executable, str(_TOOLS / "kgroup_times.py"), "--windows", "3"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [line["name"] for line in lines] == ["skew_z2_w3", "rank29_30x30", "rank39_40x40"]
+    assert all(line["seconds"] >= 0 for line in lines)
+    spec = importlib.util.spec_from_file_location("kgroup_times", _TOOLS / "kgroup_times.py")
+    times = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(times)
+    for line, (_, call) in zip(lines, times.inputs([3])):
+        k = call()
+        assert (line["k0"], line["k1"]) == (k.k0_pretty(), k.k1_pretty())
+    assert [line["k1"] for line in lines] == ["Z", "Z", "Z"]

@@ -1,0 +1,68 @@
+"""Time K-groups in-process, one JSON line per input.
+
+Inputs: skew products of the one-vertex three-edge graph over Z^2 with the
+cocycle ((1,0),(0,1),(-1,-1)), one per window radius, then two seeded
+rank-deficient squares, a 30x30 of rank at most 29 and a 40x40 of rank at
+most 39 (the product of n x (n-1) and (n-1) x n factors with entries in
+[-3, 3]). Each line holds the input's name, the least wall time over the
+repeats of the K-group call alone (skew_product is built outside the clock)
+and the K-groups as KGroups.k0_pretty and k1_pretty print them.
+
+    python3 tools/kgroup_times.py [--windows 12 14 18] [--repeat 1]
+
+The package is imported from this checkout's src/, so a copy of this script
+in another checkout times that checkout's code.
+"""
+
+import argparse
+import json
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repcorr.graphs import SkewSpec, ktheory_graph, skew_product  # noqa: E402
+from repcorr.intlinalg import IntMatrix, coker_ker  # noqa: E402
+
+COCYCLE = ((1, 0), (0, 1), (-1, -1))
+
+
+def rank_deficient(n: int, seed: int) -> IntMatrix:
+    """The product of seeded n x (n-1) and (n-1) x n factors in [-3, 3]."""
+    rng = random.Random(seed)
+    x = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)])
+    y = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)])
+    return x @ y
+
+
+def inputs(windows: list[int]):
+    """(name, zero-argument K-group call) per input."""
+    for w in windows:
+        g = skew_product(SkewSpec(cocycle=COCYCLE, rank=2, window=w))
+        yield f"skew_z2_w{w}", lambda g=g: ktheory_graph(g)
+    for n in (30, 40):
+        a = rank_deficient(n, n)
+        yield f"rank{n - 1}_{n}x{n}", lambda a=a: coker_ker(a)
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--windows", type=int, nargs="*", default=[12, 14, 18])
+    ap.add_argument("--repeat", type=int, default=1)
+    args = ap.parse_args(argv)
+    for name, call in inputs(args.windows):
+        best = None
+        for _ in range(max(args.repeat, 1)):
+            t0 = time.perf_counter()
+            k = call()
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        print(json.dumps({"name": name, "seconds": round(best, 4),
+                          "k0": k.k0_pretty(), "k1": k.k1_pretty()}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
