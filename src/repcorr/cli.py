@@ -260,7 +260,6 @@ def _kgroups_payload(k: KGroups) -> dict:
 def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
     g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
     cap_edge_copies(g)
-    edges = sorted(g.edges, key=lambda e: (e.src, e.dst))
 
     def payload() -> dict:
         return {
@@ -272,7 +271,7 @@ def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
             ],
             "edges": [
                 {"src": e.src, "dst": e.dst, "label_rows": e.rows, "label_cols": e.cols}
-                for e in edges
+                for e in g.edges
                 for _ in range(e.count)
             ],
             "B": [list(row) for row in g.b_matrix.entries],
@@ -284,7 +283,7 @@ def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
             "vertices: " + ", ".join(f"pi{i}:M{d}" for i, d in enumerate(g.dims)),
             "B matrix (B[k][i] = edges i->k):",
             *("  " + " ".join(map(str, row)) for row in g.b_matrix.entries),
-            *(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}" for e in edges),
+            *(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}" for e in g.edges),
         ]) + "\n"
 
     return f"{task}_{rep.name}", {"json": payload, "txt": text, "dot": lambda: dot_export(g, task)}

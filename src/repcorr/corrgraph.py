@@ -12,7 +12,9 @@ as labelled parallel edges. Two bookkeeping conventions are supported:
   block, which is the count of simple bimodule summands.
 
 Both conventions book the same total dimension. The adjacency matrix is kept
-in the B[k][i] = (number of edges i -> k) orientation throughout.
+in the B[k][i] = (number of edges i -> k) orientation throughout, and a graph
+is that matrix: its edges, one per nonzero count, and their block labels are
+derived from B and the block sizes by the convention's label rule.
 
 `build_d_graph` records the plain tensor-decomposition graph instead: B[k][j]
 counts the k-th irreducible inside (representation) tensor (j-th
@@ -27,6 +29,7 @@ cokernel and kernel are K_0 and K_1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SpecError, VerificationError
 from .intlinalg import IntMatrix, KGroups, coker_ker
@@ -45,6 +48,14 @@ __all__ = [
 
 CONVENTIONS = ("paper-min", "module-count")
 
+# The block an edge i -> k carries, as (rows, cols) from the block sizes
+# (n_i, n_k), per convention: the graph's one labelling rule.
+_LABELS = {
+    "paper-min": lambda ni, nk: (max(ni, nk), ni),
+    "module-count": lambda ni, nk: (nk, ni),
+    "mckay": lambda ni, nk: (nk, ni),
+}
+
 
 @dataclass(frozen=True)
 class CorrEdge:
@@ -57,16 +68,27 @@ class CorrEdge:
 
 @dataclass(frozen=True)
 class CorrGraph:
-    """Vertices are algebra summands; edges carry rectangular block labels."""
+    """Vertices are algebra summands; b_matrix counts the edges, and each
+    edge carries the rectangular block its convention's label rule gives."""
 
     dims: tuple[int, ...]
-    edges: tuple[CorrEdge, ...]
     b_matrix: IntMatrix  # b[k][i] = number of edges i -> k
     convention: str
 
     @property
     def vertex_count(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def edges(self) -> tuple[CorrEdge, ...]:
+        """One edge per nonzero count of b_matrix, in (src, dst) order."""
+        label, dims, b = _LABELS[self.convention], self.dims, self.b_matrix.entries
+        return tuple(
+            CorrEdge(i, k, *label(ni, dims[k]), b[k][i])
+            for i, ni in enumerate(dims)
+            for k in range(len(dims))
+            if b[k][i]
+        )
 
 
 def build_e_graph(rep: Rep, convention: str = "paper-min") -> CorrGraph:
@@ -76,35 +98,19 @@ def build_e_graph(rep: Rep, convention: str = "paper-min") -> CorrGraph:
             f"unknown convention {convention!r}; pick one of {CONVENTIONS}"
         )
     dims = rep.table.dims
-    r = len(dims)
-    edges = []
-    b = [[0] * r for _ in range(r)]
-    for i in range(r):
-        for k in range(r):
-            mk = rep.mults[k]
-            if not mk:
-                continue
-            if convention == "paper-min":
-                count = mk * min(dims[i], dims[k])
-                rows, cols = max(dims[i], dims[k]), dims[i]
-            else:
-                count = mk * dims[i]
-                rows, cols = dims[k], dims[i]
-            b[k][i] = count
-            edges.append(CorrEdge(src=i, dst=k, rows=rows, cols=cols, count=count))
-    for i in range(r):
-        booked = sum(e.count * e.rows * e.cols for e in edges if e.src == i)
-        if booked != rep.dim * dims[i] * dims[i]:
+    per_unit = min if convention == "paper-min" else (lambda ni, nk: ni)  # edges i -> k per m_k
+    b = [[mk * per_unit(ni, nk) for ni in dims] for mk, nk in zip(rep.mults, dims)]
+    g = CorrGraph(dims=dims, b_matrix=IntMatrix.from_rows(b), convention=convention)
+    booked = [0] * len(dims)
+    for e in g.edges:
+        booked[e.src] += e.count * e.rows * e.cols
+    for i, x in enumerate(booked):
+        if x != rep.dim * dims[i] * dims[i]:
             raise VerificationError(
                 f"dimension bookkeeping failed at vertex {i}: "
-                f"{booked} != {rep.dim * dims[i] ** 2}"
+                f"{x} != {rep.dim * dims[i] ** 2}"
             )
-    return CorrGraph(
-        dims=dims,
-        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
-        b_matrix=IntMatrix.from_rows(b),
-        convention=convention,
-    )
+    return g
 
 
 def build_d_graph(rep: Rep) -> CorrGraph:
@@ -113,25 +119,10 @@ def build_d_graph(rep: Rep) -> CorrGraph:
     if rep.dim == 0:
         raise SpecError("representation has dimension zero, no graph to build")
     table = rep.table
-    dims = table.dims
-    r = len(dims)
     chi = rep.character()
-    b = [[0] * r for _ in range(r)]
-    edges = []
-    for j in range(r):
-        col = decompose(table, [x * y for x, y in zip(chi, table.values[j])])
-        for k in range(r):
-            if col[k]:
-                b[k][j] = col[k]
-                edges.append(
-                    CorrEdge(src=j, dst=k, rows=dims[k], cols=dims[j], count=col[k])
-                )
-    return CorrGraph(
-        dims=dims,
-        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
-        b_matrix=IntMatrix.from_rows(b),
-        convention="mckay",
-    )
+    cols = [decompose(table, [x * y for x, y in zip(chi, row)]) for row in table.values]
+    b = IntMatrix.from_rows(list(zip(*cols)))
+    return CorrGraph(dims=table.dims, b_matrix=b, convention="mckay")
 
 
 @dataclass(frozen=True)

@@ -85,12 +85,8 @@ class MultiGraph:
 
 
 def from_corr(corr: CorrGraph) -> MultiGraph:
-    n = corr.vertex_count
-    a = [[0] * n for _ in range(n)]
-    for e in corr.edges:
-        a[e.dst][e.src] += e.count
     names = tuple(f"pi{i}:M{d}" for i, d in enumerate(corr.dims))
-    return MultiGraph(n=n, a=tuple(tuple(row) for row in a), names=names)
+    return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=names)
 
 
 def sources_sinks(g: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -399,7 +395,7 @@ def dot_export(obj: CorrGraph | MultiGraph, graph_name: str = "g") -> str:
     if isinstance(obj, CorrGraph):
         for i, d in enumerate(obj.dims):
             lines.append(f'  v{i} [label="pi{i}:M{d}"];')
-        for e in sorted(obj.edges, key=lambda e: (e.src, e.dst)):
+        for e in obj.edges:
             for _ in range(e.count):
                 lines.append(f'  v{e.src} -> v{e.dst} [label="M_{e.rows}x{e.cols}"];')
     else:

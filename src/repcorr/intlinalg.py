@@ -19,9 +19,9 @@ square with D = |det B| != 0, a Hermite step first replaces B by a
 triangular basis H of its column lattice, computed modulo D. Both factors
 are certified by one kind of check: the factor's log is replayed on a fresh
 sparse copy of its matrix and must give the claimed diagonal in pivot
-order. smith_normal_form certifies s this way and nothing else; u and v are
-assembled from the logs only when they are read, so K-groups, which read s
-alone, never build a transform. The proofs, also given in
+order. smith_normal_form certifies s's diagonal this way and nothing else;
+s, u and v are built only when they are read, so K-groups, which read the
+diagonal alone, never build s or a transform. The proofs, also given in
 smith_normal_form:
 
 - A replayed log. Every logged operation is an integer matrix of
@@ -392,8 +392,6 @@ def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
             raise VerificationError("SNF check failed: unknown operation in the log")
 
 
-
-
 def _transpose(vecs: list[dict[int, int]], order: list[int], n: int) -> list[dict[int, int]]:
     """Sparse rows of the matrix with n rows whose column t is vecs[order[t]]."""
     out: list[dict[int, int]] = [{} for _ in range(n)]
@@ -576,8 +574,9 @@ def _solve(b: IntMatrix, h: IntMatrix) -> IntMatrix:
 def smith_normal_form(a: IntMatrix) -> "SmithForm":
     """Return the Smith normal form of a as a SmithForm: s, and u and v
     with u*a*v = s, u and v unimodular, s diagonal with each diagonal entry
-    nonnegative and dividing the next. s is certified here; u and v are
-    assembled the first time they are read, and iterating gives (u, s, v).
+    nonnegative and dividing the next. s's nonzero diagonal is certified
+    here and kept as SmithForm.diagonal; s, u and v are built the first time
+    they are read, and iterating gives (u, s, v).
 
     s is unique. u and v are not; one deterministic reduction fixes them. Its
     core is one loop over the sparse rows of an active block, in the manner
@@ -669,16 +668,21 @@ def smith_normal_form(a: IntMatrix) -> "SmithForm":
 
 
 class SmithForm:
-    """The result of smith_normal_form: s, certified before it is built,
-    and u and v, assembled from the reduction's logs the first time they
-    are read. Iterating gives (u, s, v), so u, s, v = smith_normal_form(a)
-    unpacks."""
+    """The result of smith_normal_form: the certified nonzero diagonal of s
+    (k unit pivots, then the d_t), and s, u and v, built the first time they
+    are read; u and v are assembled from the reduction's logs. Iterating
+    gives (u, s, v), so u, s, v = smith_normal_form(a) unpacks."""
 
     def __init__(self, r: _Reduction) -> None:
         self._r = r
-        k = r.units
-        diag = [{t: d} for t, d in enumerate([1] * k + [d for _, _, d in r.pivots2])]
-        self.s = _dense(diag + [{}] * (k + r.b.rows - len(diag)), k + r.b.cols)
+        self.diagonal = (1,) * r.units + tuple(d for _, _, d in r.pivots2)
+
+    @cached_property
+    def s(self) -> IntMatrix:
+        """The certified diagonal, padded with zeros to a's shape."""
+        k, b = self._r.units, self._r.b
+        diag = [{t: d} for t, d in enumerate(self.diagonal)]
+        return _dense(diag + [{}] * (k + b.rows - len(diag)), k + b.cols)
 
     @cached_property
     def u(self) -> IntMatrix:
@@ -810,9 +814,8 @@ def coker_ker(a: IntMatrix) -> KGroups:
     coker = Z^rows / im(a) described by free rank plus invariant factors > 1,
     ker rank = cols - rank(a).
     """
-    s = smith_normal_form(a).s
-    diag = [s.entries[i][i] for i in range(min(s.rows, s.cols))]
-    rank = sum(1 for d in diag if d)
+    diag = smith_normal_form(a).diagonal
+    rank = len(diag)
     return KGroups(
         k0_free_rank=a.rows - rank,
         k0_torsion=tuple(d for d in diag if d > 1),

@@ -1,18 +1,24 @@
 import random
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repcorr import corrgraph
 from repcorr.chartable import character_table
 from repcorr.corrgraph import (
+    CONVENTIONS,
+    CorrEdge,
     build_d_graph,
     build_e_graph,
     ktheory_corr,
     pimsner_matrices,
 )
-from repcorr.errors import SpecError
+from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import construct_group
 from repcorr.intlinalg import IntMatrix
-from repcorr.reps import dsum, parse_rep_spec, regular_rep, rep_from_mults, trivial_rep
+from repcorr.reps import Rep, decompose, dsum, parse_rep_spec, regular_rep, rep_from_mults, trivial_rep
 
 _TABLES = {}
 
@@ -211,3 +217,118 @@ def test_left_action_blocks_match_support():
         assert p.j_cols == tuple(i for i, m in enumerate(mults) if m)
         assert p.reduced.cols == sum(1 for m in mults if m)
         assert p.reduced.rows == t.count
+
+
+# ---------------------------------------------------------------------------
+# the builders as they were, with the edges stored beside B: the oracle for
+# the graph derived from B
+
+
+@dataclass(frozen=True)
+class _ReferenceCorrGraph:
+    dims: tuple[int, ...]
+    edges: tuple[CorrEdge, ...]
+    b_matrix: IntMatrix  # b[k][i] = number of edges i -> k
+    convention: str
+
+
+def _reference_build_e_graph(rep: Rep, convention: str = "paper-min") -> _ReferenceCorrGraph:
+    """Graph of the bimodule attached to a representation."""
+    if convention not in CONVENTIONS:
+        raise SpecError(
+            f"unknown convention {convention!r}; pick one of {CONVENTIONS}"
+        )
+    dims = rep.table.dims
+    r = len(dims)
+    edges = []
+    b = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for k in range(r):
+            mk = rep.mults[k]
+            if not mk:
+                continue
+            if convention == "paper-min":
+                count = mk * min(dims[i], dims[k])
+                rows, cols = max(dims[i], dims[k]), dims[i]
+            else:
+                count = mk * dims[i]
+                rows, cols = dims[k], dims[i]
+            b[k][i] = count
+            edges.append(CorrEdge(src=i, dst=k, rows=rows, cols=cols, count=count))
+    for i in range(r):
+        booked = sum(e.count * e.rows * e.cols for e in edges if e.src == i)
+        if booked != rep.dim * dims[i] * dims[i]:
+            raise VerificationError(
+                f"dimension bookkeeping failed at vertex {i}: "
+                f"{booked} != {rep.dim * dims[i] ** 2}"
+            )
+    return _ReferenceCorrGraph(
+        dims=dims,
+        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
+        b_matrix=IntMatrix.from_rows(b),
+        convention=convention,
+    )
+
+
+def _reference_build_d_graph(rep: Rep) -> _ReferenceCorrGraph:
+    """Tensor-decomposition graph: B[k][j] = multiplicity of block k in
+    (rep) tensor (irreducible j)."""
+    if rep.dim == 0:
+        raise SpecError("representation has dimension zero, no graph to build")
+    table = rep.table
+    dims = table.dims
+    r = len(dims)
+    chi = rep.character()
+    b = [[0] * r for _ in range(r)]
+    edges = []
+    for j in range(r):
+        col = decompose(table, [x * y for x, y in zip(chi, table.values[j])])
+        for k in range(r):
+            if col[k]:
+                b[k][j] = col[k]
+                edges.append(
+                    CorrEdge(src=j, dst=k, rows=dims[k], cols=dims[j], count=col[k])
+                )
+    return _ReferenceCorrGraph(
+        dims=dims,
+        edges=tuple(sorted(edges, key=lambda e: (e.src, e.dst))),
+        b_matrix=IntMatrix.from_rows(b),
+        convention="mckay",
+    )
+
+
+def _outcome(build, *args):
+    """(dims, edges, b_matrix, convention) of the built graph, or the type
+    and message of the error the build raised."""
+    try:
+        g = build(*args)
+    except (SpecError, VerificationError) as exc:
+        return type(exc), str(exc)
+    return g.dims, g.edges, g.b_matrix, g.convention
+
+
+_ORACLE_GROUPS = ["symmetric:3", "symmetric:4", "dihedral:5", "cyclic:6", "perm:[(1 2 3), (1 2)(3 4)]"]
+
+
+@st.composite
+def _reps(draw):
+    t = table_for(draw(st.sampled_from(_ORACLE_GROUPS)))
+    return rep_from_mults(t, tuple(draw(st.lists(st.integers(0, 4), min_size=t.count, max_size=t.count))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_reps())
+def test_graphs_match_the_builders_with_stored_edges(rep):
+    for conv in CONVENTIONS:
+        assert _outcome(build_e_graph, rep, conv) == _outcome(_reference_build_e_graph, rep, conv)
+    assert _outcome(build_d_graph, rep) == _outcome(_reference_build_d_graph, rep)
+
+
+def test_wrong_label_rule_fails_the_bookkeeping_check(monkeypatch):
+    # Rows n_k in place of max(n_i, n_k) book too little on the edge from
+    # S3's 2-dimensional block, vertex 2, into the trivial block.
+    rho = parse_rep_spec(table_for("symmetric:3"), "perm:[(1 2), (1 2 3)]")
+    build_e_graph(rho, "paper-min")
+    monkeypatch.setitem(corrgraph._LABELS, "paper-min", lambda ni, nk: (nk, ni))
+    with pytest.raises(VerificationError, match="failed at vertex 2: 10 != 12"):
+        build_e_graph(rho, "paper-min")

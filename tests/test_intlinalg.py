@@ -1089,7 +1089,9 @@ _RANK_DEFICIENT = st.integers(2, 8).flatmap(
     )
 )
 def test_snf_matches_reference_oracles(a):
-    u, s, v = smith_normal_form(a)
+    f = smith_normal_form(a)
+    u, s, v = f
+    assert f.diagonal == tuple(d for d in _diag(s) if d)
     carried = _carried_reduce(a)
     _carried_check_snf(a, carried)
     assert (u, s, v) == carried.factors()  # the logged unit phase changes no transform
@@ -1162,13 +1164,15 @@ def _rank_deficient(n: int, seed: int) -> IntMatrix:
 
 
 def test_kgroups_never_assemble_transforms(monkeypatch):
-    # coker_ker reads s alone: no Hermite transform U, no factor u1, u2 or
-    # v2 replayed on identity rows or columns, and no u or v.
+    # coker_ker reads the certified diagonal alone: no Hermite transform U,
+    # no factor u1, u2 or v2 replayed on identity rows or columns, and no
+    # s, u or v.
     def refuse(*args):
         raise AssertionError("a K-group assembled a transform")
 
     monkeypatch.setattr(intlinalg, "_solve", refuse)
     monkeypatch.setattr(intlinalg, "_factor", refuse)
+    monkeypatch.setattr(intlinalg.SmithForm, "s", property(refuse))
     monkeypatch.setattr(intlinalg.SmithForm, "u", property(refuse))
     monkeypatch.setattr(intlinalg.SmithForm, "v", property(refuse))
     # The seeded inputs of test_kgroups_go_through_smith_normal_form.

@@ -44,7 +44,7 @@ def test_kgroup_times_prints_one_json_line_per_input():
     assert r.returncode == 0, r.stderr
     lines = [json.loads(line) for line in r.stdout.splitlines()]
     assert [line["name"] for line in lines] == ["skew_z2_w3", "rank29_30x30", "rank39_40x40"]
-    assert all(line["seconds"] >= 0 for line in lines)
+    assert all(line["seconds"] >= 0 and line["peak_mib"] > 0 for line in lines)
     spec = importlib.util.spec_from_file_location("kgroup_times", _TOOLS / "kgroup_times.py")
     times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(times)

@@ -5,8 +5,10 @@ cocycle ((1,0),(0,1),(-1,-1)), one per window radius, then two seeded
 rank-deficient squares, a 30x30 of rank at most 29 and a 40x40 of rank at
 most 39 (the product of n x (n-1) and (n-1) x n factors with entries in
 [-3, 3]). Each line holds the input's name, the least wall time over the
-repeats of the K-group call alone (skew_product is built outside the clock)
-and the K-groups as KGroups.k0_pretty and k1_pretty print them.
+repeats of the K-group call alone (skew_product is built outside the clock),
+the tracemalloc peak in MiB of one more call, made after the timed repeats
+so that the tracing slows none of them, and the K-groups as
+KGroups.k0_pretty and k1_pretty print them.
 
     python3 tools/kgroup_times.py [--windows 12 14 18] [--repeat 1]
 
@@ -19,6 +21,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -59,7 +62,13 @@ def main(argv: list[str] | None = None) -> int:
             k = call()
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
-        print(json.dumps({"name": name, "seconds": round(best, 4),
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        print(json.dumps({"name": name, "seconds": round(best, 4), "peak_mib": round(peak / 2**20, 2),
                           "k0": k.k0_pretty(), "k1": k.k1_pretty()}), flush=True)
     return 0
 
