@@ -11,8 +11,11 @@ moves the result to the other classes of its Galois orbit (`_lift`). The
 row orthogonality relation X S X* = n I is verified exactly before a table
 is returned, by evaluation at primes q = 1 (mod N) whose product exceeds a
 bound on every residual, so a bug in the modular stage cannot leak a wrong
-table; for a square table it implies the column relation (both proofs are
-in `verify_table`).
+table; for a square table it implies the column relation. Each distinct
+value is evaluated once per map, and the pair sums run once per prime, for
+the maps zeta_N -> omega^(+-1): every other map is discharged by the class
+power map g -> g^u, which reads its image off those, or summed in full when
+the table does not allow it (the proofs are in `verify_table`).
 
 The split is deterministic and needs one F_p routine, `_kernel_mod`. Pieces
 are split by one class matrix at a time, each built only when a piece still
@@ -28,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -59,30 +63,44 @@ class CharTable:
     @cached_property
     def weights(self) -> tuple[int, list[_Row]]:
         """S X* read by rows as integer terms, cached for `reps.decompose`:
-        (N, rows) as `_integer_terms` gives for the table, with each term
-        (k, c) of cell (i, j) replaced by (-k, c |C_j|). That is
+        (N, rows) with rows[i] = (D_i, cells), N and D_i as `_integer_terms`
+        gives them for the table and cells[j] the terms of D_i chi_ij with
+        each term (k, c) replaced by (-k, c |C_j|). That is
         D_i conj(chi_ij) |C_j|, as conj sends zeta_N^k to zeta_N^-k; no
         value is built or reduced."""
-        big_n, rows = _integer_terms(self.values)
+        big_n, dens, index, terms = _integer_terms(self.values)
         sizes = self.classes.sizes
-        return big_n, [(d, [[(-k, c * s) for k, c in cell] for cell, s in zip(cells, sizes)])
-                       for d, cells in rows]
+        return big_n, [(d, [[(-k, c * s) for k, c in terms[a]] for a, s in zip(row, sizes)])
+                       for d, row in zip(dens, index)]
 
 
 _Row = tuple[int, list[list[tuple[int, int]]]]  # (D, cells): cells[j] the terms of D chi_j
+_Terms = tuple[tuple[int, int], ...]  # (exponent at zeta_N, integer coefficient) pairs
 
 
-def _integer_terms(values) -> tuple[int, list[_Row]]:
-    """(N, rows) for a table of values, N the lcm of their conductors: row i
-    is (D_i, cells), D_i the lcm of the row's denominators and cells[j] the
-    (exponent at zeta_N, integer coefficient) terms of D_i chi_ij."""
+def _integer_terms(values) -> tuple[int, list[int], list[list[int]], list[_Terms]]:
+    """(N, dens, index, terms) for a table of values, N the lcm of their
+    conductors and dens[i] the lcm D_i of row i's denominators. The terms
+    of D_i chi_ij are terms[index[i][j]]: each distinct tuple of terms is
+    listed once, and built once per distinct (D_i / den, conductor,
+    numerators)."""
     big_n = lcm(*(v.conductor for row in values for v in row))
-    rows = []
+    ids: dict[_Terms, int] = {}
+    built: dict[tuple, int] = {}
+    dens, index = [], []
     for row in values:
         d = lcm(*(v.den for v in row))
-        rows.append((d, [[(k * (big_n // v.conductor), c * (d // v.den)) for k, c in v._terms()]
-                         for v in row]))
-    return big_n, rows
+        cells = []
+        for v in row:
+            key = (d // v.den, v.conductor, v.nums)
+            if key not in built:
+                step = big_n // v.conductor
+                cell = tuple((k * step, c * key[0]) for k, c in v._terms())
+                built[key] = ids.setdefault(cell, len(ids))
+            cells.append(built[key])
+        dens.append(d)
+        index.append(cells)
+    return big_n, dens, index, list(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +449,27 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
     return table
 
 
+def _failing_pairs(x, y, sizes, inverse, want, q: int) -> set[tuple[int, int]]:
+    """The pairs (i, k), i <= k, at which M = x S y^t - want is nonzero mod
+    q at (i, k) or at (k, i), for the images x and y of the table under a
+    pair of maps {u, -u} and S = diag(sizes). M[i][k] is the residual of
+    the pair (i, k) under u, and M[k][i] = sum_j |C_j| y_ij x_kj - want_ik
+    is its residual under -u, so one pass of r^2 sums serves both maps.
+
+    When y is x with its columns read through `inverse` (iota(j) the class
+    of g_j^-1, a permutation with |C_iota(j)| = |C_j| and iota^2 = 1), M is
+    symmetric, and the r(r+1)/2 sums over i <= k suffice: reindexing
+    j -> iota(j), M[k][i] = sum_j |C_j| x_kj x_i,iota(j) - want_ki
+    = sum_j |C_j| x_ij x_k,iota(j) - want_ik = M[i][k]. That holds for every
+    true table, real or not, since chi(g^-1) = conj(chi(g)) and the image
+    under -u of a value is the image under u of its conjugate."""
+    r = len(x)
+    sym = y == [[row[j] for j in inverse] for row in x]
+    weighted = [list(map(mul, sizes, row)) for row in x]
+    return {(min(i, k), max(i, k)) for i in range(r) for k in range(i if sym else 0, r)
+            if (sum(map(mul, weighted[i], y[k])) - want[i][k]) % q}
+
+
 def verify_table(t: CharTable) -> None:
     """Exact consistency checks: a square table, the dimensions, the trivial
     row, and the row relation X S X* = n I. Here X is the table (rows =
@@ -456,10 +495,12 @@ def verify_table(t: CharTable) -> None:
 
     lies in Z[zeta_N], and every Galois conjugate of it has absolute value
     at most B = max_{i<=k} sum_j |C_j| |a_ij|_1 |a_kj|_1 + n D_i D_k delta_ik.
+    By Cauchy-Schwarz a term with i != k is at most the larger of the terms
+    (i, i) and (k, k), so B is the largest diagonal term, an O(r^2) sum.
     For odd primes q = 1 (mod N) above min(B, 2^31), taken in increasing
     order until their product M exceeds B, and each unit u mod N, the ring
-    map zeta_N -> omega^u mod q (omega of order N mod q) must send every R
-    to 0; it sends conj(x) to the image of x under the map for -u.
+    map phi_u: zeta_N -> omega^u mod q (omega of order N mod q) must send
+    every R to 0; it sends conj(x) to phi_-u(x).
 
     That suffices. q splits completely in Q(zeta_N): the phi(N) maps are the
     reductions modulo the phi(N) distinct primes above q. An R that vanishes
@@ -469,19 +510,51 @@ def verify_table(t: CharTable) -> None:
     absolute value at most B/M < 1, so |Norm(gamma)| < 1; the norm is an
     integer, hence 0, and gamma = 0. Conversely a zero R vanishes under
     every map, so the check accepts exactly the tables that satisfy the
-    relation. One prime is the common case: the first prime above B
-    already exceeds it. Starting no higher than 2^31 keeps the trial
-    division of each candidate short when B is larger, and then several
-    primes are taken. Only the nonzero coefficients are evaluated, from one
-    table of powers of omega per prime. The maps are walked one pair
-    {u, -u} at a time: each image of the table is evaluated once and used in
-    both orientations, so only two images are held at once, and the failing
-    pairs of all maps are collected to report the least. When the two images
-    are equal, as for every real table, one orientation is run: the second
-    would pair the same two images and repeat the same sums.
+    relation, and the failing pairs collected over all maps are exactly
+    the pairs with R != 0, the least of which is reported. One prime is the
+    common case: the first prime above B already exceeds it. Starting no
+    higher than 2^31 keeps the trial division of each candidate short when
+    B is larger, and then several primes are taken.
+
+    Write a_ij(X) for the integer polynomial whose terms are those of
+    D_i chi_ij, so D_i chi_ij = a_ij(zeta_N), and phi_u(a_ij) for
+    a_ij(omega^u) mod q. Each distinct cell is evaluated once per map, from
+    one table of powers of omega per prime, and the images of the table are
+    read off by index. The maps go one pair {u, -u} at a time, and
+    `_failing_pairs` sums both in one pass of r^2 pair sums, or r(r+1)/2
+    when the image under -u is the one under u with the columns read
+    through the inverse-class map, as for every true table. That pass runs
+    for {1, -1} at each prime; every other pair is discharged by the class
+    power map when the table allows it:
+
+    - Let e be the exponent of G and u' = u (mod N) with gcd(u', e) = 1:
+      u + tN for the least such t >= 0, which exists, since a prime of e
+      that divides N does not divide u, and one that does not rules out one
+      t mod itself. Let pi(j) be the class of g_j^u'. |G| and e have the
+      same prime factors, so x -> x^u' is a bijection of G; it commutes
+      with conjugation, so pi is a permutation of the classes with
+      |C_pi(j)| = |C_j|.
+    - If phi_u(a_ij) = phi_1(a_i,pi(j)) and phi_-u(a_ij) = phi_-1(a_i,pi(j))
+      for all i, j, then reindexing j -> pi(j) in
+      sum_j |C_j| phi_u(a_ij) phi_-u(a_kj) gives the residual of (i, k)
+      under 1 mod q, and the same holds for -u and -1. So these maps fail
+      exactly the pairs that the maps 1 and -1 already failed at q, and
+      their sums are skipped. Otherwise they are summed in full.
+    - For a true table the images always agree. The automorphism
+      zeta_M -> zeta_M^u' of Q(zeta_M), M = lcm(N, e), sends zeta_N to
+      zeta_N^u and acts on Q(zeta_e) as sigma_u', and
+      chi(g^u') = sigma_u'(chi(g)) since u' is prime to o(g). So
+      a_i,pi(j)(zeta_N) = D_i chi_i(g_j^u') = a_ij(zeta_N^u) in Z[zeta_N],
+      and the ring maps zeta_N -> omega^(+-1) give the two equalities.
+
+    The power map walks each representative's powers once per call, at
+    most r e multiplications, and only when N > 2 gives a second pair. A
+    table that is orthogonal but breaks the Galois action is summed in full
+    at every map, holding one pair of images besides the pair for {1, -1}.
     """
     n = t.group.order
-    r = t.classes.count
+    cd = t.classes
+    r = cd.count
     if len(t.dims) != r or len(t.values) != r or any(len(row) != r for row in t.values):
         raise VerificationError("table is not square")
     if sum(d * d for d in t.dims) != n:
@@ -492,16 +565,22 @@ def verify_table(t: CharTable) -> None:
     if any(v.as_integer() != 1 for v in t.values[0]):
         raise VerificationError("row 0 must be the trivial character")
 
-    sizes = t.classes.sizes
-    big_n, terms = _integer_terms(t.values)
-    dens = [d for d, _ in terms]
-    least = gcd(big_n, *(k for _, row in terms for cell in row for k, _ in cell))
+    sizes = cd.sizes
+    big_n, dens, index, terms = _integer_terms(t.values)
+    least = gcd(big_n, *(k for cell in terms for k, _ in cell))
     big_n //= least
-    rows = [[[(k // least, c) for k, c in cell] for cell in row] for _, row in terms]
-    norms = [[sum(abs(c) for _, c in cell) for cell in row] for row in rows]
+    terms = [[(k // least, c) for k, c in cell] for cell in terms]
+    norms = [sum(abs(c) for _, c in cell) for cell in terms]
     want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
-    bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]
-                for i in range(r) for k in range(i, r))
+    bound = max(sum(s * norms[a] * norms[a] for s, a in zip(sizes, row)) + want[i][i]
+                for i, row in enumerate(index))
+    units = [u for u in range(big_n // 2 + 1) if gcd(u, big_n) == 1]
+    perms = [None]
+    if len(units) > 1:
+        paths = [_power_path(t.group, cd, x) for x in cd.representatives]
+        for u in units[1:]:
+            u1 = next(v for v in count(u, big_n) if gcd(v, cd.exponent) == 1)
+            perms.append([path[u1 % len(path)] for path in paths])
     failing = set()
     product = 1
     for q in _primes_one_mod(big_n, min(bound, 2**31)):
@@ -509,17 +588,20 @@ def verify_table(t: CharTable) -> None:
         pows = [1] * big_n
         for k in range(1, big_n):
             pows[k] = pows[k - 1] * omega % q
-        for u in range(big_n // 2 + 1):
-            if gcd(u, big_n) != 1:
+
+        def image(w: int) -> list[list[int]]:
+            vals = [sum(c * pows[w * k % big_n] for k, c in cell) % q for cell in terms]
+            return [[vals[a] for a in row] for row in index]
+
+        base = None
+        for u, perm in zip(units, perms):
+            x = image(u)
+            pair = (x, x if 2 * u % big_n == 0 else image(-u % big_n))
+            if base is None:
+                base = pair
+            elif all(im == [[row[j] for j in perm] for row in b] for im, b in zip(pair, base)):
                 continue
-            images = [[[sum(c * pows[w * k % big_n] for k, c in cell) % q for cell in row]
-                       for row in rows] for w in {u, -u % big_n}]
-            if images[0] == images[-1]:
-                del images[1:]
-            for x, y in zip(images, reversed(images)):
-                weighted = [list(map(mul, sizes, row)) for row in x]
-                failing.update((i, k) for i in range(r) for k in range(i, r)
-                               if (sum(map(mul, weighted[i], y[k])) - want[i][k]) % q)
+            failing |= _failing_pairs(*pair, sizes, cd.inverse_class, want, q)
         product *= q
         if product > bound:
             break
@@ -554,8 +636,12 @@ def format_table(t: CharTable) -> str:
         f"classes {t.classes.count}",
         f"zeta {t.zeta_order}",
     ]
+    # one rendering per distinct value, keyed by its fields: hashing a Cyclo
+    # itself sums Fractions over its coefficients
+    texts = {(v.conductor, v.nums, v.den): v for row in t.values for v in row}
+    texts = {key: v.to_conductor(t.zeta_order).text() for key, v in texts.items()}
     for label, dim, row in zip(t.labels, t.dims, t.values):
-        vals = " | ".join(v.to_conductor(t.zeta_order).text() for v in row)
+        vals = " | ".join(texts[v.conductor, v.nums, v.den] for v in row)
         lines.append(f"irrep {label} dim {dim} : {vals}")
     return "\n".join(lines) + "\n"
 
@@ -593,6 +679,7 @@ def load_table(text: str, order_cap: int | None = None) -> CharTable:
             f"document declares {declared_classes} classes, group has {cd.count}"
         )
     labels, dims, rows = [], [], []
+    parsed: dict[str, Cyclo] = {}  # one parse per distinct cell text
     for ln in lines[3:]:
         m = _IRREP_RE.match(ln)
         if not m:
@@ -607,7 +694,10 @@ def load_table(text: str, order_cap: int | None = None) -> CharTable:
             raise VerificationError(
                 f"irrep {m.group(1)!r} has {len(cells)} values, expected {cd.count}"
             )
-        rows.append(tuple(parse_cyclo(c, zeta_order) for c in cells))
+        for c in cells:
+            if c not in parsed:
+                parsed[c] = parse_cyclo(c, zeta_order)
+        rows.append(tuple(parsed[c] for c in cells))
     if len(rows) != cd.count:
         raise VerificationError(f"expected {cd.count} irrep rows, found {len(rows)}")
     table = CharTable(

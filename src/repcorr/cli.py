@@ -259,9 +259,9 @@ def _kgroups_payload(k: KGroups) -> dict:
 
 def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
     g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
-    cap_edge_copies(g)
 
     def payload() -> dict:
+        cap_edge_copies(g)  # one entry per edge copy; the text lists one line per edge
         return {
             "task": task,
             "rep": rep.name,

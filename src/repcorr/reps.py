@@ -124,10 +124,10 @@ def decompose(table: CharTable, values) -> tuple[int, ...]:
         )
     n = table.group.order
     wn, rows = table.weights
-    fn, ((fden, fcells),) = _integer_terms([values])
+    fn, (fden,), (findex,), fterms = _integer_terms([values])
     big_n = lcm(wn, fn)
     fs, ws = big_n // fn, big_n // wn
-    fcells = [[(a * fs, x) for a, x in cell] for cell in fcells]
+    fcells = [[(a * fs, x) for a, x in fterms[c]] for c in findex]
     mults = []
     for label, (d, cells) in zip(table.labels, rows):
         acc = Cyclo._from_terms(big_n, ((a + b * ws, x * y) for fcell, cell in zip(fcells, cells)

@@ -8,6 +8,8 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -1011,6 +1013,254 @@ def test_verification_holds_one_pair_of_unit_images_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000, peak
+
+
+# ---------------------------------------------------------------------------
+# `verify_table` as it was before the distinct-value evaluation and the
+# power-map discharge: every cell evaluated under every unit, and the pair
+# sums run for every pair {u, -u}. Kept verbatim (renamed
+# `_reference_row_pass`, with its `_integer_terms` as
+# `_reference_integer_terms`) as the oracle for the row pass.
+
+
+def _reference_integer_terms(values):
+    """(N, rows) for a table of values, N the lcm of their conductors: row i
+    is (D_i, cells), D_i the lcm of the row's denominators and cells[j] the
+    (exponent at zeta_N, integer coefficient) terms of D_i chi_ij."""
+    big_n = lcm(*(v.conductor for row in values for v in row))
+    rows = []
+    for row in values:
+        d = lcm(*(v.den for v in row))
+        rows.append((d, [[(k * (big_n // v.conductor), c * (d // v.den)) for k, c in v._terms()]
+                         for v in row]))
+    return big_n, rows
+
+
+def _reference_row_pass(t: CharTable) -> None:
+    """Exact consistency checks: a square table, the dimensions, the trivial
+    row, and the row relation X S X* = n I. Here X is the table (rows =
+    irreducibles, columns = classes), S = diag(|C_j|) and X* = conj(X)^t.
+    Only the pairs i <= i2 are checked, since entry (i2, i) is the conjugate
+    of entry (i, i2), and the first failing pair in that order is reported.
+
+    The column relation needs no pass of its own. X is square, so
+    X (S X*/n) = I makes S X*/n a two-sided inverse of X. Then
+    (S X*/n) X = I, that is X* X = n S^-1, which is the column relation
+    sum_i conj(chi_i(g_j)) chi_i(g_j2) = delta_{j,j2} n / |C_j|.
+
+    The row relation is checked by evaluation at primes, exactly. Every
+    value lies in Q(zeta_L), L the lcm of the conductors; a value of
+    conductor c with coefficients a_k is sum_k a_k zeta_L^((L/c) k). If g is
+    the gcd of L and every exponent with a nonzero coefficient, every value
+    is a polynomial in zeta_L^g, a primitive N-th root of unity for
+    N = L/g, so the values lie in Q(zeta_N) with the exponents divided by
+    g; a rational table has N = 1. Row i times the lcm D_i of its
+    denominators has integer coefficients a_ij, so each residual
+
+        R = D_i D_k (sum_j chi_ij conj(chi_kj) |C_j| - n delta_ik)
+
+    lies in Z[zeta_N], and every Galois conjugate of it has absolute value
+    at most B = max_{i<=k} sum_j |C_j| |a_ij|_1 |a_kj|_1 + n D_i D_k delta_ik.
+    For odd primes q = 1 (mod N) above min(B, 2^31), taken in increasing
+    order until their product M exceeds B, and each unit u mod N, the ring
+    map zeta_N -> omega^u mod q (omega of order N mod q) must send every R
+    to 0; it sends conj(x) to the image of x under the map for -u.
+
+    That suffices. q splits completely in Q(zeta_N): the phi(N) maps are the
+    reductions modulo the phi(N) distinct primes above q. An R that vanishes
+    under all of them lies in every prime above q, hence in their product
+    q Z[zeta_N]. The ideals q Z[zeta_N] for distinct q are coprime, so
+    R = M gamma with gamma in Z[zeta_N]. Every conjugate of gamma has
+    absolute value at most B/M < 1, so |Norm(gamma)| < 1; the norm is an
+    integer, hence 0, and gamma = 0. Conversely a zero R vanishes under
+    every map, so the check accepts exactly the tables that satisfy the
+    relation. One prime is the common case: the first prime above B
+    already exceeds it. Starting no higher than 2^31 keeps the trial
+    division of each candidate short when B is larger, and then several
+    primes are taken. Only the nonzero coefficients are evaluated, from one
+    table of powers of omega per prime. The maps are walked one pair
+    {u, -u} at a time: each image of the table is evaluated once and used in
+    both orientations, so only two images are held at once, and the failing
+    pairs of all maps are collected to report the least. When the two images
+    are equal, as for every real table, one orientation is run: the second
+    would pair the same two images and repeat the same sums.
+    """
+    n = t.group.order
+    r = t.classes.count
+    if len(t.dims) != r or len(t.values) != r or any(len(row) != r for row in t.values):
+        raise VerificationError("table is not square")
+    if sum(d * d for d in t.dims) != n:
+        raise VerificationError("sum of squared dims must equal the group order")
+    for i in range(r):
+        if t.values[i][0].as_integer() != t.dims[i]:
+            raise VerificationError(f"row {i}: identity value must equal the dimension")
+    if any(v.as_integer() != 1 for v in t.values[0]):
+        raise VerificationError("row 0 must be the trivial character")
+
+    sizes = t.classes.sizes
+    big_n, terms = _reference_integer_terms(t.values)
+    dens = [d for d, _ in terms]
+    least = gcd(big_n, *(k for _, row in terms for cell in row for k, _ in cell))
+    big_n //= least
+    rows = [[[(k // least, c) for k, c in cell] for cell in row] for _, row in terms]
+    norms = [[sum(abs(c) for _, c in cell) for cell in row] for row in rows]
+    want = [[n * dens[i] * dens[i] if i == k else 0 for k in range(r)] for i in range(r)]
+    bound = max(sum(map(mul, sizes, map(mul, norms[i], norms[k]))) + want[i][k]
+                for i in range(r) for k in range(i, r))
+    failing = set()
+    product = 1
+    for q in chartable._primes_one_mod(big_n, min(bound, 2**31)):
+        omega = pow(chartable._primitive_root(q), (q - 1) // big_n, q)
+        pows = [1] * big_n
+        for k in range(1, big_n):
+            pows[k] = pows[k - 1] * omega % q
+        for u in range(big_n // 2 + 1):
+            if gcd(u, big_n) != 1:
+                continue
+            images = [[[sum(c * pows[w * k % big_n] for k, c in cell) % q for cell in row]
+                       for row in rows] for w in {u, -u % big_n}]
+            if images[0] == images[-1]:
+                del images[1:]
+            for x, y in zip(images, reversed(images)):
+                weighted = [list(map(mul, sizes, row)) for row in x]
+                failing.update((i, k) for i in range(r) for k in range(i, r)
+                               if (sum(map(mul, weighted[i], y[k])) - want[i][k]) % q)
+        product *= q
+        if product > bound:
+            break
+    if failing:
+        i, k = min(failing)
+        raise VerificationError(f"row orthogonality fails for rows {i}, {k}")
+
+
+def _verify_outcome(verify, t):
+    """The message verify(t) raises, or None, and the (N, start) of the
+    prime walk it begins, which pins N and the bound B up to 2^31."""
+    walks = []
+    real = chartable._primes_one_mod
+
+    def recorded(n, above):
+        walks.append((n, above))
+        return real(n, above)
+
+    with mock.patch.object(chartable, "_primes_one_mod", recorded):
+        try:
+            verify(t)
+        except VerificationError as exc:
+            return str(exc), walks
+    return None, walks
+
+
+_ORACLE_SPECS = SPEC_POOL + ["dihedral:60"]
+
+
+def test_verify_matches_the_reference_row_pass_on_true_tables():
+    for spec in _ORACLE_SPECS:
+        t = table_for(spec)
+        want = _verify_outcome(_reference_row_pass, t)
+        assert want[0] is None and len(want[1]) == 1, spec
+        assert _verify_outcome(verify_table, t) == want, spec
+
+
+def test_verify_matches_the_reference_row_pass_on_corrupted_tables():
+    # dihedral:60 has 580 corruptions (the others at most 95): its 16 cell
+    # edits and a seeded sample of 44 of the others keep every kind and the
+    # run short.
+    rng = random.Random(20261019)
+    for spec in ("symmetric:4", "cyclic:12", "dihedral:7", "dihedral:60"):
+        cases = list(_corruptions(table_for(spec), rng))
+        if len(cases) > 100:
+            cells = [case for case in cases if case[0].startswith("cell")]
+            cases = cells + rng.sample([case for case in cases if case not in cells], 60 - len(cells))
+        kinds = {name.split()[-1] for name, _ in cases}
+        assert kinds >= {"negated", "short", "rotated"} and cases[0][0].startswith("cell"), spec
+        for name, bad in cases:
+            want = _verify_outcome(_reference_row_pass, bad)
+            assert want[0] is not None, (spec, name)
+            assert _verify_outcome(verify_table, bad) == want, (spec, name)
+
+
+def _load_message(doc):
+    try:
+        return load_table(doc).values
+    except (SpecError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_mutated_documents())
+def test_load_table_fuzz_matches_the_reference_row_pass(doc):
+    got = _load_message(doc)
+    with mock.patch.object(chartable, "verify_table", _reference_row_pass):
+        want = _load_message(doc)
+    assert got == want, doc
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "symmetric:4", "perm:[(1 2 3), (1 2)(3 4)]"])
+def test_failing_pairs_match_both_orientations_summed_apart(spec):
+    # Random images mod 7, so that about one residual in seven is zero: y
+    # unrelated to x, where the pairs need both orientations, and y equal
+    # to x read through the inverse-class map, where M is symmetric.
+    t = table_for(spec)
+    r, sizes, inverse = t.count, t.classes.sizes, t.classes.inverse_class
+    rng = random.Random(spec)
+    q = 7
+    for trial in range(20):
+        x = [[rng.randrange(q) for _ in range(r)] for _ in range(r)]
+        y = ([[rng.randrange(q) for _ in range(r)] for _ in range(r)] if trial % 2
+             else [[row[j] for j in inverse] for row in x])
+        want = [[0] * r for _ in range(r)]
+        for i in range(r):
+            want[i][i] = rng.randrange(q)
+
+        def residual(a, b, i, k):
+            return (sum(s * u * v for s, u, v in zip(sizes, a[i], b[k])) - want[i][k]) % q
+
+        expected = {(i, k) for i in range(r) for k in range(i, r)
+                    if residual(x, y, i, k) or residual(y, x, i, k)}
+        assert chartable._failing_pairs(x, y, sizes, inverse, want, q) == expected, (spec, trial)
+
+
+def _count_pair_sums(monkeypatch):
+    calls = []
+    real = chartable._failing_pairs
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(chartable, "_failing_pairs", counted)
+    return calls
+
+
+def test_a_true_table_sums_one_unit_pair_per_prime(monkeypatch):
+    # phi(60) = 16 and phi(30) = 8 maps, and one prime each: the pair {1, -1}
+    # is summed and the other pairs are discharged by the power map.
+    tables = {spec: table_for(spec) for spec in ("dihedral:60", "cyclic:30")}
+    calls = _count_pair_sums(monkeypatch)
+    for spec, t in tables.items():
+        calls.clear()
+        verify_table(t)
+        assert len(calls) == 1, spec
+
+
+def test_an_orthogonal_table_that_breaks_the_galois_action_is_summed_in_full(monkeypatch):
+    # C12 with the columns of g and g^2 swapped: every class has size 1, so
+    # the table stays orthogonal, but chi(g^5) = sigma_5(chi(g)) fails in
+    # the swapped columns. Every pair of units beyond {1, -1} (5 and 7 mod
+    # 12) falls back to its own sums, and the table is still accepted.
+    t = table_for("cyclic:12")
+    g, cd = t.group, t.classes
+    x = g.generators[0]
+    a, b = cd.class_of[x], cd.class_of[g.mul(x, x)]
+    swap = list(range(t.count))
+    swap[a], swap[b] = b, a
+    bad = replace(t, values=tuple(tuple(row[j] for j in swap) for row in t.values))
+    assert bad.values != t.values
+    calls = _count_pair_sums(monkeypatch)
+    verify_table(bad)
+    assert len(calls) == 2
+    _reference_row_pass(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The tools: the line counter in tools/src_lines.py and the K-group
-timing harness in tools/kgroup_times.py."""
+"""The tools: the line counter in tools/src_lines.py, the K-group timing
+harness in tools/kgroup_times.py and the table timing harness in
+tools/table_times.py."""
 
 import importlib.util
 import json
@@ -52,3 +53,14 @@ def test_kgroup_times_prints_one_json_line_per_input():
         k = call()
         assert (line["k0"], line["k1"]) == (k.k0_pretty(), k.k1_pretty())
     assert [line["k1"] for line in lines] == ["Z", "Z", "Z"]
+
+
+def test_table_times_prints_one_json_line_per_group():
+    r = subprocess.run([sys.executable, str(_TOOLS / "table_times.py"), "--groups", "symmetric:3",
+                        "cyclic:4", "--repeat", "2"], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = [json.loads(line) for line in r.stdout.splitlines()]
+    assert [(line["group"], line["classes"]) for line in lines] == [("symmetric:3", 3), ("cyclic:4", 4)]
+    calls = ("character_table", "verify_table", "format_table", "load_table")
+    assert all(set(line) == {"group", "classes", *calls} for line in lines)
+    assert all(line[call] >= 0 for line in lines for call in calls)
