@@ -29,7 +29,6 @@ compatibility and has no effect.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from math import gcd, isqrt, lcm
@@ -38,6 +37,7 @@ from operator import mul
 from .cyclo import Cyclo, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
+from .record import record
 
 __all__ = [
     "CharTable",
@@ -47,7 +47,7 @@ __all__ = [
     "tables_equal_up_to_row_order",
 ]
 
-@dataclass(frozen=True)
+@record
 class CharTable:
     group: Group
     classes: ClassData

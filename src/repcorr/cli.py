@@ -21,7 +21,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
 
 from .chartable import CharTable, character_table, format_table
 from .corrgraph import CONVENTIONS, build_d_graph, build_e_graph, ktheory_corr
@@ -354,7 +353,7 @@ def _ktheory_result(rep: Rep, convention: str) -> tuple:
             "authoritative": "bimodule_path",
             "sources": list(sources),
             "sinks": list(sinks),
-            "simplicity": asdict(simp),
+            "simplicity": {n: getattr(simp, n) for n in simp._fields},
         }
 
     def text() -> str:

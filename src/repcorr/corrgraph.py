@@ -28,11 +28,11 @@ cokernel and kernel are K_0 and K_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SpecError, VerificationError
 from .intlinalg import IntMatrix, KGroups, coker_ker
+from .record import record
 from .reps import Rep, decompose
 
 __all__ = [
@@ -57,7 +57,7 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CorrEdge:
     src: int
     dst: int
@@ -66,7 +66,7 @@ class CorrEdge:
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class CorrGraph:
     """Vertices are algebra summands; b_matrix counts the edges, and each
     edge carries the rectangular block its convention's label rule gives."""
@@ -125,7 +125,7 @@ def build_d_graph(rep: Rep) -> CorrGraph:
     return CorrGraph(dims=table.dims, b_matrix=b, convention="mckay")
 
 
-@dataclass(frozen=True)
+@record
 class PimsnerData:
     m_matrix: IntMatrix  # action on classes of block projections
     j_cols: tuple[int, ...]  # blocks where the left action is injective

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import SpecError, too_long
+from .record import record
 
 __all__ = [
     "Cyclo",
@@ -138,7 +138,7 @@ def _reduce_mod_phi(coeffs: list[int], n: int) -> tuple[int, ...]:
     return tuple(coeffs) + (0,) * (phi - len(coeffs))
 
 
-@dataclass(frozen=True)
+@record
 class Cyclo:
     """One element of Q(zeta_conductor), normalized."""
 

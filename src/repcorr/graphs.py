@@ -19,13 +19,13 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .corrgraph import CorrGraph
 from .errors import SpecError, too_long
 from .intlinalg import IntMatrix, KGroups, coker_ker
+from .record import record
 
 __all__ = [
     "MultiGraph",
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Stub:
     """An edge whose far end fell outside a finite window."""
 
@@ -59,7 +59,7 @@ class Stub:
     count: int
 
 
-@dataclass(frozen=True)
+@record
 class MultiGraph:
     n: int
     a: tuple[tuple[int, ...], ...]  # a[v][w] = number of edges w -> v
@@ -113,7 +113,7 @@ def ktheory_graph(g: MultiGraph) -> KGroups:
     return coker_ker(IntMatrix(g.n, len(cols), entries))
 
 
-@dataclass(frozen=True)
+@record
 class SimplicityReport:
     every_cycle_has_exit: bool
     cofinal: bool
@@ -184,7 +184,7 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
 MAX_SKEW_VERTICES = 2500
 
 
-@dataclass(frozen=True)
+@record
 class SkewSpec:
     """A cocycle on the one-vertex graph with n edges, one character each.
 
@@ -284,7 +284,7 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
 # circle rotations and frequency semigroups
 
 
-@dataclass(frozen=True)
+@record
 class Frequency:
     """A real number q * theta, with theta either 1 (irr None) or a named
     irrational. Distinct names are treated as rationally independent."""
@@ -314,7 +314,7 @@ def parse_frequency(text: str) -> Frequency:
     raise SpecError(f"bad frequency {text!r}")
 
 
-@dataclass(frozen=True)
+@record
 class CircleGraph:
     """A finite family of circle rotations: edge k sends z to angles[k] * z.
 
@@ -325,7 +325,7 @@ class CircleGraph:
     angles: tuple[Frequency, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CircleReport:
     orbit_group_order: int | str  # group order, or "infinite"
     dense: bool

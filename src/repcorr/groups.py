@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Any, Callable
 
 from .errors import SpecError
+from .record import record
 
 __all__ = [
     "Group",
@@ -40,7 +40,7 @@ ORDER_CAP_ENV = "REPCORR_ORDER_CAP"
 MAX_PERM_POINTS = 1000
 
 
-@dataclass(frozen=True)
+@record(norepr=("elements", "index", "op"), nocompare=("index", "op"))
 class Group:
     spec: str
     order: int
@@ -49,11 +49,11 @@ class Group:
     generators: tuple[int, ...]
     # (parent, generator position) giving each element's BFS discovery step
     bfs_parent: tuple[tuple[int, int] | None, ...]
-    elements: tuple[Any, ...] = field(repr=False)
+    elements: tuple[Any, ...]
     # element -> index and the closing operation; both are determined by
     # `elements` and the spec, so they take no part in equality or hashing
-    index: dict[Any, int] = field(repr=False, compare=False)
-    op: Callable[[Any, Any], Any] = field(repr=False, compare=False)
+    index: dict[Any, int]
+    op: Callable[[Any, Any], Any]
 
     def mul(self, a: int, b: int) -> int:
         return self.index[self.op(self.elements[a], self.elements[b])]
@@ -78,7 +78,7 @@ class Group:
         return x
 
 
-@dataclass(frozen=True)
+@record
 class ClassData:
     classes: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]

@@ -36,13 +36,13 @@ smith_normal_form:
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import SpecError, VerificationError
+from .record import record
 
 __all__ = [
     "IntMatrix",
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class IntMatrix:
     """Immutable integer matrix, row-major. Zero rows or columns are legal."""
 
@@ -161,7 +161,7 @@ class _Echelon(NamedTuple):
     steps: list[tuple[int, list[int]]]
 
 
-@dataclass(frozen=True)
+@record
 class KGroups:
     """Finitely generated abelian group data for a coker/ker pair.
 

@@ -10,7 +10,6 @@ a character exactly and refuses anything that is not a genuine character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -18,6 +17,7 @@ from .chartable import CharTable, _integer_terms
 from .cyclo import Cyclo, parse_cyclo
 from .errors import SpecError, VerificationError
 from .groups import _bracket_items, _compose, _int_list, _split_top_level, parse_cycles
+from .record import record
 
 __all__ = [
     "MAX_REP_DIM",
@@ -47,7 +47,7 @@ MAX_REP_DIM = 10**12
 MAX_SPEC_DEPTH = 100
 
 
-@dataclass(frozen=True)
+@record
 class Rep:
     """A representation recorded as irreducible multiplicities."""
 
@@ -74,7 +74,7 @@ class Rep:
         return tuple(vals)
 
     def renamed(self, name: str) -> "Rep":
-        return replace(self, name=name)
+        return self._replace(name=name)
 
 
 def trivial_rep(table: CharTable, name: str = "trivial") -> Rep:

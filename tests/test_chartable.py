@@ -6,7 +6,6 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -727,7 +726,7 @@ def test_verify_table_rejects_a_ragged_table():
     t = table_for("symmetric:3")
     short = (t.values[0], t.values[1][:2], t.values[2])
     with pytest.raises(VerificationError, match="table is not square"):
-        verify_table(replace(t, values=short))
+        verify_table(t._replace(values=short))
 
 
 def test_row_relation_and_reference_accept_every_small_table():
@@ -743,7 +742,7 @@ def _corruptions(t: CharTable, rng: random.Random):
     rows = [list(row) for row in t.values]
 
     def with_rows(new_rows):
-        return replace(t, values=tuple(tuple(row) for row in new_rows))
+        return t._replace(values=tuple(tuple(row) for row in new_rows))
 
     cells = [(i, j) for i in range(r) for j in range(r)]
     for i, j in rng.sample(cells, min(len(cells), 16)):
@@ -796,8 +795,8 @@ def test_column_swaps_between_equal_class_sizes_pass_both_verifiers():
     # X P with P S P = S satisfies X S X* = n I again, so orthogonality alone
     # cannot tell these columns apart: both verifiers accept the swap.
     t = table_for("cyclic:12")
-    bad = replace(t, values=tuple(row[:1] + row[5:6] + row[2:5] + row[1:2] + row[6:]
-                                  for row in t.values))
+    bad = t._replace(values=tuple(row[:1] + row[5:6] + row[2:5] + row[1:2] + row[6:]
+                                for row in t.values))
     assert bad.values != t.values
     verify_table(bad)
     _reference_verify_table(bad)
@@ -1255,7 +1254,7 @@ def test_an_orthogonal_table_that_breaks_the_galois_action_is_summed_in_full(mon
     a, b = cd.class_of[x], cd.class_of[g.mul(x, x)]
     swap = list(range(t.count))
     swap[a], swap[b] = b, a
-    bad = replace(t, values=tuple(tuple(row[j] for j in swap) for row in t.values))
+    bad = t._replace(values=tuple(tuple(row[j] for j in swap) for row in t.values))
     assert bad.values != t.values
     calls = _count_pair_sums(monkeypatch)
     verify_table(bad)

@@ -1,6 +1,7 @@
 """The tools: the line counter in tools/src_lines.py, the K-group timing
-harness in tools/kgroup_times.py and the table timing harness in
-tools/table_times.py."""
+harness in tools/kgroup_times.py, the table timing harness in
+tools/table_times.py and the start-up timing harness in
+tools/import_times.py."""
 
 import importlib.util
 import json
@@ -64,3 +65,17 @@ def test_table_times_prints_one_json_line_per_group():
     calls = ("character_table", "verify_table", "format_table", "load_table")
     assert all(set(line) == {"group", "classes", *calls} for line in lines)
     assert all(line[call] >= 0 for line in lines for call in calls)
+
+
+def test_import_times_prints_one_json_line():
+    r = subprocess.run([sys.executable, str(_TOOLS / "import_times.py"), "--repeat", "2"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    [line] = [json.loads(line) for line in r.stdout.splitlines()]
+    assert set(line) == {"bare_s", "import_cli_s", "self_us", "repeat", "PYTHONDONTWRITEBYTECODE"}
+    for key in ("bare_s", "import_cli_s"):
+        assert set(line[key]) == {"median", "q1", "q3"}
+        assert all(value > 0 for value in line[key].values())
+    assert {"repcorr", "repcorr.cli", "repcorr.record"} <= set(line["self_us"])
+    assert all(us > 0 for us in line["self_us"].values())
+    assert line["repeat"] == 2
