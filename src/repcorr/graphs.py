@@ -274,7 +274,7 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
                 key = (src, _name_of(h2))
                 stub_counts[key] = stub_counts.get(key, 0) + 1
     stubs = tuple(
-        Stub(src=s, target=t, count=c)
+        Stub(s, t, c)
         for (s, t), c in sorted(stub_counts.items())
     )
     return MultiGraph(n=nn, a=tuple(tuple(r) for r in a), names=names, stubs=stubs)

@@ -26,6 +26,11 @@ neither `dataclasses` nor `inspect`. There are no `__slots__`, so
 
 from operator import attrgetter
 
+# Stores a field past the frozen __setattr__. Unlike writing to
+# self.__dict__, it keeps CPython's inline instance values, so attribute
+# reads stay on the fast path.
+_set = object.__setattr__
+
 
 def record(cls=None, /, *, norepr=(), nocompare=()):
     """Make cls a frozen record; the names in norepr are left out of repr,
@@ -72,10 +77,9 @@ def _make_record(cls, norepr, nocompare):
 
 def _init(cls, names, defaults):
     """__init__ for the fields `names`: a call passing every field
-    positionally, or every field by keyword, stores the arguments as they
-    come; any other call binds them as the signature (*names) with these
-    defaults would."""
-    n, fields = len(names), frozenset(names)
+    positionally stores the arguments as they come; any other call binds
+    them as the signature (*names) with these defaults would."""
+    n = len(names)
     post_init = getattr(cls, "__post_init__", None)
 
     def bind(args, kwargs):
@@ -95,12 +99,10 @@ def _init(cls, names, defaults):
         return values
 
     def __init__(self, *args, **kwargs):
-        if not kwargs and len(args) == n:
-            self.__dict__.update(zip(names, args))
-        elif not args and kwargs.keys() == fields:
-            self.__dict__.update(kwargs)
-        else:
-            self.__dict__.update(zip(names, bind(args, kwargs)))
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        for name, value in zip(names, args):
+            _set(self, name, value)
         if post_init is not None:
             post_init(self)
 
