@@ -1,125 +1,20 @@
 """Character tables of finite groups, the labelled graphs carried by their
-representations, and the K-theory and structure of the associated algebras."""
+representations, and the K-theory and structure of the associated algebras.
 
-from .chartable import (
-    CharTable,
-    character_table,
-    format_table,
-    load_table,
-    tables_equal_up_to_row_order,
-)
-from .corrgraph import (
-    CorrEdge,
-    CorrGraph,
-    CONVENTIONS,
-    PimsnerData,
-    build_d_graph,
-    build_e_graph,
-    ktheory_corr,
-    pimsner_matrices,
-)
-from .cyclo import Cyclo, parse_cyclo, zeta
-from .errors import RepcorrError, SpecError, VerificationError
-from .graphs import (
-    CircleGraph,
-    CircleReport,
-    Frequency,
-    MultiGraph,
-    SimplicityReport,
-    SkewSpec,
-    Stub,
-    circle_analysis,
-    dot_export,
-    from_corr,
-    ktheory_graph,
-    parse_frequency,
-    semigroup_r_check,
-    simplicity_check,
-    skew_product,
-    sources_sinks,
-)
-from .groups import ClassData, Group, conjugacy, construct_group, parse_cycles
-from .intlinalg import (
-    IntMatrix,
-    KGroups,
-    coker_ker,
-    format_matrix,
-    parse_matrix,
-    smith_normal_form,
-)
-from .reps import (
-    Rep,
-    decompose,
-    dsum,
-    is_pi_injective,
-    parse_rep_spec,
-    perm_rep,
-    regular_rep,
-    rep_from_character,
-    rep_from_mults,
-    tensor,
-    trivial_rep,
-)
+Each module's `__all__` declares its public names; the package exports them
+all, so a name is declared in one place."""
+
+from .chartable import *
+from .corrgraph import *
+from .cyclo import *
+from .errors import *
+from .graphs import *
+from .groups import *
+from .intlinalg import *
+from .reps import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharTable",
-    "character_table",
-    "format_table",
-    "load_table",
-    "tables_equal_up_to_row_order",
-    "CorrEdge",
-    "CorrGraph",
-    "CONVENTIONS",
-    "PimsnerData",
-    "build_d_graph",
-    "build_e_graph",
-    "ktheory_corr",
-    "pimsner_matrices",
-    "Cyclo",
-    "parse_cyclo",
-    "zeta",
-    "RepcorrError",
-    "SpecError",
-    "VerificationError",
-    "CircleGraph",
-    "CircleReport",
-    "Frequency",
-    "MultiGraph",
-    "SimplicityReport",
-    "SkewSpec",
-    "Stub",
-    "circle_analysis",
-    "dot_export",
-    "from_corr",
-    "ktheory_graph",
-    "parse_frequency",
-    "semigroup_r_check",
-    "simplicity_check",
-    "skew_product",
-    "sources_sinks",
-    "ClassData",
-    "Group",
-    "conjugacy",
-    "construct_group",
-    "parse_cycles",
-    "IntMatrix",
-    "KGroups",
-    "coker_ker",
-    "format_matrix",
-    "parse_matrix",
-    "smith_normal_form",
-    "Rep",
-    "decompose",
-    "dsum",
-    "is_pi_injective",
-    "parse_rep_spec",
-    "perm_rep",
-    "regular_rep",
-    "rep_from_character",
-    "rep_from_mults",
-    "tensor",
-    "trivial_rep",
-    "__version__",
-]
+__all__ = (chartable.__all__ + corrgraph.__all__ + cyclo.__all__ + errors.__all__
+           + graphs.__all__ + groups.__all__ + intlinalg.__all__ + reps.__all__
+           + ["__version__"])

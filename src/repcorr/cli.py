@@ -279,7 +279,7 @@ def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
     def text() -> str:
         return "\n".join([
             f"{task} for {rep.name} ({g.convention})",
-            "vertices: " + ", ".join(f"pi{i}:M{d}" for i, d in enumerate(g.dims)),
+            "vertices: " + ", ".join(g.names),
             "B matrix (B[k][i] = edges i->k):",
             *("  " + " ".join(map(str, row)) for row in g.b_matrix.entries),
             *(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}" for e in g.edges),

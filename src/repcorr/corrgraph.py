@@ -79,6 +79,11 @@ class CorrGraph:
     def vertex_count(self) -> int:
         return len(self.dims)
 
+    @property
+    def names(self) -> tuple[str, ...]:
+        """Vertex i is named pi{i}:M{n_i}, after its algebra summand."""
+        return tuple(f"pi{i}:M{d}" for i, d in enumerate(self.dims))
+
     @cached_property
     def edges(self) -> tuple[CorrEdge, ...]:
         """One edge per nonzero count of b_matrix, in (src, dst) order."""

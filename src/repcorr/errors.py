@@ -6,6 +6,8 @@ verification failures exit 3 and I/O trouble exits 4.
 
 import sys
 
+__all__ = ["RepcorrError", "SpecError", "VerificationError"]
+
 
 class RepcorrError(Exception):
     """Base class for all errors raised by this package."""

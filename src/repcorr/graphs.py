@@ -85,8 +85,7 @@ class MultiGraph:
 
 
 def from_corr(corr: CorrGraph) -> MultiGraph:
-    names = tuple(f"pi{i}:M{d}" for i, d in enumerate(corr.dims))
-    return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=names)
+    return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=corr.names)
 
 
 def sources_sinks(g: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -392,15 +391,12 @@ def dot_export(obj: CorrGraph | MultiGraph, graph_name: str = "g") -> str:
     One line per edge copy, so SpecError above MAX_EDGE_COPIES copies."""
     cap_edge_copies(obj)
     lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
+    lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(obj.names)]
     if isinstance(obj, CorrGraph):
-        for i, d in enumerate(obj.dims):
-            lines.append(f'  v{i} [label="pi{i}:M{d}"];')
         for e in obj.edges:
             for _ in range(e.count):
                 lines.append(f'  v{e.src} -> v{e.dst} [label="M_{e.rows}x{e.cols}"];')
     else:
-        for i, name in enumerate(obj.names):
-            lines.append(f'  v{i} [label="{name}"];')
         for w in range(obj.n):
             for v in range(obj.n):
                 for _ in range(obj.a[v][w]):

@@ -294,7 +294,7 @@ def construct_group(spec: str, order_cap: int | None = None) -> Group:
         raise SpecError(f"perm spec needs at least one generator: {spec!r}")
     raw = [parse_cycles(t) for t in gen_texts]
     n_pts = max(1, *(len(p) for p in raw))
-    gens = [parse_cycles(t, n_pts) for t in gen_texts]
+    gens = [p + tuple(range(len(p), n_pts)) for p in raw]
     return _closure(tuple(range(n_pts)), gens, _compose, _cycle_string, spec, cap)
 
 

@@ -237,10 +237,7 @@ def _parse(table: CharTable, text: str, depth: int = 1) -> Rep:
         return regular_rep(table)
     if text.startswith("perm:"):
         parts = _bracket_items(text[5:], text)
-        images = [parse_cycles(part) for part in parts]
-        npoints = max((len(p) for p in images), default=0)
-        images = [parse_cycles(part, npoints) for part in parts]
-        return perm_rep(table, images, name=text)
+        return perm_rep(table, [parse_cycles(part) for part in parts], name=text)
     if text.startswith("mult:"):
         return rep_from_mults(table, _int_list(text[5:], text), name=text)
     if text.startswith("char:"):
