@@ -34,7 +34,7 @@ from repcorr.graphs import (
     Stub,
 )
 from repcorr.groups import ClassData, Group, conjugacy, construct_group
-from repcorr.intlinalg import IntMatrix, KGroups
+from repcorr.intlinalg import IntMatrix, KGroups, SmithForm, parse_matrix, smith_normal_form
 from repcorr.reps import MAX_REP_DIM, Rep, regular_rep, trivial_rep
 
 _SRC = Path(repcorr.__file__).resolve().parents[1]
@@ -64,6 +64,8 @@ def _samples() -> dict[type, list]:
         IntMatrix: [IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.from_rows([[1, 2]]),
                     IntMatrix.zeros(0, 3)],
         KGroups: [KGroups(1, (2, 4), 0), KGroups(0, (), 1)],
+        SmithForm: [smith_normal_form(parse_matrix("2 4; 6 8")), SmithForm(3, 2, (1,)),
+                    smith_normal_form(IntMatrix.zeros(0, 3))],
         CharTable: [t3, t4],
         Cyclo: [zeta(3), Cyclo.from_rational(Fraction(1, 2))],
         Rep: [reg3, trivial_rep(t3), reg4],
@@ -117,7 +119,7 @@ def test_every_record_class_in_the_package_is_sampled():
                      if isinstance(obj, type) and obj.__module__ == mod.__name__
                      and "_replace" in obj.__dict__ and not issubclass(obj, tuple))
     assert found == set(SAMPLES)
-    assert len(found) == 17
+    assert len(found) == 18
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -198,7 +200,9 @@ def test_replace_matches_dataclasses_replace(cls):
 
 def test_cached_properties_still_write_the_instance_dict():
     m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    assert m.det() == 1 and "_echelon" in vars(m)
+    assert m.det() == 1 and "_det" in vars(m)
+    f = SAMPLES[SmithForm][0]
+    assert f.s is f.s and "s" in vars(f)
     t = SAMPLES[CharTable][0]
     assert t.weights is t.weights and "weights" in vars(t)
     assert m == IntMatrix.from_rows([[2, 1], [1, 1]])
