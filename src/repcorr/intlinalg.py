@@ -14,28 +14,34 @@ The loop carries no transform: it logs its elementary operations (row k
 -= q*row i with k != i, one column clear per pivot, and a row negation for
 a pivot -1). The reduction is split into two factors at the first pivot
 that is not a unit, and the loop runs again on the remainder B alone. When
-B is square with D = |det B| != 0, a Hermite step first replaces B by a
-triangular basis H of its column lattice, computed modulo D. Both factors
-are certified by one kind of check: the factor's log is replayed on a fresh
-sparse copy of its matrix and must give the claimed diagonal in pivot
-order. smith_normal_form returns that certified diagonal and no transform;
-s is built only when it is read, so K-groups, which read the diagonal
-alone, never build it. The proofs, also given in smith_normal_form:
+B is square with D = |det B| != 0, that run works modulo N = gcd(D,
+adj(B)*v_1, adj(B)*v_2) for two fixed probe vectors v_k, and the last
+invariant factor is D over the others. Both factors are certified by one
+kind of check: the factor's log is replayed on a fresh sparse copy of its
+matrix, modulo N where the run was, and must give the claimed diagonal in
+pivot order. smith_normal_form returns that certified diagonal and no
+transform; s is built only when it is read, so K-groups, which read the
+diagonal alone, never build it. The proofs, also given in
+smith_normal_form:
 
 - A replayed log. Every logged operation is an integer matrix of
   determinant +-1 (k != i and j not a key make the determinant lemma give
-  1), so a replay that gives diag(I_k, B) from a, or diag(s2) from the
-  remainder, proves it with unimodular factors.
-- The Hermite step. B = H*X with X integral gives B*Z^m inside H*Z^m, and
-  |prod diag H| = |det B| != 0 gives both lattices the index |det B| in
-  Z^m, so they are equal and coker B = coker H.
+  1), so a replay that gives diag(I_k, B) from a, or the remainder's
+  diagonal from B, proves it with unimodular factors, modulo N for a
+  modular run.
+- The modulus. With s_1 | ... | s_m the Smith form of B, s_m*B^-1 is
+  integral, so B*y_k = det(B)*v_k makes D/N divide s_m, and every s_i with
+  i < m divides D/s_m, hence N. The replay modulo N shows coker B /
+  N*coker B = the sum of Z/gcd(d_i, N), and invariant factors are unique,
+  so gcd(d_i, N) = s_i for i < m.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from math import prod
+from itertools import chain
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -115,27 +121,33 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise SpecError("determinant of a non-square matrix")
-        return self._det
+        return self._bareiss[0]
 
     @cached_property
-    def _det(self) -> int:
-        """The determinant of a square matrix, run once: the reduction and
-        its certificate both read det B of the same remainder B.
+    def _bareiss(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(det B, ys) for the square matrix B, run once: ys holds
+        y = adj(B)*v for each probe v of _probes, and is empty when det B = 0.
+        The reduction and its certificate both read them for the same
+        remainder B.
 
-        Step k swaps the first row with a nonzero entry in column k into
-        place k, then replaces each row i > k by (row_i * p - f * row_k) /
-        prev, with p the pivot in place (k, k), prev the pivot before it (1
-        at k = 0) and f row i's entry in column k. Each division is exact,
-        and each pivot is a leading minor of the row-permuted matrix, so the
-        last pivot is +-det. If some column has no pivot, det is 0.
+        The elimination runs on [B | v_1 v_2]. Step k swaps the first row
+        with a nonzero entry in column k into place k, then replaces each row
+        i > k by (row_i * p - f * row_k) / prev, with p the pivot in place
+        (k, k), prev the pivot before it (1 at k = 0) and f row i's entry in
+        column k. Each division is exact, and each pivot is a leading minor
+        of the row-permuted matrix, so the last pivot is +-det. If some
+        column has no pivot, det is 0. Each step combines rows, so the
+        eliminated rows still hold for x = B^-1*v: back substitution, from
+        the last row up, gives z = prev*x, every division exact as z is
+        integral by Cramer's rule, and adj(B)*v = det*x = sign*z.
         """
         n = self.rows
-        m = [list(row) for row in self.entries]
+        m = [list(row) + list(v) for row, v in zip(self.entries, zip(*_probes(n)))]
         sign = prev = 1
         for k in range(n):
             piv = next((i for i in range(k, n) if m[i][k]), None)
             if piv is None:
-                return 0
+                return 0, ()
             if piv != k:
                 m[k], m[piv] = m[piv], m[k]
                 sign = -sign
@@ -146,7 +158,20 @@ class IntMatrix:
                     tail = zip(m[i][k + 1 :], mk[k + 1 :])
                     m[i][k:] = [0] + [(x * p - f * y) // prev for x, y in tail]
             prev = p
-        return sign * prev
+        z: list[list[int]] = [[]] * n
+        for i in range(n - 1, -1, -1):
+            row = m[i]
+            acc = [prev * c for c in row[n:]]
+            for j in range(i + 1, n):
+                if c := row[j]:
+                    acc = [s - c * t for s, t in zip(acc, z[j])]
+            z[i] = [s // row[i] for s in acc]
+        return sign * prev, tuple(tuple(sign * t for t in y) for y in zip(*z))
+
+
+def _probes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two fixed probe vectors of length n that _bareiss solves for."""
+    return (1,) * n, tuple(range(1, n + 1))
 
 
 @record
@@ -202,14 +227,20 @@ def format_matrix(a: IntMatrix) -> str:
 # list of such rows (or columns, where a comment says so).
 
 
-def _axpy(dst: dict[int, int], c: int, src: dict[int, int]) -> None:
-    """dst += c * src, dropping entries that cancel."""
+def _axpy(dst: dict[int, int], c: int, src: dict[int, int], mod: int = 0) -> dict[int, int]:
+    """dst += c * src, dropping entries that cancel; return dst. Unless mod is
+    0, this runs modulo mod, and the entries it writes are residues in
+    (-mod/2, mod/2]; so _axpy({}, 1, v, mod) is v reduced."""
+    h = mod // 2
     for key, x in src.items():
         y = dst.get(key, 0) + c * x
+        if mod:
+            y = h - (h - y) % mod
         if y:
             dst[key] = y
         else:
             dst.pop(key, None)
+    return dst
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
@@ -237,15 +268,18 @@ class _Loop(NamedTuple):
     cols: dict[int, set[int]]
 
 
-def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Loop:
+def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool, mod: int = 0) -> _Loop:
     """Run the elimination loop on a copy of the sparse rows block, logging
     its operations. With units_only it stops before the first pivot that is
-    not a unit; otherwise it runs until the active block is empty.
+    not a unit; otherwise it runs until the active block is empty. With mod
+    != 0 it runs modulo mod on residues in (-mod/2, mod/2], and a unit
+    modulo mod ranks and clears as a unit (see smith_normal_form).
     """
     # rows[i] holds row i's entries in active columns, cols[j] the active
     # rows with an entry in column j. Both dicts keep increasing index order,
     # as keys are only removed.
-    rows = {i: dict(row) for i, row in enumerate(block)}
+    half = mod // 2
+    rows = {i: _axpy({}, 1, row, mod) if mod else dict(row) for i, row in enumerate(block)}
     cols: dict[int, set[int]] = {j: set() for j in range(ncols)}
     for i, row in rows.items():
         for j in row:
@@ -264,15 +298,17 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
         stale.add(k)
         for l, x in vec.items():
             y = rk.get(l, 0) - c * x
-            if not y:
-                del rk[l]
-                cols[l].discard(k)
-                moved.add(l)
-            else:
+            if mod:
+                y = half - (half - y) % mod
+            if y:
                 if l not in rk:
                     cols[l].add(k)
                     moved.add(l)
                 rk[l] = y
+            elif l in rk:  # modulo mod, c*x can be 0 where row k has no entry
+                del rk[l]
+                cols[l].discard(k)
+                moved.add(l)
 
     def row_op(k: int, q: int, i: int) -> None:
         sub(k, q, rows[i])
@@ -290,6 +326,8 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
             best = None
             for j, x in row.items():
                 ax = abs(x)
+                if mod and ax > 1 and gcd(x, mod) == 1:
+                    ax = 1  # a unit modulo mod ranks with the units
                 if best is None or ax <= best[0]:
                     key = (ax, r1 * (len(cols[j]) - 1), i, j)
                     if best is None or key < best:
@@ -299,37 +337,45 @@ def _eliminate(block: list[dict[int, int]], ncols: int, units_only: bool) -> _Lo
         best = min(keys.values(), default=None)
         if best is None or (units_only and best[0] != 1):
             break
-        ax, _, i, j = best
+        _, _, i, j = best
         prow = rows[i]
         p = prow[j]
+        g = gcd(p, mod)  # |p| when mod is 0
+        inv = pow(p, -1, mod) if mod and g == 1 else 0
+
+        def quotient(x: int) -> int:
+            # x - q*p is 0 modulo mod for a unit p modulo mod, else at most |p|/2
+            return x * inv % mod if inv else _nearest(x, p)
+
         for k in [k for k in cols[j] if k != i]:
-            row_op(k, _nearest(rows[k][j], p), i)
+            row_op(k, quotient(rows[k][j]), i)
         # Clear row i: col l -= q * col j.
-        qs = {l: q for l, x in prow.items() if l != j and (q := _nearest(x, p))}
+        qs = {l: q for l, x in prow.items() if l != j and (q := quotient(x))}
         for k in cols[j]:
             sub(k, rows[k][j], qs)
         if qs:
             log.append(("col", j, qs))
         if len(prow) > 1 or len(cols[j]) > 1:
             continue  # a remainder is left, so the next pivot is smaller
-        if ax != 1:
-            bad = next((k for k, rk in rows.items() if any(x % p for x in rk.values())), None)
+        if g != 1:
+            bad = next((k for k, rk in rows.items() if any(x % g for x in rk.values())), None)
             if bad is not None:
                 row_op(i, -1, bad)  # pull the first offending row up, re-clear
                 continue
         del rows[i], cols[j], keys[i]
         if p < 0:
             log.append(("neg", i))
-        pivots.append((i, j, ax))
+        pivots.append((i, j, abs(p)))
     return _Loop(pivots, log, rows, cols)
 
 
-def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
+def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str, mod: int = 0) -> None:
     """Apply the operations of one kind in a log of _eliminate to vecs, in
-    place and in log order: for kind "row", the row operations and negations
-    to the sparse rows vecs; for kind "col", the column clears to the sparse
-    columns vecs. Raise VerificationError for any operation, of either kind, that is
-    not one of the three that _eliminate logs, each of determinant +-1:
+    place and in log order, modulo mod unless mod is 0: for kind "row", the
+    row operations and negations to the sparse rows vecs; for kind "col", the
+    column clears to the sparse columns vecs. Raise VerificationError for
+    any operation, of either kind, that is not one of the three that
+    _eliminate logs, each of determinant +-1:
 
     - ("row", k, q, i): row k -= q * row i, for an integer q and k != i;
     - ("col", j, {l: q}): column l -= q * column j for each key l != j;
@@ -349,12 +395,12 @@ def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
                 _, k, q, i = op
                 if k == i or not (index(k) and index(i)) or type(q) is not int:
                     raise VerificationError("SNF check failed: log row operation not elementary")
-                _axpy(vecs[k], -q, vecs[i])
+                _axpy(vecs[k], -q, vecs[i], mod)
         elif op[0] == "neg" and len(op) == 2:
             if kind == "row":
                 if not index(i := op[1]):
                     raise VerificationError("SNF check failed: log negation not elementary")
-                vecs[i] = {m: -y for m, y in vecs[i].items()}
+                vecs[i] = _axpy({}, -1, vecs[i], mod)
         elif op[0] == "col" and len(op) == 3:
             if kind == "col":
                 _, j, qs = op
@@ -364,7 +410,7 @@ def _replay(log: list[tuple], vecs: list[dict[int, int]], kind: str) -> None:
                     raise VerificationError("SNF check failed: log column clear not elementary")
                 vj = vecs[j]
                 for l, q in qs.items():
-                    _axpy(vecs[l], -q, vj)
+                    _axpy(vecs[l], -q, vj, mod)
         else:
             raise VerificationError("SNF check failed: unknown operation in the log")
 
@@ -403,17 +449,19 @@ class _Reduction(NamedTuple):
     The unit phase retires the unit pivots (row, column), in order, by the
     operations in log (see _replay). Let u1 and v1 be the log applied to
     identity rows and columns, with rows and columns put in pivot order
-    (_pivot_order); then u1*a*v1 = diag(I_k, b) for k = units. m is the
-    matrix the remainder loop ran on: b, or the Hermite form of b when b is
-    square with det b != 0. The loop retires pivots2 (row, column, d) by the
+    (_pivot_order); then u1*a*v1 = diag(I_k, b) for k = units. mod is 0, or
+    N = gcd(det b, ys) when b is square with det b != 0, ys holding
+    adj(b)*v for each probe v (_probes). The remainder loop runs on b modulo
+    mod (exactly for 0) and retires pivots2 (row, column, d) by the
     operations in log2; with u2 and v2 built from log2 the same way,
-    u2*m*v2 = s2 = diag(d_1, d_2, ...).
+    u2*b*v2 = diag(d_1, d_2, ...) modulo mod.
     """
 
     pivots: list[tuple[int, int]]
     log: list[tuple]
     b: IntMatrix
-    m: IntMatrix
+    mod: int
+    ys: tuple[tuple[int, ...], ...]
     pivots2: list[tuple[int, int, int]]
     log2: list[tuple]
 
@@ -430,71 +478,10 @@ def _reduce(a: list[dict[int, int]], ncols: int) -> _Reduction:
     b = IntMatrix(len(a) - k, ncols - k, tuple(
         tuple(row.get(j, 0) for j in one.cols) for row in one.rows.values()
     ))
-    m = b
-    if b.rows == b.cols > 0 and (d := b.det()):
-        m = _hermite_mod(b, abs(d))
-    two = _eliminate(_sparse_rows(m), m.cols, units_only=False)
-    return _Reduction([(i, j) for i, j, _ in one.pivots], one.log, b, m, two.pivots, two.log)
-
-
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, c, e) with c*x + e*y = g = gcd(x, y) >= 0."""
-    c0, c1, e0, e1 = 1, 0, 0, 1
-    while y:
-        q = x // y
-        x, y = y, x - q * y
-        c0, c1 = c1, c0 - q * c1
-        e0, e1 = e1, e0 - q * e1
-    return (x, c0, e0) if x >= 0 else (-x, -c0, -e0)
-
-
-def _hermite_mod(b: IntMatrix, d: int) -> IntMatrix:
-    """An upper triangular basis h of the column lattice b*Z^m, by column
-    operations modulo d = |det b| > 0: Cohen's Algorithm 2.4.8 (HNF modulo D,
-    after Domich, Kannan and Trotter). Every entry stays below d.
-
-    Row i, from the last up, is cleared left of the diagonal by extended-gcd
-    steps between column i and each column j < i, with every entry reduced
-    modulo R. The diagonal entry is then gcd(x, R) for the remaining entry x,
-    column i is fixed as its multiple by the gcd cofactor, the columns to the
-    right are reduced by it in row i, and R is divided by that gcd. Only rows
-    0..i of the working columns can be nonzero at that point, so each column
-    shrinks as i falls. The columns to the right are also reduced modulo d:
-    d*e_t lies in the lattice, and a triangular set of lattice vectors with
-    the same diagonal still has determinant d, so it is still a basis.
-    """
-    m = b.rows
-    a = [list(col) for col in zip(*b.entries)]
-    w: list[list[int]] = [[] for _ in range(m)]
-    r = d
-    for i in range(m - 1, -1, -1):
-        for j in range(i - 1, -1, -1):
-            y = a[j][i]
-            if not y:
-                continue
-            x = a[i][i]
-            ck, cj = a[i][: i + 1], a[j][: i + 1]
-            if x and not y % x:  # the common case once x is 1: column i stays
-                q = y // x
-                a[j] = [(t - q * s) % r for s, t in zip(ck, cj)]
-                continue
-            g, c, e = _xgcd(x, y)
-            p, q = x // g, y // g
-            a[i] = [(c * s + e * t) % r for s, t in zip(ck, cj)]
-            a[j] = [(p * t - q * s) % r for s, t in zip(ck, cj)]
-        g, c, _ = _xgcd(a[i][i], r)
-        wi = [c * s % r for s in a[i][: i + 1]]
-        if not wi[i]:
-            wi[i] = r
-        for j in range(i + 1, m):
-            q = w[j][i] // wi[i]
-            if q:
-                w[j][: i + 1] = [(s - q * t) % d for s, t in zip(w[j], wi)]
-        w[i] = wi
-        r //= g
-    return IntMatrix(m, m, tuple(
-        tuple(w[c][i] if i <= c else 0 for c in range(m)) for i in range(m)
-    ))
+    d, ys = b._bareiss if b.rows == b.cols > 0 else (0, ())
+    mod = gcd(d, *chain(*ys))  # 0 when d is 0
+    two = _eliminate(_sparse_rows(b), b.cols, units_only=False, mod=mod)
+    return _Reduction([(i, j) for i, j, _ in one.pivots], one.log, b, mod, ys, two.pivots, two.log)
 
 
 def smith_normal_form(a: IntMatrix) -> "SmithForm":
@@ -530,29 +517,35 @@ def smith_normal_form(a: IntMatrix) -> "SmithForm":
 
     1. The unit phase runs the loop on a until no unit is left. Its log
        takes a, pivots first, to diag(I_k, B) for the remainder B.
-    2. If B is square with D = |det B| != 0 (one Bareiss elimination of B's
-       entries, which the unit phase keeps small), the Hermite step replaces
-       B by a column basis H of its lattice, upper triangular with entries
-       below D (_hermite_mod, after Domich, Kannan and Trotter, Math. Oper.
-       Res. 12, 1987). For these inputs H is the identity outside a few
-       rows.
-    3. The loop runs again on M = H, or on M = B without the Hermite step
-       (also when B is not square or det B = 0). Its log takes M to
-       s2 = diag(d_1, ..., d_r).
+    2. If B is square (m x m) with D = |det B| != 0, one Bareiss elimination
+       of [B | v_1 v_2] (IntMatrix._bareiss, on B's entries, which the unit
+       phase keeps small) gives det B and y_k = adj(B)*v_k for two fixed
+       probe vectors v_k (_probes), and N = gcd(D, y_1, y_2). The loop runs
+       again on B modulo N, after Eberly, Giesbrecht and Villard (FOCS
+       2000) and Saunders and Wan (ISSAC 2004): entries are kept as residues
+       in (-N/2, N/2] and leave the block when they are 0 modulo N; a unit
+       modulo N ranks as |x| = 1 and clears its column and row in one step,
+       with q = x*p^-1 mod N; and a pivot p is retired once gcd(p, N)
+       divides every active entry. Its log takes B to diag(d_1, ..., d_r)
+       modulo N. With t_i = gcd(d_i, N), padded with N to m entries,
+       s2 = (t_1, ..., t_(m-1), D / (t_1*...*t_(m-1))). N = 1 leaves no
+       entry, so no modular step runs at all.
+    3. Otherwise (B not square, or det B = 0) the loop runs again on B
+       exactly. Its log takes B to s2 = diag(d_1, ..., d_r).
 
-    Then s = diag(I_k, s2). The certificate of s reads the logs and H, never
-    a transform, and is exact integer arithmetic throughout:
+    Then s = diag(I_k, s2). The certificate of s reads the logs, never a
+    transform, and is exact integer arithmetic throughout:
 
     - Unit phase: the log, replayed by _replay (which refuses any operation
       of another kind) on a fresh sparse copy of a, leaves every pivot column
       exactly {i_t: 1} and B in pivot order on what is left.
-    - Hermite step: H is upper triangular, |prod diag H| = |det B| != 0 with
-      det B from B's own cached elimination (never a number kept in the
-      reduction), and B = H*X for an integral X, found by back substitution
-      on H's sparse rows (_left_divides).
-    - Remainder: the d_t are positive and each divides the next, and the
-      remainder's log, replayed on a fresh sparse copy of M, leaves every
-      pivot column exactly {i_t: d_t} and every other column empty.
+    - Modulus: B*y_k = det(B)*v_k exactly, with det B from B's own cached
+      elimination (never a number kept in the reduction), and N is
+      gcd(D, y_1, y_2) recomputed from the y_k.
+    - Remainder: the d_t are positive, s2 is a divisibility chain, and
+      gcd(s_m, N) = t_m in the modular case; the remainder's log, replayed on
+      a fresh sparse copy of B (modulo N in the modular case), leaves every
+      pivot column {i_t: d_t} and every other column empty.
 
     Why that proves s:
 
@@ -564,22 +557,31 @@ def smith_normal_form(a: IntMatrix) -> "SmithForm":
       determinant -1, and putting rows and columns in pivot order is a
       permutation. With integer multipliers, the log applied to identity rows
       and columns gives integral factors of determinant +-1, and the replay
-      shows that they take a to diag(I_k, B) and M to s2 exactly. The
-      remainder loop's "pull the offending row up" step is row i -= -1*row
-      k; k = i never happens, as the pivot row then holds only the pivot,
-      which divides itself, and _replay refuses k = i anyway.
-    - The Hermite step. B = H*X gives B*Z^m inside H*Z^m. Both lattices
-      have index |det B| = |prod diag H| = |det H| in Z^m, so they are
-      equal, and coker B = coker H. (B*adj(B) = det(B)*I puts D*Z^m in
-      B*Z^m, which is why H can be computed modulo D; the certificate does
-      not rely on that, whatever algorithm produced H.)
+      shows that they take a to diag(I_k, B), and B to s2 exactly or to
+      diag(d_1, ..., d_r) modulo N. The remainder loop's "pull the offending
+      row up" step is row i -= -1*row k; k = i never happens, as the pivot
+      row then holds only the pivot, which divides itself, and _replay
+      refuses k = i anyway.
+    - The modulus. Let s_1 | ... | s_m be the Smith form of B, so that
+      D = s_1*...*s_m. s_m annihilates coker B, so s_m*B^-1 is integral, and
+      y_k = det(B)*B^-1*v_k gives D | s_m*y_k; so D | s_m*N, and e = D/N
+      divides s_m. Hence D/s_m = s_1*...*s_(m-1) divides N, and s_i | N for
+      every i < m. This holds for any v_k, so the probes affect only the
+      speed (how small N is), never the answer.
+    - The replay modulo N. The logged operations are unimodular over Z, so
+      they stay invertible modulo N, and the replay shows
+      coker B / N*coker B = Z^m / (B*Z^m + N*Z^m), the sum of Z/t_i. The same
+      group is the sum of Z/gcd(s_i, N). Both lists are chains: the gcd(s_i,
+      N) as the s_i are, and the t_i since s2 is a chain and t_(m-1), which
+      divides N and s_m, divides gcd(s_m, N) = t_m. Invariant factors are
+      unique, so t_i = gcd(s_i, N) = s_i for i < m, and s_m = D / (s_1*...*
+      s_(m-1)).
     - So diag(I_k, s2) is the Smith form of diag(I_k, B), hence of a, and
       its diagonal is a chain, since 1 divides everything.
     """
     rows = _sparse_rows(a)
     r = _reduce(rows, a.cols)
-    _check_snf(rows, a.cols, r)
-    return SmithForm(a.rows, a.cols, (1,) * r.units + tuple(d for _, _, d in r.pivots2))
+    return SmithForm(a.rows, a.cols, (1,) * r.units + _check_snf(rows, a.cols, r))
 
 
 @record
@@ -605,12 +607,12 @@ class SmithForm:
 
 
 def _replays_to(a: list[dict[int, int]], ncols: int, log: list[tuple],
-                pivots: list[tuple[int, int, int]], rest: IntMatrix) -> bool:
-    """Whether log, replayed on a fresh copy of the sparse rows a (row
-    operations first, then the column clears), gives diag(d_1, ..., d_r,
-    rest) in pivot order for the pivots (row, column, d). Raise
-    VerificationError if the pivots are no one-to-one map into a's shape
-    that leaves rest's shape.
+                pivots: list[tuple[int, int, int]], rest: IntMatrix, mod: int = 0) -> bool:
+    """Whether log, replayed modulo mod (exactly for 0) on a fresh copy of the
+    sparse rows a (row operations first, then the column clears), gives
+    diag(d_1, ..., d_r, rest) in pivot order for the pivots (row, column,
+    d). Raise VerificationError if the pivots are no one-to-one map into a's
+    shape that leaves rest's shape.
     """
     nr, k = len(a), len(pivots)
     row_order, col_order = _pivot_order(pivots, nr, 0), _pivot_order(pivots, ncols, 1)
@@ -620,10 +622,10 @@ def _replays_to(a: list[dict[int, int]], ncols: int, log: list[tuple],
         or (rest.rows, rest.cols) != (nr - k, ncols - k)
     ):
         raise VerificationError("SNF check failed: factor shapes do not match")
-    work = [dict(row) for row in a]
-    _replay(log, work, "row")
+    work = [_axpy({}, 1, row, mod) if mod else dict(row) for row in a]
+    _replay(log, work, "row", mod)
     cols = _transpose(work, list(range(nr)), ncols)
-    _replay(log, cols, "col")
+    _replay(log, cols, "col", mod)
     rest_cols = list(zip(*rest.entries)) if rest.rows else [()] * rest.cols
     want = [{i: d} for i, _, d in pivots] + [
         {row_order[k + t]: x for t, x in enumerate(col) if x} for col in rest_cols
@@ -631,52 +633,39 @@ def _replays_to(a: list[dict[int, int]], ncols: int, log: list[tuple],
     return [cols[j] for j in col_order] == want
 
 
-def _check_snf(a: list[dict[int, int]], ncols: int, r: _Reduction) -> None:
+def _check_snf(a: list[dict[int, int]], ncols: int, r: _Reduction) -> tuple[int, ...]:
     """Certify the s of a two-factor reduction of the matrix with sparse rows
-    a and ncols columns exactly, or raise VerificationError. The clauses are
-    listed, and shown to prove s, in smith_normal_form's docstring; the
-    Hermite clauses run whenever the remainder loop ran on some m != b.
+    a and ncols columns exactly, and return its diagonal after the unit
+    pivots, or raise VerificationError. The clauses are listed, and shown to
+    prove s, in smith_normal_form's docstring.
     """
-    b, m = r.b, r.m
+    b, mod = r.b, r.mod
     if not _replays_to(a, ncols, r.log, [(i, j, 1) for i, j in r.pivots], b):
         raise VerificationError("SNF check failed: u1*a*v1 != diag(I, B)")
-    if m != b:
-        n = b.rows
-        if (b.cols, m.rows, m.cols) != (n, n, n):
-            raise VerificationError("SNF check failed: factor shapes do not match")
-        if any(m.entries[i][j] for i in range(n) for j in range(i)):
-            raise VerificationError("SNF check failed: H not upper triangular")
-        d = b.det()
-        if not d or abs(prod(m.entries[i][i] for i in range(n))) != abs(d):
-            raise VerificationError("SNF check failed: |prod diag H| != |det B|")
-        if not _left_divides(m, b):
-            raise VerificationError("SNF check failed: B = H*X has no integral X")
-    diag = [d for _, _, d in r.pivots2]
-    if any(type(d) is not int or d < 1 for d in diag) or any(
-        d2 % d1 for d1, d2 in zip(diag, diag[1:])
-    ):
+    s = diag = [d for _, _, d in r.pivots2]
+    if any(type(d) is not int or d < 1 for d in diag):
         raise VerificationError("SNF check failed: divisibility chain broken")
-    rest = IntMatrix.zeros(m.rows - len(diag), m.cols - len(diag))
-    if not _replays_to(_sparse_rows(m), m.cols, r.log2, r.pivots2, rest):
+    if mod:
+        if not 0 < b.rows == b.cols >= len(diag):
+            raise VerificationError("SNF check failed: factor shapes do not match")
+        n, det, probes = b.rows, b.det(), _probes(b.rows)
+        if not det or len(r.ys) != len(probes) or any(
+            len(y) != n or [sum(map(mul, row, y)) for row in b.entries] != [det * x for x in v]
+            for y, v in zip(r.ys, probes)
+        ):
+            raise VerificationError("SNF check failed: B*y != det(B)*v")
+        if mod != gcd(det, *chain(*r.ys)):
+            raise VerificationError("SNF check failed: N != gcd(det B, y)")
+        t = [gcd(d, mod) for d in diag] + [mod] * (n - len(diag))
+        s = t[:-1] + [abs(det) // prod(t[:-1])]
+        if gcd(s[-1], mod) != t[-1]:
+            raise VerificationError("SNF check failed: gcd(s_m, N) != t_m")
+    if any(d2 % d1 for d1, d2 in zip(s, s[1:])):
+        raise VerificationError("SNF check failed: divisibility chain broken")
+    rest = IntMatrix.zeros(b.rows - len(diag), b.cols - len(diag))
+    if not _replays_to(_sparse_rows(b), b.cols, r.log2, r.pivots2, rest, mod):
         raise VerificationError("SNF check failed: u2*B*v2 is not diag(s2)")
-
-
-def _left_divides(h: IntMatrix, b: IntMatrix) -> bool:
-    """Whether b = h*x for an integral x, h upper triangular with a nonzero
-    diagonal: back substitution on h's sparse rows, x from the last row up.
-    A Hermite form is the identity outside a few rows, so most rows of x are
-    rows of b."""
-    hs = _sparse_rows(h)
-    x: list[list[int]] = [[] for _ in hs]
-    for i in range(len(hs) - 1, -1, -1):
-        p = hs[i].pop(i)
-        acc = b.entries[i]
-        for j, c in hs[i].items():
-            acc = [s - c * y for s, y in zip(acc, x[j])]
-        if any(s % p for s in acc):
-            return False
-        x[i] = [s // p for s in acc]
-    return True
+    return tuple(s)
 
 
 def coker_ker(a: IntMatrix) -> KGroups:

@@ -6,6 +6,11 @@ verbatim (only renamed): it carries u1, v1 and their inverses through the
 unit phase, solves the Hermite transform t with b*t = h, and factors()
 assembles (u, s, v) with u*a*v = s. The tests read u and v from here, and
 check that its s equals smith_normal_form(a).s.
+
+It keeps the Hermite route too (_xgcd, _hermite_mod), which
+smith_normal_form once ran on a square remainder B with det B != 0 before
+its loop, where it now runs the loop modulo N; so the oracle's diagonal
+checks that modular route against an independent algorithm.
 """
 
 from math import prod
@@ -16,11 +21,70 @@ from repcorr.intlinalg import (
     IntMatrix,
     _axpy,
     _dense,
-    _hermite_mod,
     _nearest,
     _sparse_rows,
     _transpose,
 )
+
+
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, c, e) with c*x + e*y = g = gcd(x, y) >= 0."""
+    c0, c1, e0, e1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        c0, c1 = c1, c0 - q * c1
+        e0, e1 = e1, e0 - q * e1
+    return (x, c0, e0) if x >= 0 else (-x, -c0, -e0)
+
+
+def _hermite_mod(b: IntMatrix, d: int) -> IntMatrix:
+    """An upper triangular basis h of the column lattice b*Z^m, by column
+    operations modulo d = |det b| > 0: Cohen's Algorithm 2.4.8 (HNF modulo D,
+    after Domich, Kannan and Trotter). Every entry stays below d.
+
+    Row i, from the last up, is cleared left of the diagonal by extended-gcd
+    steps between column i and each column j < i, with every entry reduced
+    modulo R. The diagonal entry is then gcd(x, R) for the remaining entry x,
+    column i is fixed as its multiple by the gcd cofactor, the columns to the
+    right are reduced by it in row i, and R is divided by that gcd. Only rows
+    0..i of the working columns can be nonzero at that point, so each column
+    shrinks as i falls. The columns to the right are also reduced modulo d:
+    d*e_t lies in the lattice, and a triangular set of lattice vectors with
+    the same diagonal still has determinant d, so it is still a basis.
+    """
+    m = b.rows
+    a = [list(col) for col in zip(*b.entries)]
+    w: list[list[int]] = [[] for _ in range(m)]
+    r = d
+    for i in range(m - 1, -1, -1):
+        for j in range(i - 1, -1, -1):
+            y = a[j][i]
+            if not y:
+                continue
+            x = a[i][i]
+            ck, cj = a[i][: i + 1], a[j][: i + 1]
+            if x and not y % x:  # the common case once x is 1: column i stays
+                q = y // x
+                a[j] = [(t - q * s) % r for s, t in zip(ck, cj)]
+                continue
+            g, c, e = _xgcd(x, y)
+            p, q = x // g, y // g
+            a[i] = [(c * s + e * t) % r for s, t in zip(ck, cj)]
+            a[j] = [(p * t - q * s) % r for s, t in zip(ck, cj)]
+        g, c, _ = _xgcd(a[i][i], r)
+        wi = [c * s % r for s in a[i][: i + 1]]
+        if not wi[i]:
+            wi[i] = r
+        for j in range(i + 1, m):
+            q = w[j][i] // wi[i]
+            if q:
+                w[j][: i + 1] = [(s - q * t) % d for s, t in zip(w[j], wi)]
+        w[i] = wi
+        r //= g
+    return IntMatrix(m, m, tuple(
+        tuple(w[c][i] if i <= c else 0 for c in range(m)) for i in range(m)
+    ))
 
 
 def _sparse_mul(x: list[dict[int, int]], y: list[dict[int, int]]) -> list[dict[int, int]]:

@@ -1,6 +1,6 @@
 import random
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 from typing import NamedTuple
 
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from snf_oracle import (
     _carried_check_snf,
     _carried_reduce,
-    _carried_solve,
     _sparse_mul,
 )
 
@@ -523,7 +522,8 @@ def _reduction_of(rows):
 
 
 def test_certificate_rejects_factor_shapes():
-    a, r = _reduction_of([[1, 0], [0, 2]])
+    # B = [[2, 0]] is not square, so the remainder loop runs exactly.
+    a, r = _reduction_of([[1, 0, 0], [0, 2, 0]])
     with pytest.raises(VerificationError, match="factor shapes"):
         _check(a, r._replace(pivots=r.pivots + [(1, 1)]))
     # The right number of pivots, but a pivot row outside a.
@@ -550,11 +550,11 @@ def test_certificate_rejects_phase1_u_with_row_doubled():
 
 
 def test_certificate_rejects_phase2_u_with_row_doubled():
-    # No unit pivot and det B = 0: empty logs and no Hermite step. Doubling
+    # No unit pivot and det B = 0: empty logs and the exact loop. Doubling
     # row 1 of u2 by row 1 -= -1 * row 1 in the remainder's log leaves
     # u2*B*v2 = s2 intact on this zero B; only the clause k != i can see it.
     a, r = _reduction_of([[0, 0], [0, 0]])
-    assert r.units == 0 and r.log == r.log2 == [] and r.m is r.b
+    assert r.units == 0 and r.log == r.log2 == [] and r.mod == 0
     with pytest.raises(VerificationError, match="row operation not elementary"):
         _check(a, r._replace(log2=[("row", 1, -1, 1)]))
 
@@ -583,7 +583,7 @@ def test_certificate_rejects_a_changed_multiplier():
 def test_certificate_rejects_a_changed_multiplier_in_the_remainder_log():
     # No unit and a non-square B, so the remainder loop runs on B itself.
     a, r = _reduction_of([[2, 4, 0], [6, 8, 0]])
-    assert r.units == 0 and r.m is r.b
+    assert r.units == 0 and r.mod == 0
     assert r.log2 == [("row", 1, 3, 0), ("col", 0, {1: 2}), ("neg", 1)]
     for log2 in ([("row", 1, 4, 0)] + r.log2[1:],
                  [r.log2[0], ("col", 0, {1: 3}), r.log2[2]]):
@@ -607,9 +607,9 @@ def test_certificate_rejects_a_dropped_negation_in_the_remainder_log():
 
 
 def test_certificate_rejects_a_row_doubling_in_the_remainder_log():
-    # After the Hermite step, row 0 -= -1 * row 0 doubles a row of u2.
+    # In the loop modulo N, row 0 -= -1 * row 0 doubles a row of u2.
     a, r = _reduction_of([[2, 4], [6, 8]])
-    assert r.m != r.b
+    assert r.mod == 2
     with pytest.raises(VerificationError, match="row operation not elementary"):
         _check(a, r._replace(log2=r.log2 + [("row", 0, -1, 0)]))
 
@@ -628,7 +628,7 @@ def _trivial_reduction(rows):
     a = IntMatrix.from_rows(rows)
     zero = IntMatrix.zeros(a.rows, a.cols)
     pivots2 = [(t, t, a.entries[t][t]) for t in range(min(a.rows, a.cols))]
-    return a, _reduce(_sparse_rows(zero), zero.cols)._replace(b=a, m=a, pivots2=pivots2)
+    return a, _reduce(_sparse_rows(zero), zero.cols)._replace(b=a, pivots2=pivots2)
 
 
 def test_certificate_rejects_offdiagonal_s():
@@ -650,43 +650,60 @@ def test_certificate_rejects_wrong_product():
     assert r.units == 1 and r.b.entries == ((2,),)
     with pytest.raises(VerificationError, match=r"u1\*a\*v1 != diag\(I, B\)"):
         _check(a, r._replace(b=IntMatrix.from_rows([[4]])))
-    # The remainder loop: the last d doubled, still a divisibility chain,
-    # and a column clear appended to the remainder's log.
-    a, r = _reduction_of([[2, 4], [6, 8]])
-    assert r.pivots2 == [(1, 1, 2), (0, 0, 4)]
+    # The exact remainder loop: the last d doubled, still a divisibility
+    # chain, and a column clear appended to the remainder's log.
+    a, r = _reduction_of([[2, 4, 0], [6, 8, 0]])
+    assert r.mod == 0 and r.pivots2 == [(0, 0, 2), (1, 1, 4)]
     with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
-        _check(a, r._replace(pivots2=[(1, 1, 2), (0, 0, 8)]))
+        _check(a, r._replace(pivots2=[(0, 0, 2), (1, 1, 8)]))
     with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
         _check(a, r._replace(log2=r.log2 + [("col", 0, {1: 1})]))
 
 
-def test_certificate_rejects_lower_triangular_entry_in_h():
-    # H has the lattice of B = 2I (B = H*X with X = [[1, 0], [-1, 1]]) and
-    # |prod diag H| = det B; only the shape of H is wrong.
-    a, r = _reduction_of([[2, 0], [0, 2]])
-    h = IntMatrix.from_rows([[2, 0], [2, 2]])
-    assert h @ IntMatrix.from_rows([[1, 0], [-1, 1]]) == r.b
-    with pytest.raises(VerificationError, match="H not upper triangular"):
-        _check(a, r._replace(m=h))
+def test_certificate_rejects_a_wrong_modulus():
+    # Z/6 + Z/10 + Z/15: N = gcd(det B, y) = 30.
+    a, r = _reduction_of([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert r.mod == 30
+    for mod in (60, 15, 1):
+        with pytest.raises(VerificationError, match=r"N != gcd\(det B, y\)"):
+            _check(a, r._replace(mod=mod))
+    # Read as exact, the log taken modulo 30 does not replay.
+    with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+        _check(a, r._replace(mod=0))
+    # A modulus claimed for a remainder that is not square.
+    a, r = _reduction_of([[2, 4, 0], [6, 8, 0]])
+    with pytest.raises(VerificationError, match="factor shapes"):
+        _check(a, r._replace(mod=2))
 
 
-def test_certificate_rejects_hermite_diagonal_off_det():
-    # H = I is triangular with B = H*B, and an honest empty remainder on I
-    # gives s2 = I; but det H = 1 while det B = 4 (the lattice of H is
-    # larger): only |prod diag H| = |det B| can see it.
-    a, r = _reduction_of([[2, 0], [0, 2]])
-    bad = r._replace(m=IntMatrix.identity(2), pivots2=[(0, 0, 1), (1, 1, 1)], log2=[])
-    with pytest.raises(VerificationError, match=r"\|prod diag H\| != \|det B\|"):
-        _check(a, bad)
+def test_certificate_rejects_a_wrong_solution():
+    a, r = _reduction_of([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    y0, y1 = r.ys
+    for ys in (((y0[0] + 1,) + y0[1:], y1), (y0,), (y0[:2], y1), (y0, y1, y1)):
+        with pytest.raises(VerificationError, match=r"B\*y != det\(B\)\*v"):
+            _check(a, r._replace(ys=ys))
 
 
-def test_certificate_rejects_a_hermite_form_of_another_lattice():
-    # H = [[4, 0], [0, 2]] is triangular with |prod diag H| = 8 = |det B|,
-    # but B = H*X needs X = [[1/2, 1], [3, 4]].
-    a, r = _reduction_of([[2, 4], [6, 8]])
-    assert r.m.entries == ((4, 2), (0, 2))
-    with pytest.raises(VerificationError, match="B = H\\*X has no integral X"):
-        _check(a, r._replace(m=IntMatrix.from_rows([[4, 0], [0, 2]])))
+def test_certificate_rejects_a_modular_log_that_does_not_replay():
+    a, r = _reduction_of([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert r.mod == 30 and r.log2[0] == ("row", 0, -1, 1)
+    # The log is checked modulo N, so a multiplier moved by N still replays.
+    _check(a, r._replace(log2=[("row", 0, 29, 1)] + r.log2[1:]))
+    for op in (("row", 0, 0, 1), ("row", 0, -1, 2), ("neg", 0)):
+        with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+            _check(a, r._replace(log2=[op] + r.log2[1:]))
+    with pytest.raises(VerificationError, match=r"u2\*B\*v2 is not diag\(s2\)"):
+        _check(a, r._replace(log2=r.log2[:-1]))
+
+
+def test_certificate_rejects_a_last_factor_off_its_residue():
+    # Z/2 + Z/4: N = 2, B = 0 modulo 2, so t = (2, 2) and s = (2, 8/2).
+    a, r = _reduction_of([[2, 0], [0, 4]])
+    assert (r.mod, r.pivots2) == (2, []) and smith_normal_form(a).diagonal == (2, 4)
+    # Two claimed unit pivots give t = (1, 1) and the chain s = (1, 8), but
+    # gcd(8, N) = 2 != t_2.
+    with pytest.raises(VerificationError, match=r"gcd\(s_m, N\) != t_m"):
+        _check(a, r._replace(pivots2=[(0, 0, 1), (1, 1, 1)]))
 
 
 def test_reduction_clears_unit_pivots_of_a_skew_presentation():
@@ -703,17 +720,20 @@ def test_both_remainder_paths_run():
     rng = random.Random(12)
     dense = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(12)] for _ in range(12)])
     a, r = _reduction_of(dense.entries)
-    assert r.m != r.b and r.b.rows == r.b.cols > 0
-    h = r.m.entries
-    assert not any(h[i][j] for i in range(len(h)) for j in range(i))
-    assert abs(prod(h[i][i] for i in range(len(h)))) == abs(r.b.det())
-    assert r.b @ _carried_solve(r.b, r.m) == r.m
-    # rank 2 in a 4x4 square with no unit: det B = 0, so no Hermite step.
+    # The modular route: N = 1 here, as coker B is cyclic, so no pivot is
+    # left modulo N and s2 is (1, ..., 1, |det B|).
+    assert r.b.rows == r.b.cols > 0 and r.mod == 1 and r.pivots2 == r.log2 == []
+    assert smith_normal_form(a).diagonal[-1] == abs(a.det())
+    # Z/6 + Z/10 + Z/15 = Z/30 + Z/30: N = 30, and the loop runs modulo N.
+    a, r = _reduction_of([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    assert r.units == 0 and r.mod == 30 and r.pivots2 and r.log2
+    assert smith_normal_form(a).diagonal == (1, 30, 30)
+    # rank 2 in a 4x4 square with no unit: det B = 0, so the exact loop.
     low = IntMatrix.from_rows([[2, 4], [6, 2], [4, 8], [2, 6]]) @ IntMatrix.from_rows(
         [[2, 0, 4, 6], [0, 2, 2, 4]]
     )
     a, r = _reduction_of(low.entries)
-    assert r.units == 0 and r.b.rows == r.b.cols == 4 and r.m is r.b
+    assert r.units == 0 and r.b.rows == r.b.cols == 4 and r.mod == 0
 
 
 def test_transforms_stay_near_the_determinant_size():
@@ -802,6 +822,60 @@ def test_snf_matches_reference_oracles(a):
         assert _diag(s) == _minor_gcds_oracle(a)
 
 
+def _chain_product(n: int, ones: int, steps: list[int], seed: int) -> IntMatrix:
+    """U*diag(d_1, ..., d_n)*V for seeded unimodular U and V: ones leading
+    1s, then d_t = d_(t-1)*x_t for the steps x_t, the first raised to 2 or
+    more."""
+    chain, d = [], 1
+    for t, x in enumerate(steps):
+        if t >= ones:
+            d *= max(x, 2) if t == ones else x
+        chain.append(d)
+    diag = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    rng = random.Random(seed)
+    return _random_unimodular(rng, n) @ diag @ _random_unimodular(rng, n)
+
+
+# U*diag(chain)*V with at least two invariant factors above 1: the remainder
+# is then square with N >= s_1*...*s_(m-1) > 1, so the loop runs modulo N.
+_TWO_TORSION = st.integers(3, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, n - 2),
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.integers(0, 2**32),
+    )
+).map(lambda t: _chain_product(*t))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(_TWO_TORSION, _matrices_of(20, 20, _DENSE).filter(lambda a: a.det() != 0)))
+def test_snf_matches_the_hermite_route_on_nonsingular_squares(a):
+    # The oracle runs the Hermite step and the exact loop on the remainder.
+    diag = smith_normal_form(a).diagonal
+    assert diag == tuple(_diag(_carried_reduce(a).factors()[1]))
+    if len(diag) >= 2 and diag[-2] > 1:
+        assert _reduce(_sparse_rows(a), a.cols).mod > 1
+
+
+def test_modular_route_gives_the_skew_window_k_groups():
+    # The skew Z^2 cocycle ((1,0),(0,1),(-1,-1)): windows 8 and 10 leave
+    # 22x22 and 34x34 remainders with N > 1, and keep the K-groups the
+    # Hermite route gave.
+    want = {
+        8: ("Z/19 + Z/250313470728110008329853052697163205974383755", 22),
+        10: ("Z/23 + Z/611777 + Z/7810457382067595323715573952418394210339972580265825480250939661",
+             34),
+    }
+    for window, (k0, size) in want.items():
+        g = skew_product(SkewSpec(cocycle=((1, 0), (0, 1), (-1, -1)), rank=2, window=window))
+        k = ktheory_graph(g)
+        assert (k.k0_pretty(), k.k1_pretty()) == (k0, "0")
+        pres = _dense_presentation(g)
+        r = _reduce(_sparse_rows(pres), pres.cols)
+        assert r.b.rows == r.b.cols == size and r.mod > 1 and r.pivots2
+
+
 # ---------------------------------------------------------------------------
 # the K-group path
 
@@ -884,7 +958,7 @@ def test_kgroups_never_assemble_transforms(monkeypatch):
         IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         for n in (20, 30, 40)
     ]
-    # Rank-deficient remainders, where no Hermite step applies.
+    # Rank-deficient remainders, where the exact loop runs.
     squares += [_rank_deficient(30, 30), _rank_deficient(40, 40)]
     for a in squares:
         assert coker_ker(a) == _carried_kgroups(a)

@@ -8,7 +8,11 @@ most 39 (the product of n x (n-1) and (n-1) x n factors with entries in
 repeats of the K-group call alone (skew_product is built outside the clock),
 the tracemalloc peak in MiB of one more call, made after the timed repeats
 so that the tracing slows none of them, and the K-groups as
-KGroups.k0_pretty and k1_pretty print them.
+KGroups.k0_pretty and k1_pretty print them. It also reports what the Smith
+reduction did, from one more _reduce of the matrix that the memory call
+handed to smith_normal_form: the shape [rows, cols] of the remainder B left
+after the unit pivots, and the bit lengths of D = |det B| and of the modulus
+N of the remainder loop, both 0 where the loop ran exactly.
 
     python3 tools/kgroup_times.py [--windows 12 14 18] [--repeat 1]
 
@@ -26,6 +30,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repcorr import intlinalg  # noqa: E402
 from repcorr.graphs import SkewSpec, ktheory_graph, skew_product  # noqa: E402
 from repcorr.intlinalg import IntMatrix, coker_ker  # noqa: E402
 
@@ -50,6 +55,13 @@ def inputs(windows: list[int]):
         yield f"rank{n - 1}_{n}x{n}", lambda a=a: coker_ker(a)
 
 
+def reduction(a: IntMatrix) -> dict:
+    """The remainder's shape and the bit lengths of D and N for a."""
+    r = intlinalg._reduce(intlinalg._sparse_rows(a), a.cols)
+    d_bits = abs(r.b.det()).bit_length() if r.mod else 0
+    return {"remainder": [r.b.rows, r.b.cols], "d_bits": d_bits, "n_bits": r.mod.bit_length()}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--windows", type=int, nargs="*", default=[12, 14, 18])
@@ -62,14 +74,18 @@ def main(argv: list[str] | None = None) -> int:
             k = call()
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
+        seen = []
+        snf = intlinalg.smith_normal_form
+        intlinalg.smith_normal_form = lambda a: seen.append(a) or snf(a)
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            intlinalg.smith_normal_form = snf
         print(json.dumps({"name": name, "seconds": round(best, 4), "peak_mib": round(peak / 2**20, 2),
-                          "k0": k.k0_pretty(), "k1": k.k1_pretty()}), flush=True)
+                          "k0": k.k0_pretty(), "k1": k.k1_pretty(), **reduction(*seen)}), flush=True)
     return 0
 
 
