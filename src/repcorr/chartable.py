@@ -646,7 +646,7 @@ def format_table(t: CharTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_table(text: str, order_cap: int | None = None) -> CharTable:
+def load_table(text: str) -> CharTable:
     """Parse and fully verify a character table document.
 
     Header lines `group`, `classes`, `zeta` in order, then one `irrep` line
@@ -665,7 +665,7 @@ def load_table(text: str, order_cap: int | None = None) -> CharTable:
         header[parts[0]] = parts[1]
     if set(header) != {"group", "classes", "zeta"}:
         raise SpecError("table document must declare group, classes and zeta")
-    g = construct_group(header["group"], order_cap)
+    g = construct_group(header["group"])
     cd = conjugacy(g)
     try:
         declared_classes = int(header["classes"])

@@ -15,6 +15,8 @@ Both conventions book the same total dimension. The adjacency matrix is kept
 in the B[k][i] = (number of edges i -> k) orientation throughout, and a graph
 is that matrix: its edges, one per nonzero count, and their block labels are
 derived from B and the block sizes by the convention's label rule.
+`build_e_graph` checks the dimension bookkeeping on B itself, so the edge
+records are built only by the outputs that list them.
 
 `build_d_graph` records the plain tensor-decomposition graph instead: B[k][j]
 counts the k-th irreducible inside (representation) tensor (j-th
@@ -29,6 +31,7 @@ cokernel and kernel are K_0 and K_1.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 
 from .errors import SpecError, VerificationError
 from .intlinalg import IntMatrix, KGroups, coker_ker
@@ -105,17 +108,15 @@ def build_e_graph(rep: Rep, convention: str = "paper-min") -> CorrGraph:
     dims = rep.table.dims
     per_unit = min if convention == "paper-min" else (lambda ni, nk: ni)  # edges i -> k per m_k
     b = [[mk * per_unit(ni, nk) for ni in dims] for mk, nk in zip(rep.mults, dims)]
-    g = CorrGraph(dims=dims, b_matrix=IntMatrix.from_rows(b), convention=convention)
-    booked = [0] * len(dims)
-    for e in g.edges:
-        booked[e.src] += e.count * e.rows * e.cols
-    for i, x in enumerate(booked):
-        if x != rep.dim * dims[i] * dims[i]:
+    label = _LABELS[convention]
+    for i, ni in enumerate(dims):
+        # the edges i -> k book B[k][i] blocks of rows x cols each
+        x = sum(row[i] * prod(label(ni, nk)) for row, nk in zip(b, dims))
+        if x != rep.dim * ni * ni:
             raise VerificationError(
-                f"dimension bookkeeping failed at vertex {i}: "
-                f"{x} != {rep.dim * dims[i] ** 2}"
+                f"dimension bookkeeping failed at vertex {i}: {x} != {rep.dim * ni ** 2}"
             )
-    return g
+    return CorrGraph(dims=dims, b_matrix=IntMatrix.from_rows(b), convention=convention)
 
 
 def build_d_graph(rep: Rep) -> CorrGraph:
@@ -144,12 +145,8 @@ def pimsner_matrices(rep: Rep) -> PimsnerData:
         [[rep.mults[i] * dims[j] for i in range(r)] for j in range(r)]
     )
     j_cols = tuple(i for i in range(r) if rep.mults[i] > 0)
-    eye = IntMatrix.identity(r)
-    full = IntMatrix.from_rows(
-        [[eye[j, i] - m[j, i] for i in range(r)] for j in range(r)]
-    )
-    drop = {i for i in range(r) if rep.mults[i] == 0}
-    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=full.delete_columns(drop))
+    reduced = [[(i == j) - row[i] for i in j_cols] for j, row in enumerate(m.entries)]
+    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=IntMatrix.from_rows(reduced))
 
 
 def ktheory_corr(rep: Rep) -> KGroups:

@@ -80,9 +80,6 @@ class MultiGraph:
     def out_degree(self, v: int) -> int:
         return sum(row[v] for row in self.a)
 
-    def edge_count(self) -> int:
-        return sum(sum(row) for row in self.a)
-
 
 def from_corr(corr: CorrGraph) -> MultiGraph:
     return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=corr.names)
@@ -378,7 +375,8 @@ MAX_EDGE_COPIES = 10**6
 
 def cap_edge_copies(obj: CorrGraph | MultiGraph) -> int:
     """The number of edge copies in obj; SpecError above MAX_EDGE_COPIES."""
-    copies = sum(e.count for e in obj.edges) if isinstance(obj, CorrGraph) else obj.edge_count()
+    counts = obj.b_matrix.entries if isinstance(obj, CorrGraph) else obj.a
+    copies = sum(map(sum, counts))
     if copies > MAX_EDGE_COPIES:
         raise SpecError(
             f"graph has {copies:,} edge copies; listing them is capped at {MAX_EDGE_COPIES:,}"

@@ -2,7 +2,7 @@ import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repcorr import corrgraph
@@ -16,6 +16,7 @@ from repcorr.corrgraph import (
     pimsner_matrices,
 )
 from repcorr.errors import SpecError, VerificationError
+from repcorr.graphs import cap_edge_copies
 from repcorr.groups import construct_group
 from repcorr.intlinalg import IntMatrix
 from repcorr.reps import Rep, decompose, dsum, parse_rep_spec, regular_rep, rep_from_mults, trivial_rep
@@ -316,12 +317,28 @@ def _reps(draw):
     return rep_from_mults(t, tuple(draw(st.lists(st.integers(0, 4), min_size=t.count, max_size=t.count))))
 
 
+def _reference_reduced(rep: Rep) -> IntMatrix:
+    """The reduced Pimsner matrix as it was built: I - M in full, then the
+    columns of the blocks that do not act deleted."""
+    m = pimsner_matrices(rep).m_matrix
+    r = m.rows
+    eye = IntMatrix.identity(r)
+    full = IntMatrix.from_rows([[eye[j, i] - m[j, i] for i in range(r)] for j in range(r)])
+    return full.delete_columns({i for i in range(r) if rep.mults[i] == 0})
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_reps())
+@example(rep_from_mults(table_for("symmetric:3"), (0, 0, 0)))
 def test_graphs_match_the_builders_with_stored_edges(rep):
     for conv in CONVENTIONS:
         assert _outcome(build_e_graph, rep, conv) == _outcome(_reference_build_e_graph, rep, conv)
     assert _outcome(build_d_graph, rep) == _outcome(_reference_build_d_graph, rep)
+    assert pimsner_matrices(rep).reduced == _reference_reduced(rep)
+    graphs = [build_e_graph(rep, conv) for conv in CONVENTIONS]
+    graphs += [build_d_graph(rep)] if rep.dim else []
+    for g in graphs:
+        assert cap_edge_copies(g) == sum(e.count for e in g.edges)
 
 
 def test_wrong_label_rule_fails_the_bookkeeping_check(monkeypatch):
@@ -332,3 +349,21 @@ def test_wrong_label_rule_fails_the_bookkeeping_check(monkeypatch):
     monkeypatch.setitem(corrgraph._LABELS, "paper-min", lambda ni, nk: (nk, ni))
     with pytest.raises(VerificationError, match="failed at vertex 2: 10 != 12"):
         build_e_graph(rho, "paper-min")
+
+
+def test_the_builders_read_no_edge_list(monkeypatch):
+    # The bookkeeping is checked on B, so building a graph never lists its
+    # edges; only the outputs that print them do.
+    def refuse(g):
+        raise AssertionError("an edge list was built")
+
+    monkeypatch.setattr(corrgraph.CorrGraph, "edges", property(refuse))
+    rng = random.Random(23)
+    for spec in POOL:
+        t = table_for(spec)
+        reps = [regular_rep(t)]
+        reps += [rep_from_mults(t, tuple(rng.randrange(0, 4) for _ in range(t.count))) for _ in range(5)]
+        for rep in reps:
+            for conv in CONVENTIONS:
+                g = build_e_graph(rep, conv)
+                assert cap_edge_copies(g) == sum(map(sum, g.b_matrix.entries))

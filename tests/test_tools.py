@@ -79,10 +79,15 @@ def test_import_times_prints_one_json_line():
                        capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     [line] = [json.loads(line) for line in r.stdout.splitlines()]
-    assert set(line) == {"bare_s", "import_cli_s", "self_us", "repeat", "PYTHONDONTWRITEBYTECODE"}
+    assert set(line) == {
+        "bare_s", "import_cli_s", "self_us", "compile_us", "pycache", "repeat", "PYTHONDONTWRITEBYTECODE"
+    }
     for key in ("bare_s", "import_cli_s"):
         assert set(line[key]) == {"median", "q1", "q3"}
         assert all(value > 0 for value in line[key].values())
     assert {"repcorr", "repcorr.cli", "repcorr.record"} <= set(line["self_us"])
     assert all(us > 0 for us in line["self_us"].values())
     assert line["repeat"] == 2
+    assert set(line["compile_us"]) >= {"repcorr", "repcorr.cli", "repcorr.record"}
+    assert all(us > 0 for us in line["compile_us"].values())
+    assert isinstance(line["pycache"], int) and line["pycache"] >= 0

@@ -6,7 +6,11 @@ the first two every other round. The line holds the median and quartiles
 (seconds, wall clock of the whole child process) of the first two, the
 median self time in µs of each repcorr module under -X importtime, and the
 PYTHONDONTWRITEBYTECODE value the children ran under: when it is set, every
-start compiles src/ from source.
+start compiles src/ from source. `compile_us` gives, per module, the best of
+--repeat in-process `compile()` runs on its source, the share of that
+compile; `pycache` counts the `__pycache__` directories under src/, whose
+bytecode a child reads even under PYTHONDONTWRITEBYTECODE, so two
+checkouts compared back to back should both show 0.
 
     python3 tools/import_times.py [--repeat 20]
 
@@ -21,6 +25,7 @@ import statistics
 import subprocess
 import sys
 import time
+import timeit
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -52,6 +57,16 @@ def self_us(env: dict) -> dict[str, int]:
     return out
 
 
+def compile_us(repeat: int) -> dict[str, int]:
+    """Best of repeat in-process compile() runs of each repcorr module, in µs."""
+    out = {}
+    for path in sorted((SRC / "repcorr").glob("*.py")):
+        source = path.read_text()
+        best = min(timeit.repeat(lambda: compile(source, str(path), "exec"), number=1, repeat=repeat))
+        out["repcorr" if path.stem == "__init__" else f"repcorr.{path.stem}"] = round(best * 1e6)
+    return out
+
+
 def summary(times: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(times, n=4)
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
@@ -73,6 +88,8 @@ def main(argv: list[str] | None = None) -> int:
             modules.setdefault(name, []).append(us)
     line = {key: summary(t) for key, t in times.items()}
     line["self_us"] = {name: round(statistics.median(us)) for name, us in sorted(modules.items())}
+    line["compile_us"] = compile_us(args.repeat)
+    line["pycache"] = sum(1 for _ in SRC.rglob("__pycache__"))
     line["repeat"] = args.repeat
     line["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
     print(json.dumps(line), flush=True)
