@@ -299,7 +299,7 @@ def _table_results(inputs: _Inputs) -> list:
             "zeta": t.zeta_order,
             "class_sizes": list(t.classes.sizes),
             "class_representatives": [
-                t.group.labels[r] for r in t.classes.representatives
+                t.group.label(r) for r in t.classes.representatives
             ],
             "irreps": [
                 {

@@ -8,7 +8,8 @@ Groups are built from a small spec grammar:
 Element 0 is always the identity; the remaining elements are ordered by
 breadth-first closure over the generators in spec order, multiplying on the
 right. That ordering is part of the contract: class indices, character table
-columns and graph vertex numbering all inherit it.
+columns and graph vertex numbering all inherit it, and `reps.perm_rep` reads
+each element's discovery edge off it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import os
 import re
 from math import lcm
+from operator import itemgetter
 from typing import Any, Callable
 
 from .errors import SpecError
@@ -40,23 +42,26 @@ ORDER_CAP_ENV = "REPCORR_ORDER_CAP"
 MAX_PERM_POINTS = 1000
 
 
-@record(norepr=("elements", "index", "op"), nocompare=("index", "op"))
+@record(norepr=("elements", "index", "op", "render"), nocompare=("index", "op", "render"))
 class Group:
     spec: str
     order: int
     inv: tuple[int, ...]
-    labels: tuple[str, ...]
     generators: tuple[int, ...]
-    # (parent, generator position) giving each element's BFS discovery step
-    bfs_parent: tuple[tuple[int, int] | None, ...]
     elements: tuple[Any, ...]
-    # element -> index and the closing operation; both are determined by
-    # `elements` and the spec, so they take no part in equality or hashing
+    # element -> index, the closing operation and the family's labelling
+    # function; all three are determined by `elements` and the spec, so they
+    # take no part in equality or hashing
     index: dict[Any, int]
     op: Callable[[Any, Any], Any]
+    render: Callable[[Any], str]
 
     def mul(self, a: int, b: int) -> int:
         return self.index[self.op(self.elements[a], self.elements[b])]
+
+    def label(self, a: int) -> str:
+        """Element a in the family's notation, e.g. `(1 2 3)` or `s*r^2`."""
+        return self.render(self.elements[a])
 
     def element_order(self, a: int) -> int:
         k, x = 1, a
@@ -161,14 +166,17 @@ def _cycle_string(perm: tuple[int, ...]) -> str:
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p . q)(x) = p(q(x)): q acts first, matching left actions on points
-    return tuple(p[q[x]] for x in range(len(p)))
+    # (p . q)(x) = p(q(x)): q acts first, matching left actions on points.
+    # itemgetter of one index returns a scalar and of none raises, but on 0
+    # or 1 points the only permutation is the identity.
+    return itemgetter(*q)(p) if len(q) > 1 else tuple(p)
 
 
-def _closure(identity, gens, mul, label, spec: str, cap: int) -> Group:
+def _closure(identity, gens, mul, render, spec: str, cap: int) -> Group:
     elements = [identity]
     index = {identity: 0}
-    parents: list[tuple[int, int] | None] = [None]
+    # (parent, generator position) of each element after the identity
+    parents: list[tuple[int, int]] = []
     head = 0
     while head < len(elements):
         x = elements[head]
@@ -191,18 +199,17 @@ def _closure(identity, gens, mul, label, spec: str, cap: int) -> Group:
             prev, y = y, mul(y, g)
         gen_inv.append(prev)
     inv_elements = [identity]
-    for p, t in parents[1:]:
+    for p, t in parents:
         inv_elements.append(mul(gen_inv[t], inv_elements[p]))
     return Group(
         spec=spec,
         order=len(elements),
         inv=tuple(index[e] for e in inv_elements),
-        labels=tuple(label(e) for e in elements),
         generators=tuple(index[g] for g in gens),
-        bfs_parent=tuple(parents),
         elements=tuple(elements),
         index=index,
         op=mul,
+        render=render,
     )
 
 
@@ -284,18 +291,14 @@ def construct_group(spec: str, order_cap: int | None = None) -> Group:
         transposition = tuple([1, 0] + list(range(2, n)))
         ncycle = tuple(list(range(1, n)) + [0])
         gens = [transposition] if n == 2 else [transposition, ncycle]
-        return _closure(
-            tuple(range(n)), gens, _compose, _cycle_string, spec, cap
-        )
-
-    # perm:[(1 2 3)(4 5), ...]
-    gen_texts = _bracket_items(arg, spec)
-    if not gen_texts:
-        raise SpecError(f"perm spec needs at least one generator: {spec!r}")
-    raw = [parse_cycles(t) for t in gen_texts]
-    n_pts = max(1, *(len(p) for p in raw))
-    gens = [p + tuple(range(len(p), n_pts)) for p in raw]
-    return _closure(tuple(range(n_pts)), gens, _compose, _cycle_string, spec, cap)
+    else:  # perm:[(1 2 3)(4 5), ...]
+        gen_texts = _bracket_items(arg, spec)
+        if not gen_texts:
+            raise SpecError(f"perm spec needs at least one generator: {spec!r}")
+        raw = [parse_cycles(t) for t in gen_texts]
+        n = max(1, *(len(p) for p in raw))
+        gens = [p + tuple(range(len(p), n)) for p in raw]
+    return _closure(tuple(range(n)), gens, _compose, _cycle_string, spec, cap)
 
 
 def _positive_int(arg: str, spec: str) -> int:

@@ -152,9 +152,11 @@ def perm_rep(table: CharTable, images, name: str = "") -> Rep:
     """Representation by permutation matrices, given images of the group
     generators as permutations of {0,...,N-1}.
 
-    The images are extended along the group's breadth-first parent chain and
-    then every (element, generator) product is rechecked, so a spec that does
-    not define a homomorphism is rejected rather than silently accepted.
+    One pass over the elements in index order maps each product x*g_t to
+    rho(x) . p_t. The group numbers its elements in breadth-first discovery
+    order, so the first visit to an element is its discovery edge and fixes
+    its image; every later visit must give the same image, so a spec that
+    does not define a homomorphism is rejected rather than silently accepted.
     """
     g = table.group
     if len(images) != len(g.generators):
@@ -169,18 +171,16 @@ def perm_rep(table: CharTable, images, name: str = "") -> Rep:
 
     perm_of: list[tuple[int, ...] | None] = [None] * g.order
     perm_of[0] = tuple(range(npoints))
-    for x in range(1, g.order):
-        parent = g.bfs_parent[x]
-        if parent is None:
-            raise VerificationError("non-identity element missing a parent")
-        px, t = parent
-        perm_of[x] = _compose(perm_of[px], images[t])
     for x in range(g.order):
         for t, gen in enumerate(g.generators):
-            if perm_of[g.mul(x, gen)] != _compose(perm_of[x], images[t]):
+            y = g.mul(x, gen)
+            image = _compose(perm_of[x], images[t])
+            if perm_of[y] is None:
+                perm_of[y] = image
+            elif perm_of[y] != image:
                 raise VerificationError(
                     "generator images do not extend to a homomorphism; "
-                    f"relation fails at element {g.labels[x]!r} and generator {t}"
+                    f"relation fails at element {g.label(x)!r} and generator {t}"
                 )
     values = []
     for rep_elt in table.classes.representatives:

@@ -191,13 +191,13 @@ def expected_doc(spec: str) -> str:
     cd = conjugacy(g)
     e = cd.exponent
     if family == "symmetric":
-        types = [_cycle_type(g.labels[r], n) for r in cd.representatives]
+        types = [_cycle_type(g.label(r), n) for r in cd.representatives]
         rows = [
             (name, dim, [Cyclo.from_rational(data[t]) for t in types])
             for name, dim, data in SYMMETRIC_DATA[n]
         ]
     elif family == "dihedral":
-        states = [_dihedral_state(g.labels[r]) for r in cd.representatives]
+        states = [_dihedral_state(g.label(r)) for r in cd.representatives]
         rows = [
             (name, dim, [fn(k, f) for k, f in states])
             for name, dim, fn in _dihedral_rows(n)

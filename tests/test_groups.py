@@ -8,6 +8,7 @@ from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import (
     MAX_PERM_POINTS,
     ClassData,
+    _compose,
     class_mult_coeffs,
     conjugacy,
     construct_group,
@@ -305,3 +306,38 @@ def test_class_data_matches_cayley_table_oracle():
                     for y in cj:
                         hits[m[x][y]] += 1
                 assert got[j] == tuple(hits[r] for r in reps), (spec, i, j)
+
+
+def test_compose_matches_the_generator_expression():
+    rng = random.Random(25)
+    for n in (0, 1, 2, 7, 60):
+        for _ in range(20):
+            p, q = rng.sample(range(n), n), rng.sample(range(n), n)
+            p, q = tuple(p), tuple(q)
+            got = _compose(p, q)
+            assert type(got) is tuple
+            assert got == tuple(p[q[x]] for x in range(len(p)))
+
+
+# Every element's label, in element order.
+_LABELS = {
+    "cyclic:5": ("0", "1", "2", "3", "4"),
+    "product:[2,3]": ("(0,0)", "(1,0)", "(0,1)", "(1,1)", "(0,2)", "(1,2)"),
+    "dihedral:4": ("e", "r", "s", "r^2", "s*r", "s*r^3", "r^3", "s*r^2"),
+    "symmetric:4": (
+        "()", "(1 2)", "(1 2 3 4)", "(2 3 4)", "(1 3 4)", "(1 3)(2 4)", "(1 3 4 2)", "(1 3 2 4)",
+        "(1 2 4 3)", "(1 4 2 3)", "(1 4 3 2)", "(2 4 3)", "(1 4)(2 3)", "(1 4 3)", "(1 4 2)",
+        "(1 3 2)", "(1 4)", "(1 3)", "(2 4)", "(2 3)", "(3 4)", "(1 2 4)", "(1 2 3)",
+        "(1 2)(3 4)",
+    ),
+    "perm:[(1 2 3),(1 2)(3 4)]": (
+        "()", "(1 2 3)", "(1 2)(3 4)", "(1 3 2)", "(1 3 4)", "(2 4 3)", "(2 3 4)", "(1 2 4)",
+        "(1 4 3)", "(1 4 2)", "(1 3)(2 4)", "(1 4)(2 3)",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_LABELS))
+def test_labels_are_rendered_on_demand(spec):
+    g = construct_group(spec)
+    assert tuple(g.label(x) for x in range(g.order)) == _LABELS[spec]

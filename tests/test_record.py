@@ -38,8 +38,8 @@ from repcorr.intlinalg import IntMatrix, KGroups, SmithForm, parse_matrix, smith
 from repcorr.reps import MAX_REP_DIM, Rep, regular_rep, trivial_rep
 
 _SRC = Path(repcorr.__file__).resolve().parents[1]
-_HIDDEN = {Group: {"elements", "index", "op"}}
-_UNCOMPARED = {Group: {"index", "op"}}
+_HIDDEN = {Group: {"elements", "index", "op", "render"}}
+_UNCOMPARED = {Group: {"index", "op", "render"}}
 
 
 def _samples() -> dict[type, list]:

@@ -269,6 +269,75 @@ def test_rep_from_character_matches_perm_construction():
     assert natural.dim == 4
 
 
+
+def _two_pass_perm_rep(table: CharTable, images) -> tuple[int, ...]:
+    """perm_rep's multiplicities by the two-pass route: extend the images
+    along breadth-first parents recomputed from the group's generators, then
+    recheck every (element, generator) product."""
+    g = table.group
+    parent, reached = {0: None}, [0]
+    for x in reached:
+        for t, s in enumerate(g.generators):
+            y = g.mul(x, s)
+            if y not in parent:
+                parent[y] = (x, t)
+                reached.append(y)
+    npoints = max(len(p) for p in images)
+    images = [tuple(p) + tuple(range(len(p), npoints)) for p in images]
+
+    def compose(p, q):
+        return tuple(p[q[x]] for x in range(len(p)))
+
+    perm_of = {0: tuple(range(npoints))}
+    for y in reached[1:]:
+        x, t = parent[y]
+        perm_of[y] = compose(perm_of[x], images[t])
+    for x in range(g.order):
+        for t, s in enumerate(g.generators):
+            if perm_of[g.mul(x, s)] != compose(perm_of[x], images[t]):
+                raise VerificationError(
+                    "generator images do not extend to a homomorphism; "
+                    f"relation fails at element {g.label(x)!r} and generator {t}"
+                )
+    fixed = [sum(1 for i, q in enumerate(perm_of[r]) if q == i)
+             for r in table.classes.representatives]
+    return decompose(table, [Cyclo.from_rational(f) for f in fixed])
+
+
+# Generator images that define a homomorphism, besides the trivial ones.
+_HOMOMORPHISMS = {
+    "symmetric:4": [[(1, 0, 2, 3), (1, 2, 3, 0)], [(1, 0), (1, 0)], [(1, 0), (0, 1)]],
+    "dihedral:6": [[(1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)], [(0, 1), (1, 0)]],
+    "perm:[(1 2 3),(1 2)(3 4)]": [[(1, 2, 0, 3), (1, 0, 3, 2)], [(1, 2, 0), (0, 1, 2)]],
+    "perm:[(1 2 3 4)(5 6 7 8),(1 5 3 7)(2 8 4 6)]": [
+        [(1, 2, 3, 0, 5, 6, 7, 4), (4, 7, 6, 5, 2, 1, 0, 3)], [(1, 0), (0, 1)], [(1, 0), (1, 0)],
+    ],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(_HOMOMORPHISMS))
+def test_perm_rep_matches_the_two_pass_check(spec):
+    t = table_for(spec)
+    rng = random.Random(spec)
+    ngens = len(t.group.generators)
+    cases = [[()] * ngens, *_HOMOMORPHISMS[spec]]
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        cases.append([rng.sample(range(n), n) for _ in range(ngens)])
+    homomorphisms = failures = 0
+    for images in cases:
+        try:
+            expected = _two_pass_perm_rep(t, images)
+        except VerificationError as exc:
+            with pytest.raises(VerificationError) as info:
+                perm_rep(t, images)
+            assert str(info.value) == str(exc)
+            failures += 1
+        else:
+            assert perm_rep(t, images).mults == expected
+            homomorphisms += 1
+    assert homomorphisms > len(_HOMOMORPHISMS[spec]) and failures > 0
+
 # ---------------------------------------------------------------------------
 # `decompose` as it was before the rebuild of the character was dropped: the
 # inner products and then the reconstruction, class by class. Kept verbatim

@@ -1,10 +1,11 @@
-"""Time the character table layer in-process, one JSON line per group.
+"""Time the group and character table layers in-process, one JSON line per group.
 
-For each group spec (constructed once, its classes found once, both outside
-the clock) a line holds the spec, the number of classes r and the least wall
-time over the repeats of each call: `character_table`, `verify_table` of
-the computed table, `format_table` of it and `load_table` of that document
-(which parses and verifies it again).
+For each group spec a line holds the spec, the number of classes r and the
+least wall time over the repeats of each call: `construct_group`,
+`conjugacy` of that group, `character_table`, `verify_table` of the
+computed table, `format_table` of it and `load_table` of that document
+(which rebuilds the group and its classes, then parses and verifies the
+table again).
 
     python3 tools/table_times.py [--groups dihedral:60 cyclic:30] [--repeat 3]
 
@@ -44,9 +45,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeat", type=int, default=1)
     args = ap.parse_args(argv)
     for spec in args.groups:
-        g = construct_group(spec)
-        cd = conjugacy(g)
-        line = {"group": spec, "classes": cd.count}
+        group_s, g = best_of(args.repeat, lambda: construct_group(spec))
+        classes_s, cd = best_of(args.repeat, lambda: conjugacy(g))
+        line = {"group": spec, "classes": cd.count,
+                "construct_group": group_s, "conjugacy": classes_s}
         line["character_table"], t = best_of(args.repeat, lambda: character_table(g, cd))
         line["verify_table"], _ = best_of(args.repeat, lambda: verify_table(t))
         line["format_table"], doc = best_of(args.repeat, lambda: format_table(t))
