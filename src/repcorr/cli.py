@@ -22,26 +22,8 @@ import os
 import sys
 from collections import Counter
 
-from .chartable import CharTable, character_table, format_table
-from .corrgraph import CONVENTIONS, build_d_graph, build_e_graph, ktheory_corr
+from . import chartable, corrgraph, graphs, groups, intlinalg, reps
 from .errors import SpecError, VerificationError
-from .graphs import (
-    CircleGraph,
-    cap_edge_copies,
-    circle_analysis,
-    dot_export,
-    from_corr,
-    ktheory_graph,
-    parse_frequency,
-    semigroup_r_check,
-    simplicity_check,
-    skew_product,
-    sources_sinks,
-    SkewSpec,
-)
-from .groups import _bracket_items, _split_top_level, construct_group, cyclic_factors
-from .intlinalg import KGroups
-from .reps import Rep, is_pi_injective, parse_rep_spec
 
 __all__ = ["main", "run"]
 
@@ -65,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--task", dest="tasks", metavar="TASK", help="comma separated tasks: " + ", ".join(TASKS)
     )
-    p.add_argument("--convention", choices=list(CONVENTIONS), default=None)
+    p.add_argument("--convention", choices=list(_CONVENTIONS), default=None)
     p.add_argument("--seed", type=int, default=None, help="table algorithm seed")
     p.add_argument("--window", type=int, default=None, help="window radius for skew")
     p.add_argument("--out", help="write artifacts into this directory")
@@ -73,6 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--job", help="job file with key=value lines")
     return p
 
+
+# corrgraph.CONVENTIONS, spelled out so that reading the arguments runs no
+# math module (tests/test_lazy_modules.py pins the two equal).
+_CONVENTIONS = ("paper-min", "module-count")
 
 # Every setting a job file or a flag can give, with its default. Flags win
 # over the job file, which wins over these; job values of the integer
@@ -136,7 +122,7 @@ def _gather_settings(args) -> dict:
             else:
                 named.append((f"rep{k + 1}", entry.strip()))
         cfg["reps"] = named
-    if cfg["convention"] not in CONVENTIONS:
+    if cfg["convention"] not in _CONVENTIONS:
         raise SpecError(f"unknown convention {cfg['convention']!r}")
     if cfg["format"] not in ("text", "json", "dot"):
         raise SpecError(f"unknown format {cfg['format']!r}")
@@ -163,7 +149,7 @@ def _parse_cocycle(parts: list[str]) -> tuple[tuple[int, ...], ...]:
     for part in parts:
         try:
             if part.startswith("(") and part.endswith(")"):
-                values.append(tuple(int(tok) for tok in _split_top_level(part[1:-1], part)))
+                values.append(tuple(int(tok) for tok in groups._split_top_level(part[1:-1], part)))
             else:
                 values.append((int(part),))
         except ValueError as exc:
@@ -182,7 +168,7 @@ def _dual_orders(group_spec: str | None) -> tuple[int, ...]:
         raise SpecError(
             "a finite dual group needs --group cyclic:n or product:[n1,...]"
         )
-    orders = cyclic_factors(group_spec)
+    orders = groups.cyclic_factors(group_spec)
     if orders is None:
         raise SpecError(
             f"group {group_spec!r} is not given as a product of cyclic factors; "
@@ -203,32 +189,33 @@ class _Inputs:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self._table: CharTable | None = None
+        self._table: chartable.CharTable | None = None
         self.reps, self.cocycles, self.freq_lists = [], [], []
         for name, spec in cfg["reps"]:
             head, _, arg = spec.partition(":")
             head = head.strip()
             if head in ("cocycle", "zcocycle"):
                 kind = "finite" if head == "cocycle" else "free"
-                self.cocycles.append((name, kind, _parse_cocycle(_bracket_items(arg, spec))))
+                self.cocycles.append((name, kind, _parse_cocycle(groups._bracket_items(arg, spec))))
             elif head in ("angles", "freqs"):
-                parts = _bracket_items(arg, spec)
+                parts = groups._bracket_items(arg, spec)
                 if not parts:
                     raise SpecError(f"{head} list is empty in {spec!r}")
-                self.freq_lists.append((name, head, tuple(parse_frequency(x) for x in parts)))
+                freqs = tuple(graphs.parse_frequency(x) for x in parts)
+                self.freq_lists.append((name, head, freqs))
             else:
-                self.reps.append(parse_rep_spec(self.table(), spec, name=name))
+                self.reps.append(reps.parse_rep_spec(self.table(), spec, name=name))
 
-    def table(self) -> CharTable:
+    def table(self) -> chartable.CharTable:
         if self.cfg["group"] is None:
             raise SpecError("--group is required for this task")
         if self._table is None:
-            self._table = character_table(
-                construct_group(self.cfg["group"]), seed=self.cfg["seed"]
+            self._table = chartable.character_table(
+                groups.construct_group(self.cfg["group"]), seed=self.cfg["seed"]
             )
         return self._table
 
-    def need_reps(self) -> list[Rep]:
+    def need_reps(self) -> list[reps.Rep]:
         self.table()
         if not self.reps:
             raise SpecError("this task needs at least one representation (--rep)")
@@ -246,7 +233,7 @@ class _Inputs:
 _WORDS = {True: "yes", False: "no", None: "undecided"}
 
 
-def _kgroups_payload(k: KGroups) -> dict:
+def _kgroups_payload(k: intlinalg.KGroups) -> dict:
     return {
         "k0": k.k0_pretty(),
         "k0_free_rank": k.k0_free_rank,
@@ -256,11 +243,14 @@ def _kgroups_payload(k: KGroups) -> dict:
     }
 
 
-def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
-    g = build_e_graph(rep, convention) if task == "egraph" else build_d_graph(rep)
+def _corr_result(rep: reps.Rep, task: str, convention: str) -> tuple:
+    if task == "egraph":
+        g = corrgraph.build_e_graph(rep, convention)
+    else:
+        g = corrgraph.build_d_graph(rep)
 
     def payload() -> dict:
-        cap_edge_copies(g)  # one entry per edge copy; the text lists one line per edge
+        graphs.cap_edge_copies(g)  # one entry per edge copy; the text lists one line per edge
         return {
             "task": task,
             "rep": rep.name,
@@ -285,7 +275,9 @@ def _corr_result(rep: Rep, task: str, convention: str) -> tuple:
             *(f"  pi{e.src} -> pi{e.dst}: {e.count} x M_{e.rows}x{e.cols}" for e in g.edges),
         ]) + "\n"
 
-    return f"{task}_{rep.name}", {"json": payload, "txt": text, "dot": lambda: dot_export(g, task)}
+    return f"{task}_{rep.name}", {
+        "json": payload, "txt": text, "dot": lambda: graphs.dot_export(g, task)
+    }
 
 
 def _table_results(inputs: _Inputs) -> list:
@@ -311,11 +303,11 @@ def _table_results(inputs: _Inputs) -> list:
             ],
         }
 
-    return [("table", {"json": payload, "txt": lambda: format_table(t)})]
+    return [("table", {"json": payload, "txt": lambda: chartable.format_table(t)})]
 
 
-def _decompose_result(rep: Rep, convention: str) -> tuple:
-    injective = is_pi_injective(rep)
+def _decompose_result(rep: reps.Rep, convention: str) -> tuple:
+    injective = reps.is_pi_injective(rep)
 
     def payload() -> dict:
         return {
@@ -334,15 +326,15 @@ def _decompose_result(rep: Rep, convention: str) -> tuple:
     return f"decompose_{rep.name}", {"json": payload, "txt": text}
 
 
-def _ktheory_result(rep: Rep, convention: str) -> tuple:
-    mg = from_corr(build_e_graph(rep, convention))
-    via_graph = ktheory_graph(mg)
-    via_bimodule = ktheory_corr(rep)
+def _ktheory_result(rep: reps.Rep, convention: str) -> tuple:
+    mg = graphs.from_corr(corrgraph.build_e_graph(rep, convention))
+    via_graph = graphs.ktheory_graph(mg)
+    via_bimodule = corrgraph.ktheory_corr(rep)
     agree = via_graph == via_bimodule
-    simp = simplicity_check(mg)
+    simp = graphs.simplicity_check(mg)
 
     def payload() -> dict:
-        sources, sinks = sources_sinks(mg)
+        sources, sinks = graphs.sources_sinks(mg)
         return {
             "task": "ktheory",
             "rep": rep.name,
@@ -381,18 +373,18 @@ def _skew_results(inputs: _Inputs) -> list:
     cname, kind, values = inputs.cocycles[0]
     if kind == "finite":
         orders = _dual_orders(inputs.cfg["group"])
-        spec = SkewSpec(cocycle=values, orders=orders)
+        spec = graphs.SkewSpec(cocycle=values, orders=orders)
         dual = " x ".join(f"Z/{o}" for o in orders)
     else:
         rank, window = len(values[0]), inputs.cfg["window"]
-        spec = SkewSpec(cocycle=values, orders=None, rank=rank, window=window)
+        spec = graphs.SkewSpec(cocycle=values, orders=None, rank=rank, window=window)
         dual = f"Z^{rank} (window {window})"
-    sk = skew_product(spec)
+    sk = graphs.skew_product(spec)
     # the dot listing's cap refuses the graph in every format
-    edge_count = cap_edge_copies(sk)
+    edge_count = graphs.cap_edge_copies(sk)
 
     def payload() -> dict:
-        sources, sinks = sources_sinks(sk)
+        sources, sinks = graphs.sources_sinks(sk)
         return {
             "task": "skew",
             "cocycle": cname,
@@ -419,19 +411,21 @@ def _skew_results(inputs: _Inputs) -> list:
             *(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}" for s in sk.stubs),
         ]) + "\n"
 
-    return [(f"skew_{cname}", {"json": payload, "txt": text, "dot": lambda: dot_export(sk, "skew")})]
+    return [(f"skew_{cname}", {
+        "json": payload, "txt": text, "dot": lambda: graphs.dot_export(sk, "skew")
+    })]
 
 
 def _circle_result(name: str, kind: str, freqs) -> tuple:
     if kind == "angles":
-        c = circle_analysis(CircleGraph(angles=freqs))
+        c = graphs.circle_analysis(graphs.CircleGraph(angles=freqs))
         found = {"orbit_group_order": c.orbit_group_order, "dense": c.dense}
         orbit = f"finite orbit group of order {c.orbit_group_order}"
         if c.dense:
             orbit = "dense, infinite orbit group"
         text = f"circle orbit for {name}: {orbit}\n"
     else:
-        found = {"fills_line": semigroup_r_check(freqs)}
+        found = {"fills_line": graphs.semigroup_r_check(freqs)}
         text = f"frequency semigroup {name} fills the line: {_WORDS[found['fills_line']]}\n"
     payload = {"task": "circle", "input": name, "kind": kind, **found}
     return f"circle_{name}", {"json": lambda: payload, "txt": lambda: text}

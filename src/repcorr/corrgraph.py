@@ -33,10 +33,9 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 
+from . import intlinalg, reps
 from .errors import SpecError, VerificationError
-from .intlinalg import IntMatrix, KGroups, coker_ker
 from .record import record
-from .reps import Rep, decompose
 
 __all__ = [
     "CorrEdge",
@@ -75,7 +74,7 @@ class CorrGraph:
     edge carries the rectangular block its convention's label rule gives."""
 
     dims: tuple[int, ...]
-    b_matrix: IntMatrix  # b[k][i] = number of edges i -> k
+    b_matrix: intlinalg.IntMatrix  # b[k][i] = number of edges i -> k
     convention: str
 
     @property
@@ -99,7 +98,7 @@ class CorrGraph:
         )
 
 
-def build_e_graph(rep: Rep, convention: str = "paper-min") -> CorrGraph:
+def build_e_graph(rep: reps.Rep, convention: str = "paper-min") -> CorrGraph:
     """Graph of the bimodule attached to a representation."""
     if convention not in CONVENTIONS:
         raise SpecError(
@@ -116,43 +115,43 @@ def build_e_graph(rep: Rep, convention: str = "paper-min") -> CorrGraph:
             raise VerificationError(
                 f"dimension bookkeeping failed at vertex {i}: {x} != {rep.dim * ni ** 2}"
             )
-    return CorrGraph(dims=dims, b_matrix=IntMatrix.from_rows(b), convention=convention)
+    return CorrGraph(dims=dims, b_matrix=intlinalg.IntMatrix.from_rows(b), convention=convention)
 
 
-def build_d_graph(rep: Rep) -> CorrGraph:
+def build_d_graph(rep: reps.Rep) -> CorrGraph:
     """Tensor-decomposition graph: B[k][j] = multiplicity of block k in
     (rep) tensor (irreducible j)."""
     if rep.dim == 0:
         raise SpecError("representation has dimension zero, no graph to build")
     table = rep.table
     chi = rep.character()
-    cols = [decompose(table, [x * y for x, y in zip(chi, row)]) for row in table.values]
-    b = IntMatrix.from_rows(list(zip(*cols)))
+    cols = [reps.decompose(table, [x * y for x, y in zip(chi, row)]) for row in table.values]
+    b = intlinalg.IntMatrix.from_rows(list(zip(*cols)))
     return CorrGraph(dims=table.dims, b_matrix=b, convention="mckay")
 
 
 @record
 class PimsnerData:
-    m_matrix: IntMatrix  # action on classes of block projections
+    m_matrix: intlinalg.IntMatrix  # action on classes of block projections
     j_cols: tuple[int, ...]  # blocks where the left action is injective
-    reduced: IntMatrix  # (I - M) restricted to those columns
+    reduced: intlinalg.IntMatrix  # (I - M) restricted to those columns
 
 
-def pimsner_matrices(rep: Rep) -> PimsnerData:
+def pimsner_matrices(rep: reps.Rep) -> PimsnerData:
     dims = rep.table.dims
     r = len(dims)
-    m = IntMatrix.from_rows(
+    m = intlinalg.IntMatrix.from_rows(
         [[rep.mults[i] * dims[j] for i in range(r)] for j in range(r)]
     )
     j_cols = tuple(i for i in range(r) if rep.mults[i] > 0)
     reduced = [[(i == j) - row[i] for i in j_cols] for j, row in enumerate(m.entries)]
-    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=IntMatrix.from_rows(reduced))
+    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=intlinalg.IntMatrix.from_rows(reduced))
 
 
-def ktheory_corr(rep: Rep) -> KGroups:
+def ktheory_corr(rep: reps.Rep) -> intlinalg.KGroups:
     """K-groups computed straight from the bimodule data.
 
     The zero representation is legal: no block acts, the reduced matrix has
     no columns, and K_0 is free on every vertex.
     """
-    return coker_ker(pimsner_matrices(rep).reduced)
+    return intlinalg.coker_ker(pimsner_matrices(rep).reduced)

@@ -179,13 +179,6 @@ class Cyclo:
         value = Fraction(value)
         return Cyclo._from_terms(conductor, [(0, value.numerator)], value.denominator)
 
-    @staticmethod
-    def from_coeffs(conductor: int, coeffs: list[Fraction | int]) -> "Cyclo":
-        coeffs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in coeffs))
-        return Cyclo._from_terms(conductor, ((k, c.numerator * (den // c.denominator))
-                                             for k, c in enumerate(coeffs) if c), den)
-
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.nums)
 

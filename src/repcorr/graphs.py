@@ -22,9 +22,8 @@ from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
 
-from .corrgraph import CorrGraph
+from . import corrgraph, intlinalg
 from .errors import SpecError, too_long
-from .intlinalg import IntMatrix, KGroups, coker_ker
 from .record import record
 
 __all__ = [
@@ -81,7 +80,7 @@ class MultiGraph:
         return sum(row[v] for row in self.a)
 
 
-def from_corr(corr: CorrGraph) -> MultiGraph:
+def from_corr(corr: corrgraph.CorrGraph) -> MultiGraph:
     return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=corr.names)
 
 
@@ -92,7 +91,7 @@ def sources_sinks(g: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return sources, sinks
 
 
-def ktheory_graph(g: MultiGraph) -> KGroups:
+def ktheory_graph(g: MultiGraph) -> intlinalg.KGroups:
     """K-groups of the algebra of the graph with all arrows reversed.
 
     The presentation matrix is (a^t - I) with the columns of the vertices
@@ -106,7 +105,7 @@ def ktheory_graph(g: MultiGraph) -> KGroups:
             col[v] -= 1
             cols.append(col)
     entries = tuple(zip(*cols)) if cols else ((),) * g.n
-    return coker_ker(IntMatrix(g.n, len(cols), entries))
+    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(cols), entries))
 
 
 @record
@@ -373,9 +372,9 @@ def semigroup_r_check(freqs) -> bool | None:
 MAX_EDGE_COPIES = 10**6
 
 
-def cap_edge_copies(obj: CorrGraph | MultiGraph) -> int:
+def cap_edge_copies(obj: corrgraph.CorrGraph | MultiGraph) -> int:
     """The number of edge copies in obj; SpecError above MAX_EDGE_COPIES."""
-    counts = obj.b_matrix.entries if isinstance(obj, CorrGraph) else obj.a
+    counts = obj.a if isinstance(obj, MultiGraph) else obj.b_matrix.entries
     copies = sum(map(sum, counts))
     if copies > MAX_EDGE_COPIES:
         raise SpecError(
@@ -384,17 +383,13 @@ def cap_edge_copies(obj: CorrGraph | MultiGraph) -> int:
     return copies
 
 
-def dot_export(obj: CorrGraph | MultiGraph, graph_name: str = "g") -> str:
+def dot_export(obj: corrgraph.CorrGraph | MultiGraph, graph_name: str = "g") -> str:
     """Graphviz source, deterministic line order, arrows in drawn orientation.
     One line per edge copy, so SpecError above MAX_EDGE_COPIES copies."""
     cap_edge_copies(obj)
     lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
     lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(obj.names)]
-    if isinstance(obj, CorrGraph):
-        for e in obj.edges:
-            for _ in range(e.count):
-                lines.append(f'  v{e.src} -> v{e.dst} [label="M_{e.rows}x{e.cols}"];')
-    else:
+    if isinstance(obj, MultiGraph):
         for w in range(obj.n):
             for v in range(obj.n):
                 for _ in range(obj.a[v][w]):
@@ -402,5 +397,9 @@ def dot_export(obj: CorrGraph | MultiGraph, graph_name: str = "g") -> str:
         for t, s in enumerate(obj.stubs):
             lines.append(f'  stub{t} [label="{s.target}", shape=plaintext];')
             lines.append(f'  v{s.src} -> stub{t} [style=dashed, label="{s.count}"];')
+    else:
+        for e in obj.edges:
+            for _ in range(e.count):
+                lines.append(f'  v{e.src} -> v{e.dst} [label="M_{e.rows}x{e.cols}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -70,12 +70,6 @@ class Group:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        """True when the generators commute pairwise, which holds exactly
-        when the group they generate is abelian."""
-        gens = self.generators
-        return all(self.mul(a, b) == self.mul(b, a) for a in gens for b in gens)
-
     def power(self, a: int, k: int) -> int:
         x = 0
         for _ in range(k):

@@ -90,33 +90,6 @@ class IntMatrix:
         i, j = pos
         return self.entries[i][j]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise SpecError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        cols = tuple(zip(*other.entries)) or ((),) * other.cols
-        out = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
-        return IntMatrix(self.rows, other.cols, out)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.matmul(other)
-
-    def delete_columns(self, drop: set[int]) -> "IntMatrix":
-        keep = [j for j in range(self.cols) if j not in drop]
-        return IntMatrix(
-            self.rows,
-            len(keep),
-            tuple(tuple(row[j] for j in keep) for row in self.entries),
-        )
-
     def det(self) -> int:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:

@@ -2,9 +2,10 @@
 
 smith_normal_form returns the certified diagonal and no transform. This is
 the two-factor reduction as it was before the unit phase was logged, kept
-verbatim (only renamed): it carries u1, v1 and their inverses through the
-unit phase, solves the Hermite transform t with b*t = h, and factors()
-assembles (u, s, v) with u*a*v = s. The tests read u and v from here, and
+verbatim (only renamed, with its products taken by helpers.matmul): it
+carries u1, v1 and their inverses through the unit phase, solves the
+Hermite transform t with b*t = h, and factors() assembles (u, s, v) with
+u*a*v = s. The tests read u and v from here, and
 check that its s equals smith_normal_form(a).s.
 
 It keeps the Hermite route too (_xgcd, _hermite_mod), which
@@ -15,6 +16,8 @@ checks that modular route against an independent algorithm.
 
 from math import prod
 from typing import NamedTuple
+
+from helpers import matmul
 
 from repcorr.errors import VerificationError
 from repcorr.intlinalg import (
@@ -248,10 +251,10 @@ class _CarriedReduction(NamedTuple):
     def factors(self) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         """(u, s, v) = (diag(I_k, u2)*u1, diag(I_k, s2), v1*diag(I_k, t*v2))."""
         k, nr, nc = self.units, len(self.u1), len(self.v1)
-        w = self.v2 if self.hermite is None else self.hermite[0] @ self.v2
+        w = self.v2 if self.hermite is None else matmul(self.hermite[0], self.v2)
         u = _dense(self.u1[:k] + _sparse_mul(_sparse_rows(self.u2), self.u1[k:]), nr).entries
         v1 = _dense(self.v1, nc).entries
-        v_right = IntMatrix(nc, nc - k, tuple(row[k:] for row in v1)) @ w
+        v_right = matmul(IntMatrix(nc, nc - k, tuple(row[k:] for row in v1)), w)
         s = [[0] * nc for _ in range(nr)]
         for t in range(k):
             s[t][t] = 1
@@ -364,7 +367,7 @@ def _carried_check_snf(a: IntMatrix, r: _CarriedReduction) -> None:
             raise VerificationError("SNF check failed: factor shapes do not match")
         if any(h.entries[i][j] for i in range(mr) for j in range(i)):
             raise VerificationError("SNF check failed: H not upper triangular")
-        if b @ t != h:
+        if matmul(b, t) != h:
             raise VerificationError("SNF check failed: B*U != H")
         d = b.det()
         if not d or abs(prod(h.entries[i][i] for i in range(mr))) != abs(d):

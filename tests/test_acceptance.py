@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from helpers import matmul
 from published_tables import expected_doc
 from snf_oracle import _carried_reduce
 from repcorr.chartable import (
@@ -268,7 +269,7 @@ def test_criterion_7_property_suites(capfd):
             # the transforms come from the oracle, whose s must agree
             u, s_oracle, v = _carried_reduce(a).factors()
             assert s_oracle == s
-            assert (u @ a @ v).entries == s.entries
+            assert matmul(u, a, v).entries == s.entries
             assert u.det() in (-1, 1) and v.det() in (-1, 1)
             diag = [s[i, i] for i in range(min(nr, nc))]
             assert all(x >= 0 for x in diag)

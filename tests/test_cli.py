@@ -374,7 +374,7 @@ def test_runs_build_only_the_renderings_they_emit(monkeypatch):
         assert expected[0] == 0, argv
         with monkeypatch.context() as m:
             for name in unused:
-                m.setattr(cli, name, refuse)
+                m.setattr(graphs, name, refuse)
             assert run_in_process(argv) == expected, argv
 
 

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import delete_columns, transpose
 
 from repcorr import corrgraph
 from repcorr.chartable import character_table
@@ -86,7 +87,7 @@ def test_module_count_matrix_is_pimsner_transpose():
         rep = rep_from_mults(t, mults)
         g = build_e_graph(rep, "module-count")
         p = pimsner_matrices(rep)
-        assert g.b_matrix == p.m_matrix.transpose()
+        assert g.b_matrix == transpose(p.m_matrix)
 
 
 def test_b_matrix_additive_under_direct_sum():
@@ -324,7 +325,7 @@ def _reference_reduced(rep: Rep) -> IntMatrix:
     r = m.rows
     eye = IntMatrix.identity(r)
     full = IntMatrix.from_rows([[eye[j, i] - m[j, i] for i in range(r)] for j in range(r)])
-    return full.delete_columns({i for i in range(r) if rep.mults[i] == 0})
+    return delete_columns(full, {i for i in range(r) if rep.mults[i] == 0})
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

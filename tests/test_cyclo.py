@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from helpers import cyclo_from_coeffs
 
 from repcorr import cyclo
 from repcorr.cyclo import Cyclo, cyclotomic_polynomial, parse_cyclo, zeta
@@ -64,7 +65,7 @@ def test_conductor_cap():
 
 
 def test_coeffs_in_lowest_terms():
-    v = Cyclo.from_coeffs(5, [Fraction(2, 4), Fraction(-3, 6), 0, 0])
+    v = cyclo_from_coeffs(5, [Fraction(2, 4), Fraction(-3, 6), 0, 0])
     assert v.coeffs() == (Fraction(1, 2), Fraction(-1, 2), Fraction(0), Fraction(0))
 
 
@@ -128,7 +129,7 @@ def test_text_roundtrip():
 def test_parse_cyclo_forms():
     assert parse_cyclo("2 + z", 5) == 2 + zeta(5)
     assert parse_cyclo("-z^2", 5) == -zeta(5, 2)
-    assert parse_cyclo("1/2 - 3/2*z^3", 8) == Cyclo.from_coeffs(
+    assert parse_cyclo("1/2 - 3/2*z^3", 8) == cyclo_from_coeffs(
         8, [Fraction(1, 2), 0, 0, Fraction(-3, 2)]
     )
     assert parse_cyclo("0", 7).is_zero()
@@ -214,7 +215,7 @@ def test_phi_of_a_large_squarefree_conductor_is_quick():
 
 
 def test_exponents_are_read_mod_the_conductor():
-    assert Cyclo.from_coeffs(3, [0, 0, 0, 1]).as_integer() == 1
+    assert cyclo_from_coeffs(3, [0, 0, 0, 1]).as_integer() == 1
     assert parse_cyclo("z^7 - z^13", 6).is_zero()
     assert parse_cyclo("1/2 + 2*z^5 - z^9", 12).conj() == parse_cyclo("1/2 + 2*z^7 - z^3", 12)
     assert zeta(5, -1) == zeta(5, 4)

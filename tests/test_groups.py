@@ -3,9 +3,11 @@ import tracemalloc
 from math import lcm
 
 import pytest
+from helpers import is_abelian
 
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import (
+    DEFAULT_ORDER_CAP,
     MAX_PERM_POINTS,
     ClassData,
     _compose,
@@ -94,7 +96,7 @@ def test_product_group():
     g = construct_group("product:[2,3]")
     assert g.order == 6
     _validate(g)
-    assert g.is_abelian()
+    assert is_abelian(g)
     cd = conjugacy(g)
     assert cd.count == 6
     assert cd.exponent == 6
@@ -121,6 +123,14 @@ def test_order_cap():
         construct_group("symmetric:6", order_cap=100)
     g = construct_group("symmetric:6", order_cap=720)
     assert g.order == 720
+
+
+def test_default_order_cap(monkeypatch):
+    monkeypatch.delenv("REPCORR_ORDER_CAP", raising=False)
+    assert DEFAULT_ORDER_CAP == 5040
+    assert construct_group("product:[70,72]").order == 5040
+    with pytest.raises(SpecError, match="exceeds cap 5040"):
+        construct_group("product:[71,71]")
 
 
 def test_order_cap_env(monkeypatch):

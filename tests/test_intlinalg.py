@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import delete_columns, matmul
 from snf_oracle import (
     _carried_check_snf,
     _carried_reduce,
@@ -140,7 +141,7 @@ def _reference_snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _reference_check_snf(a: IntMatrix, u: IntMatrix, s: IntMatrix, v: IntMatrix) -> None:
-    if u.matmul(a).matmul(v).entries != s.entries:
+    if matmul(u, a, v).entries != s.entries:
         raise VerificationError("SNF check failed: u*a*v != s")
     if a.rows and u.det() not in (1, -1):
         raise VerificationError("SNF check failed: u not unimodular")
@@ -369,7 +370,7 @@ def test_snf_worked_example():
     assert _diag(s) == [1, 1]
     assert s.rows == 3 and s.cols == 2
     assert all(s.entries[2][j] == 0 for j in range(2))
-    assert u.matmul(a).matmul(v).entries == s.entries
+    assert matmul(u, a, v).entries == s.entries
 
 
 def test_snf_divisibility_example():
@@ -432,7 +433,7 @@ def test_snf_random_factor_properties():
             [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         u, s, v = _oracle_factors(a)
-        assert u.matmul(a).matmul(v).entries == s.entries
+        assert matmul(u, a, v).entries == s.entries
         assert u.det() in (1, -1)
         assert v.det() in (1, -1)
         d = _diag(s)
@@ -467,7 +468,7 @@ def test_coker_ker_unimodular_invariance():
         )
         p = _random_unimodular(rng, rows)
         q = _random_unimodular(rng, cols)
-        assert coker_ker(a) == coker_ker(p.matmul(a).matmul(q))
+        assert coker_ker(a) == coker_ker(matmul(p, a, q))
 
 
 def test_matrix_text_roundtrip():
@@ -729,9 +730,8 @@ def test_both_remainder_paths_run():
     assert r.units == 0 and r.mod == 30 and r.pivots2 and r.log2
     assert smith_normal_form(a).diagonal == (1, 30, 30)
     # rank 2 in a 4x4 square with no unit: det B = 0, so the exact loop.
-    low = IntMatrix.from_rows([[2, 4], [6, 2], [4, 8], [2, 6]]) @ IntMatrix.from_rows(
-        [[2, 0, 4, 6], [0, 2, 2, 4]]
-    )
+    low = matmul(IntMatrix.from_rows([[2, 4], [6, 2], [4, 8], [2, 6]]),
+                 IntMatrix.from_rows([[2, 0, 4, 6], [0, 2, 2, 4]]))
     a, r = _reduction_of(low.entries)
     assert r.units == 0 and r.b.rows == r.b.cols == 4 and r.mod == 0
 
@@ -790,7 +790,7 @@ _RANK_DEFICIENT = st.integers(2, 8).flatmap(
     lambda n: st.integers(1, n - 1).flatmap(
         lambda r: st.tuples(
             _matrices_of(n, r, st.integers(-3, 3)), _matrices_of(r, n, st.integers(-3, 3))
-        ).map(lambda xy: xy[0] @ xy[1])
+        ).map(lambda xy: matmul(*xy))
     )
 )
 
@@ -833,7 +833,7 @@ def _chain_product(n: int, ones: int, steps: list[int], seed: int) -> IntMatrix:
         chain.append(d)
     diag = IntMatrix.from_rows([[chain[i] if i == j else 0 for j in range(n)] for i in range(n)])
     rng = random.Random(seed)
-    return _random_unimodular(rng, n) @ diag @ _random_unimodular(rng, n)
+    return matmul(_random_unimodular(rng, n), diag, _random_unimodular(rng, n))
 
 
 # U*diag(chain)*V with at least two invariant factors above 1: the remainder
@@ -885,7 +885,7 @@ def _dense_presentation(g) -> IntMatrix:
     densely as ktheory_graph once did."""
     n = g.n
     t = IntMatrix.from_rows([[g.a[j][i] - (i == j) for j in range(n)] for i in range(n)])
-    return t.delete_columns({v for v in range(n) if g.in_degree(v) == 0})
+    return delete_columns(t, {v for v in range(n) if g.in_degree(v) == 0})
 
 
 def test_kgroups_go_through_smith_normal_form(monkeypatch):
@@ -931,7 +931,7 @@ def _rank_deficient(n: int, seed: int) -> IntMatrix:
     rng = random.Random(seed)
     x = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)])
     y = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)])
-    return x @ y
+    return matmul(x, y)
 
 
 def test_kgroups_never_assemble_transforms(monkeypatch):

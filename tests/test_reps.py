@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repcorr import corrgraph, cyclo, reps
+from repcorr import cyclo, reps
 from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
@@ -115,7 +115,6 @@ def test_tensor_and_d_graph_count_their_decompositions(monkeypatch):
         return real(table, values)
 
     monkeypatch.setattr(reps, "decompose", counted)
-    monkeypatch.setattr(corrgraph, "decompose", counted)
     t = table_for("symmetric:4")
     reg = regular_rep(t)
     tensor(reg, reg)

@@ -1,16 +1,27 @@
 """Time interpreter start and `import repcorr.cli` in fresh interpreters, one JSON line.
 
-Each of the --repeat rounds runs `python3 -c pass`, `python3 -c "import
-repcorr.cli"` and `python3 -X importtime -c "import repcorr.cli"`, swapping
-the first two every other round. The line holds the median and quartiles
-(seconds, wall clock of the whole child process) of the first two, the
-median self time in µs of each repcorr module under -X importtime, and the
+Each of the --repeat rounds runs `python3 -c pass` and `python3 -c "import
+repcorr.cli"`, swapping the two every other round, and one `python3 -X
+importtime` child that times each repcorr module. The line holds the median
+and quartiles (seconds, wall clock of the whole child process) of the first
+two, the median self time in µs of each repcorr module, and the
 PYTHONDONTWRITEBYTECODE value the children ran under: when it is set, every
-start compiles src/ from source. `compile_us` gives, per module, the best of
---repeat in-process `compile()` runs on its source, the share of that
-compile; `pycache` counts the `__pycache__` directories under src/, whose
-bytecode a child reads even under PYTHONDONTWRITEBYTECODE, so two
-checkouts compared back to back should both show 0.
+start compiles what it runs from source.
+
+The package runs each module on first use, and a module run that way gets no
+-X importtime line. So the timing child imports `repcorr`, then reads the
+namespace of each module in the package's lookup order, in which every module
+comes after the ones it runs when it loads, and then imports `repcorr.cli`.
+The self time of `repcorr`, `repcorr.cli` and `repcorr.record` is their -X
+importtime self time; that of a module run on first use is the wall time of
+its run less the cumulative time of the imports it makes directly, which -X
+importtime lists in between.
+
+`compile_us` gives, per module, the best of --repeat in-process `compile()`
+runs on its source, the share of that compile; `pycache` counts the
+`__pycache__` directories under src/, whose bytecode a child reads even
+under PYTHONDONTWRITEBYTECODE, so two checkouts compared back to back should
+both show 0.
 
     python3 tools/import_times.py [--repeat 20]
 
@@ -45,15 +56,39 @@ def wall(code: str, env: dict) -> float:
     return time.perf_counter() - t0
 
 
+# Runs each module of the package on first use, in the package's lookup
+# order, between marker lines on stderr.
+CHILD = """
+import sys, time
+import repcorr
+for name in repcorr._MODULES:
+    print("run", file=sys.stderr, flush=True)
+    t0 = time.perf_counter()
+    vars(sys.modules["repcorr." + name])
+    print("ran", "repcorr." + name, round((time.perf_counter() - t0) * 1e6), file=sys.stderr, flush=True)
+import repcorr.cli
+"""
+
+
 def self_us(env: dict) -> dict[str, int]:
-    """Self µs of each repcorr module, from one -X importtime run."""
-    r = subprocess.run([sys.executable, "-X", "importtime", "-c", RUNS["import_cli_s"]],
+    """Self µs of each repcorr module, from one -X importtime child."""
+    r = subprocess.run([sys.executable, "-X", "importtime", "-c", CHILD],
                        env=env, capture_output=True, text=True, check=True)
-    out = {}
+    out, nested = {}, 0
     for line in r.stderr.splitlines():
+        if line == "run":
+            nested = 0
+        elif line.startswith("ran "):
+            _, name, us = line.split()
+            out[name] = int(us) - nested
         parts = line.split("|")
-        if len(parts) == 3 and parts[2].strip().startswith("repcorr"):
-            out[parts[2].strip()] = int(parts[0].split(":")[1])
+        if len(parts) != 3 or not parts[1].strip().isdigit():
+            continue
+        if not parts[2].startswith("  "):  # two more spaces per level of nesting
+            nested += int(parts[1])  # a direct import: its cumulative time is not the run's own
+        name = parts[2].strip()
+        if name.startswith("repcorr"):
+            out[name] = int(parts[0].split(":")[1])
     return out
 
 

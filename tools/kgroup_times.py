@@ -42,7 +42,9 @@ def rank_deficient(n: int, seed: int) -> IntMatrix:
     rng = random.Random(seed)
     x = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)])
     y = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)])
-    return x @ y
+    return IntMatrix.from_rows(
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*y.entries)] for row in x.entries]
+    )
 
 
 def inputs(windows: list[int]):
