@@ -3,8 +3,7 @@
 Elements are stored in conductor N's power basis {1, z, ..., z^(phi(N)-1)}
 after reduction mod the N-th cyclotomic polynomial, with rational
 coefficients. Internally a Cyclo keeps an integer numerator vector plus one
-common positive denominator; `coeffs()` exposes the coefficients as Fractions
-in lowest terms.
+common positive denominator.
 
 Every value built from exponent/coefficient pairs, whether a rational, a
 coefficient list, a root of unity, a parsed text, an embedding into a larger
@@ -175,12 +174,9 @@ class Cyclo:
         return Cyclo._make(conductor, _reduce_mod_phi(nums, conductor), den)
 
     @staticmethod
-    def from_rational(value: Fraction | int, conductor: int = 1) -> "Cyclo":
+    def from_rational(value: Fraction | int) -> "Cyclo":
         value = Fraction(value)
-        return Cyclo._from_terms(conductor, [(0, value.numerator)], value.denominator)
-
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
+        return Cyclo._from_terms(1, [(0, value.numerator)], value.denominator)
 
     def _terms(self):
         return ((k, c) for k, c in enumerate(self.nums) if c)
@@ -267,9 +263,6 @@ class Cyclo:
     def conj(self) -> "Cyclo":
         """Complex conjugate, i.e. zeta -> zeta^(N-1)."""
         return Cyclo._from_terms(self.conductor, ((-k, c) for k, c in self._terms()), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
 
     def as_rational(self) -> Fraction | None:
         if any(self.nums[1:]):

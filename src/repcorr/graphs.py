@@ -215,43 +215,39 @@ def _check_vertex_count(factors: Iterable[int]) -> None:
 def skew_product(spec: SkewSpec) -> MultiGraph:
     """Skew product of the one-vertex n-edge graph by the given cocycle.
 
-    Vertices are the dual group elements (or the window of lattice points
-    with sup-norm at most the window radius); each element chi emits one edge
-    chi -> chi + c per cocycle character c. Edges leaving a finite window are
-    reported as boundary stubs, never dropped silently.
+    Vertices are the points of a box of integer tuples: the residues of a
+    finite dual group, or the window of lattice points with sup-norm at most
+    the window radius. Each point chi emits one edge chi -> chi + c per
+    cocycle character c. In a finite dual the coordinates of chi + c wrap
+    modulo the factor orders, so every edge lands in the box; an edge leaving
+    a window is reported as a boundary stub, never dropped silently.
     """
     if not spec.cocycle:
         raise SpecError("cocycle must assign at least one character")
-    if spec.orders is not None:
-        if any(o < 1 for o in spec.orders):
+    orders = spec.orders
+    if orders is not None:
+        if any(o < 1 for o in orders):
             raise SpecError("finite dual group needs positive factor orders")
-        width = len(spec.orders)
-        _check_vertex_count(spec.orders)
-        elements = list(itertools.product(*[range(o) for o in spec.orders]))
-        for c in spec.cocycle:
-            if len(c) != width or any(
-                not 0 <= x < o for x, o in zip(c, spec.orders)
-            ):
-                raise SpecError(
-                    f"character {_name_of(tuple(c))} outside dual group "
-                    f"{'x'.join(f'Z/{o}' for o in spec.orders)}"
-                )
+        _check_vertex_count(orders)
+        axes = [range(o) for o in orders]
+        dual = "x".join(f"Z/{o}" for o in orders)
     else:
         if spec.rank < 1:
             raise SpecError("free dual group needs positive rank")
         if spec.window < 1:
             raise SpecError("window radius must be at least 1")
-        width = spec.rank
-        w = spec.window
-        _check_vertex_count(itertools.repeat(2 * w + 1, spec.rank))
-        elements = list(itertools.product(range(-w, w + 1), repeat=spec.rank))
-        for c in spec.cocycle:
-            if len(c) != width:
-                raise SpecError(
-                    f"character {_name_of(tuple(c))} outside dual group "
-                    f"Z^{spec.rank}"
-                )
+        _check_vertex_count(itertools.repeat(2 * spec.window + 1, spec.rank))
+        axes = [range(-spec.window, spec.window + 1)] * spec.rank
+        dual = f"Z^{spec.rank}"
+    for c in spec.cocycle:
+        # a finite dual takes characters as exact residues; a window takes
+        # any lattice point
+        if len(c) != len(axes) or (
+            orders is not None and any(x not in r for x, r in zip(c, axes))
+        ):
+            raise SpecError(f"character {_name_of(tuple(c))} outside dual group {dual}")
 
+    elements = list(itertools.product(*axes))
     index = {h: t for t, h in enumerate(elements)}
     nn = len(elements)
     names = tuple(_name_of(h) for h in elements)
@@ -259,10 +255,9 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
     stub_counts: dict[tuple[int, str], int] = {}
     for src, h in enumerate(elements):
         for c in spec.cocycle:
-            if spec.orders is not None:
-                h2 = tuple((x + y) % o for x, y, o in zip(h, c, spec.orders))
-            else:
-                h2 = tuple(x + y for x, y in zip(h, c))
+            h2 = tuple(x + y for x, y in zip(h, c))
+            if orders is not None:
+                h2 = tuple(x % o for x, o in zip(h2, orders))
             if h2 in index:
                 a[index[h2]][src] += 1
             else:

@@ -70,12 +70,6 @@ class Group:
             k += 1
         return k
 
-    def power(self, a: int, k: int) -> int:
-        x = 0
-        for _ in range(k):
-            x = self.mul(x, a)
-        return x
-
 
 @record
 class ClassData:
@@ -91,9 +85,7 @@ class ClassData:
         return len(self.classes)
 
 
-def _order_cap(override: int | None) -> int:
-    if override is not None:
-        return override
+def _order_cap() -> int:
     raw = os.environ.get(ORDER_CAP_ENV)
     if raw is None:
         return DEFAULT_ORDER_CAP
@@ -106,7 +98,7 @@ def _order_cap(override: int | None) -> int:
     return cap
 
 
-def parse_cycles(text: str, n_points: int | None = None) -> tuple[int, ...]:
+def parse_cycles(text: str) -> tuple[int, ...]:
     """Parse disjoint-or-not cycle notation `(1 2 3)(4 5)` into a permutation
     tuple on 0-based points. `()` is the identity. Points are 1-based in the
     grammar. Cycles are applied right-to-left (rightmost acts first)."""
@@ -124,10 +116,7 @@ def parse_cycles(text: str, n_points: int | None = None) -> tuple[int, ...]:
         if len(set(pts)) != len(pts):
             raise SpecError(f"repeated point inside a cycle: {text!r}")
         cycles.append([p - 1 for p in pts])
-    top = max((p for c in cycles for p in c), default=-1) + 1
-    n = n_points if n_points is not None else top
-    if top > n:
-        raise SpecError(f"cycle touches point beyond {n}: {text!r}")
+    n = max((p for c in cycles for p in c), default=-1) + 1
     if n > MAX_PERM_POINTS:
         raise SpecError(f"permutation on {n} points exceeds the cap of {MAX_PERM_POINTS}: {text!r}")
     perm = list(range(n))
@@ -231,9 +220,9 @@ def cyclic_factors(spec: str) -> tuple[int, ...] | None:
     return None
 
 
-def construct_group(spec: str, order_cap: int | None = None) -> Group:
+def construct_group(spec: str) -> Group:
     family, arg = _family(spec)
-    cap = _order_cap(order_cap)
+    cap = _order_cap()
 
     if family == "cyclic":
         (n,) = cyclic_factors(spec)

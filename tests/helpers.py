@@ -1,7 +1,7 @@
 """Operations that only the tests use, kept out of the package so that no run
 of it compiles them: integer matrix products, transposes and column
-deletion, the abelian test on a group's generators, and a cyclotomic number
-from its coefficient list."""
+deletion, the abelian test on a group's generators, powers of a group
+element, and a cyclotomic number from its coefficient list."""
 
 from fractions import Fraction
 from math import lcm
@@ -42,6 +42,14 @@ def is_abelian(g: Group) -> bool:
     the group they generate is abelian."""
     gens = g.generators
     return all(g.mul(a, b) == g.mul(b, a) for a in gens for b in gens)
+
+
+def power(g: Group, a: int, k: int) -> int:
+    """a^k in g, by k multiplications from the identity."""
+    x = 0
+    for _ in range(k):
+        x = g.mul(x, a)
+    return x
 
 
 def cyclo_from_coeffs(conductor: int, coeffs: list[Fraction | int]) -> Cyclo:

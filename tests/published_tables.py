@@ -128,7 +128,8 @@ SYMMETRIC_DATA = {
 
 
 def _cycle_type(label: str, n: int) -> tuple[int, ...]:
-    perm = parse_cycles(label, n)
+    perm = parse_cycles(label)
+    perm += tuple(range(len(perm), n))  # points the label leaves fixed
     seen = [False] * n
     lengths = []
     for start in range(n):

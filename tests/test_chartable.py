@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import cyclo_from_coeffs, is_abelian
+from helpers import cyclo_from_coeffs, is_abelian, power
 from published_tables import expected_doc
 from test_groups import ALL_SMALL_SPECS
 from test_table_golden import PIPELINE_SPECS
@@ -1333,7 +1333,7 @@ def _rational_classes(g, cd) -> list[list[int]]:
     orbits = {}
     for x in cd.representatives:
         o = g.element_order(x)
-        orbit = sorted({cd.class_of[g.power(x, k)] for k in range(1, o + 1) if math.gcd(k, o) == 1})
+        orbit = sorted({cd.class_of[power(g, x, k)] for k in range(1, o + 1) if math.gcd(k, o) == 1})
         orbits[orbit[0]] = orbit
     return list(orbits.values())
 

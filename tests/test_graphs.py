@@ -201,6 +201,42 @@ def test_skew_window_consistency():
             assert small.a[sa][sb] == large.a[li[name_a]][li[name_b]]
 
 
+@st.composite
+def window_and_finite_duals(draw):
+    """(cocycle over Z^k with |c|_inf <= C, window W, modulus m > 2W + C)."""
+    rank = draw(st.integers(1, 3))
+    w = draw(st.integers(1, 3 if rank < 3 else 1))
+    bound = draw(st.integers(0, 2))
+    m = draw(st.integers(2 * w + bound + 1, 2 * w + bound + 3))
+    chars = st.tuples(*[st.integers(-bound, bound)] * rank)
+    return tuple(draw(st.lists(chars, min_size=1, max_size=4))), w, m
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(window_and_finite_duals())
+def test_window_agrees_with_the_finite_skew_product(case):
+    # Send a window point h to h mod m. For window points h, h' and a
+    # character c, |h' - h - c|_inf <= 2W + C < m, so h' = h + c mod m only
+    # if h' = h + c: the edge counts agree. As 2W < m, the residues of the
+    # window points are distinct, and an edge leaves the window exactly when
+    # its residue lands outside theirs.
+    cocycle, w, m = case
+    rank = len(cocycle[0])
+    win = skew_product(SkewSpec(cocycle=cocycle, rank=rank, window=w))
+    fin = skew_product(SkewSpec(cocycle=tuple(tuple(x % m for x in c) for c in cocycle),
+                                orders=(m,) * rank))
+    at = {name: t for t, name in enumerate(fin.names)}
+    res = [at["(" + ",".join(str(int(x) % m) for x in name[1:-1].split(",")) + ")"]
+           for name in win.names]
+    assert len(set(res)) == win.n and fin.n == m**rank
+    for v in range(win.n):
+        assert list(win.a[v]) == [fin.a[res[v]][res[u]] for u in range(win.n)]
+    outside = set(range(fin.n)) - set(res)
+    for u in range(win.n):
+        stubs = sum(s.count for s in win.stubs if s.src == u)
+        assert stubs == sum(fin.a[r][res[u]] for r in outside)
+
+
 # The abelian bridge: over a finite abelian group G with dual G^, the skew
 # product by a cocycle c_1..c_n in G^ is the tensor-decomposition graph of the
 # representation chi_{c_1} + ... + chi_{c_n}, because chi_h (x) chi_c =

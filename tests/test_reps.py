@@ -60,7 +60,7 @@ def test_trivial_and_regular_basics():
         assert reg.mults == t.dims
         ch = reg.character()
         assert ch[0].as_integer() == t.group.order
-        assert all(v.is_zero() for v in ch[1:])
+        assert all(v == 0 for v in ch[1:])
 
 
 def test_natural_permutation_action_of_sym3():
