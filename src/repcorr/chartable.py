@@ -34,7 +34,7 @@ from itertools import count
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .cyclo import Cyclo, parse_cyclo
+from .cyclo import Cyclo, _factor, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
 from .record import record
@@ -180,18 +180,8 @@ def _is_prime(n: int) -> bool:
 
 
 def _primitive_root(p: int) -> int:
-    factors = set()
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        factors.add(n)
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
+        if all(pow(g, (p - 1) // q, p) != 1 for q, _ in _factor(p - 1)):
             return g
     raise VerificationError(f"no primitive root mod {p}")
 

@@ -24,7 +24,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import SpecError, too_long
 from .record import record
@@ -41,29 +41,33 @@ CONDUCTOR_CAP = 10**6
 
 
 @lru_cache(maxsize=None)
-def _phi(n: int) -> int:
-    """Euler's phi(n) = n prod (1 - 1/q) over the primes q dividing n,
-    found by trial division up to sqrt(n)."""
-    out, q = n, 2
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n > 0, primes increasing, found by
+    trial division up to sqrt(n)."""
+    out, q = [], 2
     while q * q <= n:
-        if n % q == 0:
-            out -= out // q
-            while n % q == 0:
-                n //= q
+        e = 0
+        while n % q == 0:
+            n //= q
+            e += 1
+        if e:
+            out.append((q, e))
         q += 1
-    return out - out // n if n > 1 else out
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _phi(n: int) -> int:
+    """Euler's phi(n), the product of q^(e-1) (q - 1) over the prime powers
+    q^e that exactly divide n."""
+    return prod(q ** (e - 1) * (q - 1) for q, e in _factor(n))
 
 
 def _mobius(n: int) -> int:
-    mu, d = 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    return -mu if n > 1 else mu
+    f = _factor(n)
+    return 0 if any(e > 1 for _, e in f) else (-1) ** len(f)
 
 
 @lru_cache(maxsize=None)

@@ -73,12 +73,6 @@ class MultiGraph:
         if any(min(row) < 0 for row in self.a):
             raise SpecError("edge multiplicities must be nonnegative")
 
-    def in_degree(self, v: int) -> int:
-        return sum(self.a[v])
-
-    def out_degree(self, v: int) -> int:
-        return sum(row[v] for row in self.a)
-
 
 def from_corr(corr: corrgraph.CorrGraph) -> MultiGraph:
     return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=corr.names)
@@ -86,8 +80,8 @@ def from_corr(corr: corrgraph.CorrGraph) -> MultiGraph:
 
 def sources_sinks(g: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertices receiving no edges (zero rows), emitting none (zero columns)."""
-    sources = tuple(v for v in range(g.n) if g.in_degree(v) == 0)
-    sinks = tuple(v for v in range(g.n) if g.out_degree(v) == 0)
+    sources = tuple(v for v, row in enumerate(g.a) if not any(row))
+    sinks = tuple(v for v, col in enumerate(zip(*g.a)) if not any(col))
     return sources, sinks
 
 
@@ -116,57 +110,75 @@ class SimplicityReport:
     purely_infinite_simple: bool
 
 
-def _reachability(succ: list[list[int]]) -> list[set[int]]:
-    """reach[v]: every vertex a path from v ends at, v itself included (BFS)."""
-    reach = []
-    for v in range(len(succ)):
-        seen = {v}
-        queue = [v]
-        for w in queue:
-            for x in succ[w]:
-                if x not in seen:
-                    seen.add(x)
-                    queue.append(x)
-        reach.append(seen)
-    return reach
-
-
 def simplicity_check(g: MultiGraph) -> SimplicityReport:
     """Simplicity of the reversed-graph algebra.
 
-    Standard finite-graph criteria, applied to the reversed orientation used
-    by ktheory_graph: simple needs every cycle to have an exit plus
-    cofinality (every vertex reaches every cycle and every sink); purely
-    infinite additionally needs every vertex to reach some cycle. In the
-    reversed graph the row v of the stored matrix lists the edges leaving v.
+    Standard finite-graph criteria (Kumjian, Pask and Raeburn, Pacific J.
+    Math. 184 (1998)), applied to the reversed orientation used by
+    ktheory_graph, where row v of the stored matrix lists the edges leaving
+    v: simple needs every cycle to have an exit plus cofinality (every
+    vertex reaches every cycle and every sink); purely infinite additionally
+    needs every vertex to reach some cycle. All three are read off the
+    strongly connected components, found in one iterative pass of Tarjan's
+    algorithm (SIAM J. Comput. 1 (1972)). A component holds a cycle when it
+    has more than one vertex or a loop, and holds a target (a vertex on a
+    cycle, or a sink) when it holds a cycle or is a sink vertex.
 
-    Some cycle has no exit exactly when some vertex v reaches only vertices
-    that emit exactly one edge (counted with multiplicity). If a cycle has
-    no exit, each of its vertices emits only its cycle edge, so a vertex v
-    on it reaches only that cycle. Conversely, if everything v reaches emits
-    one edge, the walk from v is forced and never stops, so it closes a
-    cycle among the vertices v reaches, and no vertex of that cycle emits
-    another edge: the cycle has no exit.
+    Some cycle has no exit exactly when some component holds a cycle and
+    each of its vertices emits exactly one edge (counted with multiplicity).
+    Such a component is a cycle, since each vertex's one edge stays inside
+    it, and no edge leaves it. Conversely, each vertex of a cycle without an
+    exit emits only its cycle edge, so the cycle is a whole component.
+
+    Cofinal exactly when at most one component holds a target. If two did,
+    every vertex would reach both, so each would reach the other and they
+    would be one component. If one does, every vertex reaches it: a walk
+    from any vertex ends at a sink or closes a cycle, so it meets a target.
+
+    Every vertex reaches a cycle exactly when no vertex is a sink. A sink
+    reaches no cycle; if every vertex emits an edge, a walk never stops, so
+    it closes a cycle.
     """
-    n = g.n
-    rev = g.a
-    succ = [[w for w in range(n) if rev[v][w]] for v in range(n)]
-    reach = _reachability(succ)
-
-    on_cycle = {v for v in range(n) if any(v in reach[w] for w in succ[v])}
-    sinks = {v for v in range(n) if not succ[v]}
-    single = {v for v in range(n) if sum(rev[v]) == 1}
-    every_cycle_has_exit = not any(r <= single for r in reach)
-
-    targets = sinks | on_cycle
-    cofinal = all(targets <= r for r in reach)
-    simple = every_cycle_has_exit and cofinal
-    reaches_some_cycle = all(not on_cycle.isdisjoint(r) for r in reach)
+    n, rev = g.n, g.a
+    # low[v]: None until v is seen; then the least stack position known to be
+    # reachable from v while v is on the stack; n once its component closed
+    low: list[int | None] = [None] * n
+    stack: list[int] = []
+    exitless, targets = False, 0
+    for root in range(n):
+        if low[root] is not None:
+            continue
+        low[root] = 0  # the stack is empty between roots
+        stack.append(root)
+        path = [(root, 0, itertools.compress(range(n), rev[root]))]
+        while path:
+            v, pos, succ = path[-1]
+            for w in succ:
+                if low[w] is None:
+                    low[w] = len(stack)
+                    path.append((w, len(stack), itertools.compress(range(n), rev[w])))
+                    stack.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                path.pop()
+                if low[v] == pos:  # v roots a component: v and the stack above it
+                    component = stack[pos:]
+                    del stack[pos:]
+                    for w in component:
+                        low[w] = n
+                    cycle = len(component) > 1 or rev[v][v] > 0
+                    exitless |= cycle and all(sum(rev[w]) == 1 for w in component)
+                    targets += cycle or not any(rev[v])
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+    simple = not exitless and targets <= 1
     return SimplicityReport(
-        every_cycle_has_exit=every_cycle_has_exit,
-        cofinal=cofinal,
+        every_cycle_has_exit=not exitless,
+        cofinal=targets <= 1,
         simple=simple,
-        purely_infinite_simple=simple and reaches_some_cycle,
+        purely_infinite_simple=simple and all(map(any, rev)),
     )
 
 

@@ -18,6 +18,7 @@ from repcorr.graphs import (
     CircleReport,
     Frequency,
     MultiGraph,
+    SimplicityReport,
     SkewSpec,
     circle_analysis,
     dot_export,
@@ -400,6 +401,44 @@ def test_simplicity_reports_on_skew_products():
     assert not r.cofinal and not r.simple and r.every_cycle_has_exit
 
 
+def _reachability(succ):
+    """reach[v]: every vertex a path from v ends at, v itself included (BFS)."""
+    reach = []
+    for v in range(len(succ)):
+        seen = {v}
+        queue = [v]
+        for w in queue:
+            for x in succ[w]:
+                if x not in seen:
+                    seen.add(x)
+                    queue.append(x)
+        reach.append(seen)
+    return reach
+
+
+def _reference_simplicity(g):
+    """The criteria read straight off one reach set per vertex, as
+    `simplicity_check` once did: a cycle has no exit when some vertex reaches
+    only vertices that emit one edge; cofinal when every vertex reaches every
+    vertex on a cycle and every sink; purely infinite when, in addition,
+    every vertex reaches a cycle."""
+    n, rev = g.n, g.a
+    succ = [[w for w in range(n) if rev[v][w]] for v in range(n)]
+    reach = _reachability(succ)
+    on_cycle = {v for v in range(n) if any(v in reach[w] for w in succ[v])}
+    sinks = {v for v in range(n) if not succ[v]}
+    single = {v for v in range(n) if sum(rev[v]) == 1}
+    every_cycle_has_exit = not any(r <= single for r in reach)
+    cofinal = all(sinks | on_cycle <= r for r in reach)
+    simple = every_cycle_has_exit and cofinal
+    return SimplicityReport(
+        every_cycle_has_exit=every_cycle_has_exit,
+        cofinal=cofinal,
+        simple=simple,
+        purely_infinite_simple=simple and all(not on_cycle.isdisjoint(r) for r in reach),
+    )
+
+
 def _reference_every_cycle_has_exit(g):
     """The functional-graph walk `simplicity_check` used before: a cycle with
     no exit lives inside the part where every vertex emits exactly one edge."""
@@ -446,6 +485,28 @@ def _skew_products(draw):
 @given(st.one_of(_multigraphs(), _skew_products()))
 def test_cycle_exit_test_matches_reference_walk(g):
     assert simplicity_check(g).every_cycle_has_exit == _reference_every_cycle_has_exit(g)
+    assert simplicity_check(g) == _reference_simplicity(g)
+
+
+@pytest.mark.parametrize(
+    "cocycle",
+    [((1, 0), (0, 1), (-1, -1)), ((1, 0),), ((1, 1), (-1, 0), (0, -1)), ((1, 0), (-1, 0))],
+)
+def test_simplicity_matches_reach_sets_on_skew_windows(cocycle):
+    for window in range(1, 13):
+        g = skew_product(SkewSpec(cocycle=cocycle, rank=2, window=window))
+        assert simplicity_check(g) == _reference_simplicity(g), window
+
+
+def test_simplicity_on_long_path_and_cycle():
+    # 2,401 vertices, the size of a skew window 24, far past the recursion
+    # limit: v -> v + 1 in the reversed graph, then the same closed up.
+    n = 2401
+    unit = [(0,) * w + (1,) + (0,) * (n - w - 1) for w in range(n)]
+    path = mg(unit[1:] + [(0,) * n])
+    assert simplicity_check(path) == SimplicityReport(True, True, True, False)
+    cycle = mg(unit[1:] + unit[:1])
+    assert simplicity_check(cycle) == SimplicityReport(False, True, False, False)
 
 
 def test_cycle_exit_cases():
