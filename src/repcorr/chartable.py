@@ -36,7 +36,7 @@ from operator import mul
 
 from .cyclo import Cyclo, _factor, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
-from .groups import ClassData, Group, class_mult_coeffs, conjugacy, construct_group
+from .groups import ClassData, Group, _power_path, class_mult_coeffs, conjugacy, construct_group
 from .record import record
 
 __all__ = [
@@ -281,16 +281,6 @@ def _omega_vectors(g: Group, cd: ClassData, p: int) -> list[list[int]]:
     return out
 
 
-def _power_path(g: Group, cd: ClassData, x: int) -> list[int]:
-    """The classes of x^0, x^1, ..., x^(o-1), o the order of x."""
-    path, y = [], 0
-    while True:
-        path.append(cd.class_of[y])
-        y = g.mul(y, x)
-        if y == 0:
-            return path
-
-
 def _lift(g: Group, cd: ClassData, p: int,
           rows: list[tuple[int, list[int]]]) -> list[tuple[int, tuple[Cyclo, ...]]]:
     """Lift each row (dim, chi_hat), a character read mod p class by class,
@@ -351,7 +341,7 @@ def _lift(g: Group, cd: ClassData, p: int,
     for j, rep in enumerate(cd.representatives):
         if j in lifted:
             continue
-        path = _power_path(g, cd, rep)
+        path = _power_path(g, cd.class_of, rep)
         o = len(path)
         moves: dict[int, int] = {}  # class -> one k with class of g^k, gcd(k, o) = 1
         for k in range(o):
@@ -567,7 +557,7 @@ def verify_table(t: CharTable) -> None:
     units = [u for u in range(big_n // 2 + 1) if gcd(u, big_n) == 1]
     perms = [None]
     if len(units) > 1:
-        paths = [_power_path(t.group, cd, x) for x in cd.representatives]
+        paths = [_power_path(t.group, cd.class_of, x) for x in cd.representatives]
         for u in units[1:]:
             u1 = next(v for v in count(u, big_n) if gcd(v, cd.exponent) == 1)
             perms.append([path[u1 % len(path)] for path in paths])
@@ -639,9 +629,10 @@ def format_table(t: CharTable) -> str:
 def load_table(text: str) -> CharTable:
     """Parse and fully verify a character table document.
 
-    Header lines `group`, `classes`, `zeta` in order, then one `irrep` line
-    per row; the trivial character must come first. Any failed invariant
-    raises VerificationError; malformed syntax raises SpecError.
+    Header lines `group`, `classes` and `zeta`, each once and in any order,
+    then one `irrep` line per row; the trivial character must come first.
+    Any failed invariant raises VerificationError; malformed syntax raises
+    SpecError.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]

@@ -18,7 +18,7 @@ import os
 import re
 from math import lcm
 from operator import itemgetter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import SpecError
 from .record import record
@@ -62,13 +62,6 @@ class Group:
     def label(self, a: int) -> str:
         """Element a in the family's notation, e.g. `(1 2 3)` or `s*r^2`."""
         return self.render(self.elements[a])
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
 
 
 @record
@@ -337,13 +330,32 @@ def _split_top_level(text: str, spec: str) -> list[str]:
     return parts
 
 
+def _power_path(g: Group, class_of: Sequence[int], x: int) -> list[int]:
+    """The classes of x^0, x^1, ..., x^(o-1), o the order of x."""
+    path, y = [], 0
+    while True:
+        path.append(class_of[y])
+        y = g.mul(y, x)
+        if y == 0:
+            return path
+
+
 def conjugacy(g: Group) -> ClassData:
     """Conjugacy classes, ordered by smallest member index (so class 0 is
     always {identity}), plus inverse-class map and the group exponent.
 
     Each class is the orbit of its smallest member under conjugation by the
     generators: conjugating by g^-1 is a power of conjugating by g, so that
-    orbit is closed under conjugation by the whole group."""
+    orbit is closed under conjugation by the whole group.
+
+    The exponent e is the lcm of the element orders, and conjugates share an
+    order, so e is the lcm over the representatives. It is found by walking
+    the powers of a representative only when its class was met by no earlier
+    walk, and taking the lcm of the walk lengths. A skipped class was met at
+    some step k of the walk over x's powers, so it holds x^k, a conjugate of
+    its representative; the representative's order is that of x^k, which
+    divides o(x) and so adds nothing to the lcm. On cyclic:n only the
+    identity and the generator are walked, n + 1 products in all."""
     n = g.order
     gens = [(s, g.inv[s]) for s in g.generators]
     class_of = [-1] * n
@@ -363,9 +375,12 @@ def conjugacy(g: Group) -> ClassData:
         classes.append(tuple(sorted(orbit)))
     reps = tuple(c[0] for c in classes)
     inverse_class = tuple(class_of[g.inv[r]] for r in reps)
-    exponent = 1
+    exponent, met = 1, set()
     for r in reps:
-        exponent = lcm(exponent, g.element_order(r))
+        if class_of[r] not in met:
+            path = _power_path(g, class_of, r)
+            met.update(path)
+            exponent = lcm(exponent, len(path))
     return ClassData(
         classes=tuple(classes),
         sizes=tuple(len(c) for c in classes),

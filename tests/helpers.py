@@ -1,7 +1,7 @@
 """Operations that only the tests use, kept out of the package so that no run
 of it compiles them: integer matrix products, transposes and column
-deletion, the abelian test on a group's generators, powers of a group
-element, and a cyclotomic number from its coefficient list."""
+deletion, the abelian test on a group's generators, powers and orders of a
+group element, and a cyclotomic number from its coefficient list."""
 
 from fractions import Fraction
 from math import lcm
@@ -50,6 +50,15 @@ def power(g: Group, a: int, k: int) -> int:
     for _ in range(k):
         x = g.mul(x, a)
     return x
+
+
+def element_order(g: Group, a: int) -> int:
+    """The least k >= 1 with a^k the identity, by k - 1 multiplications."""
+    k, x = 1, a
+    while x != 0:
+        x = g.mul(x, a)
+        k += 1
+    return k
 
 
 def cyclo_from_coeffs(conductor: int, coeffs: list[Fraction | int]) -> Cyclo:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from helpers import matmul
+from helpers import element_order, matmul
 from published_tables import expected_doc
 from snf_oracle import _carried_reduce
 from repcorr.chartable import (
@@ -109,7 +109,7 @@ def test_criterion_1_sym3_character_table(capfd):
         # columns are the classes of the identity, a transposition, a 3-cycle
         assert t.classes.sizes == (1, 3, 2)
         orders = [
-            t.group.element_order(r) for r in t.classes.representatives
+            element_order(t.group, r) for r in t.classes.representatives
         ]
         assert orders == [1, 2, 3]
         assert tuple(sorted(t.dims)) == (1, 1, 2)

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import cyclo_from_coeffs, is_abelian, power
+from helpers import cyclo_from_coeffs, element_order, is_abelian, power
 from published_tables import expected_doc
 from test_groups import ALL_SMALL_SPECS
 from test_table_golden import PIPELINE_SPECS
@@ -193,6 +193,16 @@ irrep sgn dim 1 : 1 | -1 | 1
 """
     t = load_table(doc)
     assert tables_equal_up_to_row_order(t, table_for("symmetric:3"))
+    # the three headers load in any order
+    doc = """\
+zeta 3
+group cyclic:3
+classes 3
+irrep chi0 dim 1 : 1 | 1 | 1
+irrep chi1 dim 1 : 1 | -1 - z | z
+irrep chi2 dim 1 : 1 | z | -1 - z
+"""
+    assert load_table(doc).values == table_for("cyclic:3").values
 
 
 def test_load_table_rejects_corrupted_value():
@@ -1332,7 +1342,7 @@ def _rational_classes(g, cd) -> list[list[int]]:
     least class, found by powering the representatives."""
     orbits = {}
     for x in cd.representatives:
-        o = g.element_order(x)
+        o = element_order(g, x)
         orbit = sorted({cd.class_of[power(g, x, k)] for k in range(1, o + 1) if math.gcd(k, o) == 1})
         orbits[orbit[0]] = orbit
     return list(orbits.values())

@@ -3,13 +3,14 @@ import tracemalloc
 from math import lcm
 
 import pytest
-from helpers import is_abelian, power
+from helpers import element_order, is_abelian, power
 
 from repcorr.errors import SpecError, VerificationError
 from repcorr.groups import (
     DEFAULT_ORDER_CAP,
     MAX_PERM_POINTS,
     ClassData,
+    Group,
     _compose,
     class_mult_coeffs,
     conjugacy,
@@ -88,7 +89,7 @@ def test_dihedral_6_exponent():
     cd = conjugacy(g)
     assert cd.count == 6
     # brute force over the Cayley table: element orders are 1, 2, 3, 6
-    assert sorted(set(g.element_order(a) for a in range(g.order))) == [1, 2, 3, 6]
+    assert sorted(set(element_order(g, a) for a in range(g.order))) == [1, 2, 3, 6]
     assert cd.exponent == 6
 
 
@@ -237,8 +238,31 @@ def test_conjugacy_partition_properties():
         for k, rep in enumerate(cd.representatives):
             assert cd.class_of[g.inv[rep]] == cd.inverse_class[k]
         for c in cd.classes:
-            orders = {g.element_order(e) for e in c}
+            orders = {element_order(g, e) for e in c}
             assert len(orders) == 1
+
+
+def test_exponent_is_the_lcm_of_all_element_orders():
+    for spec in ALL_SMALL_SPECS + ["dihedral:60", "product:[6,6]"]:
+        g = construct_group(spec)
+        assert conjugacy(g).exponent == lcm(*(element_order(g, x) for x in range(g.order))), spec
+
+
+@pytest.mark.parametrize("spec", ["cyclic:5040", "product:[70,72]"])
+def test_conjugacy_makes_fewer_than_six_products_per_element(spec, monkeypatch):
+    # Walking the powers of every representative would cost sum o(x)
+    # products, 9,424,233 on cyclic:5040; only classes no walk met are walked.
+    g = construct_group(spec)
+    calls = [0]
+    real = Group.mul
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return real(self, a, b)
+
+    monkeypatch.setattr(Group, "mul", counted)
+    conjugacy(g)
+    assert calls[0] < 6 * g.order
 
 
 def test_class_mult_identity_column():
