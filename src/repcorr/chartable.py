@@ -61,14 +61,19 @@ class CharTable:
         return len(self.dims)
 
     @cached_property
+    def terms(self) -> tuple[int, list[int], list[list[int]], list[_Terms]]:
+        """`_integer_terms` of the values, built once per table and read,
+        never changed, by `verify_table`, `weights` and `Rep.character`."""
+        return _integer_terms(self.values)
+
+    @cached_property
     def weights(self) -> tuple[int, list[_Row]]:
         """S X* read by rows as integer terms, cached for `reps.decompose`:
-        (N, rows) with rows[i] = (D_i, cells), N and D_i as `_integer_terms`
-        gives them for the table and cells[j] the terms of D_i chi_ij with
-        each term (k, c) replaced by (-k, c |C_j|). That is
-        D_i conj(chi_ij) |C_j|, as conj sends zeta_N^k to zeta_N^-k; no
-        value is built or reduced."""
-        big_n, dens, index, terms = _integer_terms(self.values)
+        (N, rows) with rows[i] = (D_i, cells), N and D_i as `terms` gives
+        them and cells[j] the terms of D_i chi_ij with each term (k, c)
+        replaced by (-k, c |C_j|). That is D_i conj(chi_ij) |C_j|, as conj
+        sends zeta_N^k to zeta_N^-k; no value is built or reduced."""
+        big_n, dens, index, terms = self.terms
         sizes = self.classes.sizes
         return big_n, [(d, [[(-k, c * s) for k, c in terms[a]] for a, s in zip(row, sizes)])
                        for d, row in zip(dens, index)]
@@ -94,8 +99,7 @@ def _integer_terms(values) -> tuple[int, list[int], list[list[int]], list[_Terms
         for v in row:
             key = (d // v.den, v.conductor, v.nums)
             if key not in built:
-                step = big_n // v.conductor
-                cell = tuple((k * step, c * key[0]) for k, c in v._terms())
+                cell = tuple(v._terms(big_n // v.conductor, key[0]))
                 built[key] = ids.setdefault(cell, len(ids))
             cells.append(built[key])
         dens.append(d)
@@ -546,7 +550,7 @@ def verify_table(t: CharTable) -> None:
         raise VerificationError("row 0 must be the trivial character")
 
     sizes = cd.sizes
-    big_n, dens, index, terms = _integer_terms(t.values)
+    big_n, dens, index, terms = t.terms
     least = gcd(big_n, *(k for cell in terms for k, _ in cell))
     big_n //= least
     terms = [[(k // least, c) for k, c in cell] for cell in terms]
@@ -591,8 +595,7 @@ def verify_table(t: CharTable) -> None:
 
 
 def _row_key(dim: int, vals: tuple[Cyclo, ...], conductor: int):
-    return (dim, tuple((v.to_conductor(conductor).nums, v.to_conductor(conductor).den)
-                       for v in vals))
+    return (dim, tuple((w.nums, w.den) for w in (v.to_conductor(conductor) for v in vals)))
 
 
 def tables_equal_up_to_row_order(a: CharTable, b: CharTable) -> bool:

@@ -5,17 +5,21 @@ after reduction mod the N-th cyclotomic polynomial, with rational
 coefficients. Internally a Cyclo keeps an integer numerator vector plus one
 common positive denominator.
 
-Every value built from exponent/coefficient pairs, whether a rational, a
-coefficient list, a root of unity, a parsed text, an embedding into a larger
-conductor or a complex conjugate, goes through one constructor,
-`Cyclo._from_terms`: exponents are read mod N, the integer coefficients are
-summed into one list and reduced mod Phi_N once. Phi_N itself is the Moebius
-product of the binomials 1 - x^d over the divisors d of N, formed mod
+Every value, whether a rational, a coefficient list, a root of unity, a
+parsed text, an embedding into a larger conductor, a complex conjugate, a
+sum or a product, is formed by one constructor, `Cyclo._from_terms`, from
+exponent/coefficient pairs: exponents are read mod N, the integer
+coefficients are summed into one list, reduced mod Phi_N and to lowest
+terms once. A sum or a product lifts each operand's terms to Q(zeta_lcm)
+first, so conductors mix everywhere; a product of two terms is one term
+with the exponents added, and a rational multiple is a product with a
+rational. Only negation builds a record directly: the negated numerators of
+a reduced value are still reduced. Phi_N itself is the Moebius product
+of the binomials 1 - x^d over the divisors d of N, formed mod
 x^(phi(N)+1) (see `cyclotomic_polynomial`).
 
-Mixing conductors is allowed everywhere: operands are embedded into
-Q(zeta_lcm) first. The conductor is capped, in that constructor, so a buggy
-caller cannot request a gigantic field by accident.
+The conductor is capped, in that constructor, so a buggy caller cannot
+request a gigantic field by accident.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm, prod
 
 from .errors import SpecError, too_long
@@ -78,15 +83,6 @@ def _trace_weights(n: int) -> tuple[Fraction, ...]:
     m = n / gcd(k, n), so the weight is mu(m) / phi(m).
     """
     return tuple(Fraction(_mobius(n // gcd(k, n)), _phi(n // gcd(k, n))) for k in range(_phi(n)))
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -150,23 +146,11 @@ class Cyclo:
     den: int
 
     @staticmethod
-    def _make(conductor: int, nums: list[int] | tuple[int, ...], den: int) -> "Cyclo":
-        if den == 0:
-            raise ZeroDivisionError("cyclotomic element with zero denominator")
-        if den < 0:
-            den = -den
-            nums = [-x for x in nums]
-        g = gcd(den, *nums) if any(nums) else den
-        if g > 1:
-            den //= g
-            nums = [x // g for x in nums]
-        return Cyclo(conductor, tuple(nums), den)
-
-    @staticmethod
     def _from_terms(conductor: int, terms, den: int) -> "Cyclo":
-        """sum c z^k / den over the (k, c) terms, with integer c and any
-        integer k, read mod the conductor. The one constructor from terms,
-        and the one conductor-cap check of the class."""
+        """sum c z^k / den over the (k, c) terms, with integer c, any integer
+        k, read mod the conductor, and den > 0. The one constructor of a
+        value: the terms are summed into one list, reduced mod Phi_N and to
+        lowest terms once. Also the one conductor-cap check of the class."""
         if conductor > CONDUCTOR_CAP:
             raise SpecError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
         nums: list[int] = []
@@ -175,15 +159,21 @@ class Cyclo:
             if k >= len(nums):
                 nums += [0] * (k + 1 - len(nums))
             nums[k] += c
-        return Cyclo._make(conductor, _reduce_mod_phi(nums, conductor), den)
+        nums = _reduce_mod_phi(nums, conductor)
+        g = gcd(den, *nums)
+        if g > 1:
+            nums, den = tuple(x // g for x in nums), den // g
+        return Cyclo(conductor, nums, den)
 
     @staticmethod
     def from_rational(value: Fraction | int) -> "Cyclo":
         value = Fraction(value)
         return Cyclo._from_terms(1, [(0, value.numerator)], value.denominator)
 
-    def _terms(self):
-        return ((k, c) for k, c in enumerate(self.nums) if c)
+    def _terms(self, step: int = 1, f: int = 1):
+        """The nonzero terms (k, c) of den * self, lifted to conductor
+        step * N (zeta_N = zeta_(step N)^step) and with each c times f."""
+        return ((k * step, c * f) for k, c in enumerate(self.nums) if c)
 
     def to_conductor(self, n: int) -> "Cyclo":
         """Embed into Q(zeta_n); n must be a multiple of the conductor."""
@@ -193,12 +183,7 @@ class Cyclo:
             raise SpecError(
                 f"cannot embed conductor {self.conductor} element into Q(zeta_{n})"
             )
-        step = n // self.conductor
-        return Cyclo._from_terms(n, ((k * step, c) for k, c in self._terms()), self.den)
-
-    def _pair(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        n = lcm(self.conductor, other.conductor)
-        return self.to_conductor(n), other.to_conductor(n)
+        return Cyclo._from_terms(n, self._terms(n // self.conductor), self.den)
 
     @staticmethod
     def _coerce(value) -> "Cyclo | None":
@@ -212,11 +197,9 @@ class Cyclo:
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(other)
-        den = lcm(a.den, b.den)
-        fa, fb = den // a.den, den // b.den
-        nums = [fa * x + fb * y for x, y in zip(a.nums, b.nums)]
-        return Cyclo._make(a.conductor, nums, den)
+        n, den = lcm(self.conductor, other.conductor), lcm(self.den, other.den)
+        return Cyclo._from_terms(n, chain(self._terms(n // self.conductor, den // self.den),
+                                          other._terms(n // other.conductor, den // other.den)), den)
 
     __radd__ = __add__
 
@@ -236,25 +219,23 @@ class Cyclo:
         return other + (-self)
 
     def __mul__(self, other) -> "Cyclo":
+        """A product of two terms is one term with the exponents added."""
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(other)
-        nums = _poly_mul(a.nums, b.nums) if a.nums and b.nums else [0]
-        return Cyclo._make(a.conductor, _reduce_mod_phi(nums, a.conductor), a.den * b.den)
+        n = lcm(self.conductor, other.conductor)
+        b = list(other._terms(n // other.conductor))
+        return Cyclo._from_terms(n, ((k + l, c * d) for k, c in self._terms(n // self.conductor)
+                                     for l, d in b), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def scale(self, value: Fraction | int) -> "Cyclo":
-        value = Fraction(value)
-        nums = [value.numerator * x for x in self.nums]
-        return Cyclo._make(self.conductor, nums, self.den * value.denominator)
 
     def __eq__(self, other) -> bool:
         other = Cyclo._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._pair(other)
+        n = lcm(self.conductor, other.conductor)
+        a, b = self.to_conductor(n), other.to_conductor(n)
         return a.nums == b.nums and a.den == b.den
 
     def __hash__(self) -> int:

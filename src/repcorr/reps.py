@@ -64,14 +64,14 @@ class Rep:
         return sum(m * d for m, d in zip(self.mults, self.table.dims))
 
     def character(self) -> tuple[Cyclo, ...]:
-        vals = []
-        for j in range(self.table.count):
-            acc = Cyclo.from_rational(0)
-            for i, m in enumerate(self.mults):
-                if m:
-                    acc = acc + self.table.values[i][j].scale(m)
-            vals.append(acc)
-        return tuple(vals)
+        """sum_i m_i chi_i, one `Cyclo._from_terms` call per class on the
+        table's integer terms (`CharTable.terms`): with D the lcm of the D_i
+        of the rows that occur, D chi(g_j) = sum_i m_i (D / D_i) D_i chi_ij."""
+        big_n, dens, index, terms = self.table.terms
+        den = lcm(*(d for m, d in zip(self.mults, dens) if m))
+        used = [(m * (den // d), row) for m, d, row in zip(self.mults, dens, index) if m]
+        return tuple(Cyclo._from_terms(big_n, ((k, c * f) for f, row in used for k, c in terms[row[j]]),
+                                       den) for j in range(self.table.count))
 
     def renamed(self, name: str) -> "Rep":
         return self._replace(name=name)

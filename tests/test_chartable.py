@@ -270,6 +270,23 @@ def test_load_table_rejects_malformed_syntax():
         load_table(S3_DOC.replace("zeta 6", "conductor 6"))
 
 
+def test_load_table_rejects_a_row_with_the_wrong_cell_count():
+    with pytest.raises(VerificationError, match=r"^irrep 'chi2' has 2 values, expected 3$"):
+        load_table(S3_DOC.replace("2 | 0 | -1", "2 | 0"))
+
+
+@pytest.mark.parametrize("old, new", [("classes 3", "classes three"), ("zeta 6", "zeta 6/1")])
+def test_load_table_rejects_non_integer_headers(old, new):
+    with pytest.raises(SpecError, match=r"^classes and zeta must be integers$"):
+        load_table(S3_DOC.replace(old, new))
+
+
+def test_tables_of_groups_of_different_order_compare_unequal():
+    a, b = table_for("symmetric:3"), table_for("cyclic:3")
+    assert a.classes.count == b.classes.count and a.group.order != b.group.order
+    assert tables_equal_up_to_row_order(a, b) is False
+
+
 def test_tables_of_different_groups_compare_unequal():
     a = table_for("cyclic:4")
     b = table_for("product:[2,2]")
@@ -783,7 +800,7 @@ def _corruptions(t: CharTable, rng: random.Random):
             if t.dims[i] == t.dims[k]:
                 bad = [list(row) for row in rows]
                 bad[i] = [a * 2 - b for a, b in zip(rows[i], rows[k])]
-                bad[k] = [(a + b * 2).scale(Fraction(1, 3)) for a, b in zip(rows[i], rows[k])]
+                bad[k] = [(a + b * 2) * Fraction(1, 3) for a, b in zip(rows[i], rows[k])]
                 yield f"rows {i},{k} rotated", with_rows(bad)
 
 

@@ -368,3 +368,10 @@ def test_the_builders_read_no_edge_list(monkeypatch):
             for conv in CONVENTIONS:
                 g = build_e_graph(rep, conv)
                 assert cap_edge_copies(g) == sum(map(sum, g.b_matrix.entries))
+
+
+def test_an_unknown_convention_is_refused():
+    rep = regular_rep(character_table(construct_group("symmetric:3")))
+    with pytest.raises(SpecError, match=r"^unknown convention 'bogus'; pick one of "
+                                        r"\('paper-min', 'module-count'\)$"):
+        build_e_graph(rep, "bogus")

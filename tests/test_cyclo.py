@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -5,6 +6,8 @@ from functools import lru_cache
 
 import pytest
 from helpers import cyclo_from_coeffs
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repcorr import cyclo
 from repcorr.cyclo import Cyclo, cyclotomic_polynomial, parse_cyclo, zeta
@@ -35,9 +38,9 @@ def test_golden_ratio_style_product():
 
 
 def test_conjugation_example():
-    v = 2 + zeta(8).scale(3)
+    v = 2 + zeta(8) * 3
     w = v.conj()
-    assert w == 2 + zeta(8, 7).scale(3)
+    assert w == 2 + zeta(8, 7) * 3
     assert abs(w.embed() - v.embed().conjugate()) < 1e-12
 
 
@@ -84,7 +87,7 @@ def _random_cyclo(rng: random.Random, n: int) -> Cyclo:
     ks = [rng.randrange(n) for _ in coeffs]
     total = Cyclo.from_rational(0).to_conductor(n)
     for c, k in zip(coeffs, ks):
-        total = total + zeta(n, k).scale(c)
+        total = total + zeta(n, k) * c
     return total
 
 
@@ -227,3 +230,129 @@ def test_exponents_are_read_mod_the_conductor():
     assert parse_cyclo("z^7 - z^13", 6) == 0
     assert parse_cyclo("1/2 + 2*z^5 - z^9", 12).conj() == parse_cyclo("1/2 + 2*z^7 - z^3", 12)
     assert zeta(5, -1) == zeta(5, 4)
+
+
+def test_nonpositive_conductors_are_refused():
+    for call in (lambda: cyclotomic_polynomial(0), lambda: zeta(0)):
+        with pytest.raises(SpecError, match=r"^conductor must be positive, got 0$"):
+            call()
+
+
+def test_embedding_needs_a_multiple_of_the_conductor():
+    with pytest.raises(SpecError, match=r"^cannot embed conductor 3 element into Q\(zeta_4\)$"):
+        zeta(3).to_conductor(4)
+
+
+# ---------------------------------------------------------------------------
+# The arithmetic as it was before every value was formed in `_from_terms`: a
+# second normaliser `_make`, a dense product `_poly_mul`, operands embedded
+# in pairs by `_pair`, and `scale` for a rational multiple. Kept verbatim as
+# oracles, as functions of their operands (renamed `_reference_*`), with the
+# old `_from_terms`, which normalised through `_make`.
+
+
+def _reference_make(conductor: int, nums, den: int) -> Cyclo:
+    if den == 0:
+        raise ZeroDivisionError("cyclotomic element with zero denominator")
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    g = math.gcd(den, *nums) if any(nums) else den
+    if g > 1:
+        den //= g
+        nums = [x // g for x in nums]
+    return Cyclo(conductor, tuple(nums), den)
+
+
+def _reference_from_terms(conductor: int, terms, den: int) -> Cyclo:
+    nums: list[int] = []
+    for k, c in terms:
+        k %= conductor
+        if k >= len(nums):
+            nums += [0] * (k + 1 - len(nums))
+        nums[k] += c
+    return _reference_make(conductor, cyclo._reduce_mod_phi(nums, conductor), den)
+
+
+def _reference_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _reference_to_conductor(x: Cyclo, n: int) -> Cyclo:
+    if n == x.conductor:
+        return x
+    step = n // x.conductor
+    return _reference_from_terms(n, ((k * step, c) for k, c in enumerate(x.nums) if c), x.den)
+
+
+def _reference_pair(x: Cyclo, y: Cyclo) -> tuple[Cyclo, Cyclo]:
+    n = math.lcm(x.conductor, y.conductor)
+    return _reference_to_conductor(x, n), _reference_to_conductor(y, n)
+
+
+def _reference_add(x: Cyclo, y: Cyclo) -> Cyclo:
+    a, b = _reference_pair(x, y)
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    nums = [fa * x + fb * y for x, y in zip(a.nums, b.nums)]
+    return _reference_make(a.conductor, nums, den)
+
+
+def _reference_mul(x: Cyclo, y: Cyclo) -> Cyclo:
+    a, b = _reference_pair(x, y)
+    nums = _reference_poly_mul(a.nums, b.nums) if a.nums and b.nums else [0]
+    return _reference_make(a.conductor, cyclo._reduce_mod_phi(nums, a.conductor), a.den * b.den)
+
+
+def _reference_scale(x: Cyclo, value) -> Cyclo:
+    value = Fraction(value)
+    nums = [value.numerator * c for c in x.nums]
+    return _reference_make(x.conductor, nums, x.den * value.denominator)
+
+
+def _reference_eq(x: Cyclo, y: Cyclo) -> bool:
+    a, b = _reference_pair(x, y)
+    return a.nums == b.nums and a.den == b.den
+
+
+def _fields(x: Cyclo) -> tuple:
+    return x.conductor, x.nums, x.den
+
+
+@st.composite
+def _values(draw):
+    """A value of Q(zeta_n), n in 1..60, from a few fractional terms, zero
+    when there are none or they cancel."""
+    n = draw(st.integers(1, 60))
+    terms = draw(st.lists(st.tuples(st.integers(0, 2 * n), st.fractions(-5, 5, max_denominator=6)),
+                          max_size=4))
+    coeffs = [Fraction(0)] * (2 * n + 1)
+    for k, c in terms:
+        coeffs[k] += c
+    return cyclo_from_coeffs(n, coeffs)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_values(), _values(), st.fractions(-7, 7, max_denominator=9))
+def test_arithmetic_matches_the_two_normaliser_oracle(a, b, q):
+    assert _fields(a + b) == _fields(_reference_add(a, b))
+    assert _fields(a - b) == _fields(_reference_add(a, -b))
+    assert _fields(a * b) == _fields(_reference_mul(a, b))
+    assert _fields(a * q) == _fields(q * a) == _fields(_reference_scale(a, q))
+    assert _fields(a * int(q)) == _fields(_reference_scale(a, int(q)))
+    assert (a == b) == _reference_eq(a, b)
+    assert a == _reference_to_conductor(a, a.conductor * 6) == a.to_conductor(a.conductor * 6)
+    assert _fields(a.to_conductor(a.conductor * 6)) == _fields(_reference_to_conductor(a, a.conductor * 6))
+
+
+def test_the_oracle_cases_include_zero_and_mixed_conductors():
+    zero = Cyclo.from_rational(0)
+    for a, b in ((zero, zeta(7)), (zeta(12, 5) * Fraction(3, 4), zeta(20)), (zero, zero)):
+        assert _fields(a + b) == _fields(_reference_add(a, b))
+        assert _fields(a * b) == _fields(_reference_mul(a, b))
+    assert _fields(zeta(12) * 0) == _fields(_reference_scale(zeta(12), 0)) == (12, (0, 0, 0, 0), 1)

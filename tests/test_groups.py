@@ -375,3 +375,17 @@ _LABELS = {
 def test_labels_are_rendered_on_demand(spec):
     g = construct_group(spec)
     assert tuple(g.label(x) for x in range(g.order)) == _LABELS[spec]
+
+
+def test_a_zero_order_cap_is_refused(monkeypatch):
+    monkeypatch.setenv("REPCORR_ORDER_CAP", "0")
+    with pytest.raises(SpecError, match=r"^REPCORR_ORDER_CAP must be positive$"):
+        construct_group("cyclic:2")
+
+
+def test_class_mult_coeffs_refuses_an_out_of_range_class():
+    g = construct_group("symmetric:3")
+    cd = conjugacy(g)
+    for i in (-1, cd.count):
+        with pytest.raises(SpecError, match=rf"^class index out of range: {i}$"):
+            class_mult_coeffs(g, cd, i)

@@ -973,3 +973,8 @@ def test_smith_form_returns_no_transform():
         assert list(f) == [f.s]
         assert f == SmithForm(a.rows, a.cols, f.diagonal)
     assert not hasattr(SmithForm, "u") and not hasattr(SmithForm, "v")
+
+
+def test_det_refuses_a_non_square_matrix():
+    with pytest.raises(SpecError, match=r"^determinant of a non-square matrix$"):
+        IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]).det()

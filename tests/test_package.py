@@ -33,3 +33,9 @@ def test_package_exports_each_module_all():
     assert len(EXPORTED_BEFORE) == 58
     assert set(EXPORTED_BEFORE) <= set(repcorr.__all__)
     assert type(repcorr.smith_normal_form(repcorr.IntMatrix.identity(2))) is repcorr.SmithForm
+
+
+def test_dir_lists_the_namespace_and_every_exported_name():
+    names = dir(repcorr)
+    assert names == sorted({*vars(repcorr), *repcorr.__all__})
+    assert {*MODULES, "__version__", "Cyclo", "tensor"} <= set(names)

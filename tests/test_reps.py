@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cyclo import _reference_add, _reference_scale
+from test_groups import ALL_SMALL_SPECS
+from test_table_golden import PIPELINE_SPECS
 
-from repcorr import cyclo, reps
+from repcorr import chartable, cyclo, reps
 from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import build_d_graph
 from repcorr.cyclo import Cyclo, zeta
@@ -418,7 +421,7 @@ def test_decompose_and_the_reference_reject_the_same_class_functions():
             chi = rep_from_mults(t, tuple(rng.randrange(0, 3) for _ in range(t.count))).character()
             row = t.values[i]
             bad = {
-                "fractional": [v + x.scale(Fraction(1, 2)) for v, x in zip(chi, row)],
+                "fractional": [v + x * Fraction(1, 2) for v, x in zip(chi, row)],
                 "negative": [v - x * 3 for v, x in zip(chi, row)],
                 "irrational": [v + x * z for v, x in zip(chi, row)],
             }
@@ -437,7 +440,7 @@ def test_decompose_and_the_reference_reject_the_same_class_functions():
 
 def _reference_weights(table: CharTable) -> tuple[tuple[Cyclo, ...], ...]:
     sizes = table.classes.sizes
-    return tuple(tuple(v.conj().scale(s) for v, s in zip(row, sizes)) for row in table.values)
+    return tuple(tuple(v.conj() * s for v, s in zip(row, sizes)) for row in table.values)
 
 
 def _reference_decompose(table: CharTable, values) -> tuple[int, ...]:
@@ -478,13 +481,13 @@ def _class_functions(draw):
     embedded at a multiple of its conductor."""
     t = table_for(draw(st.sampled_from(HYPOTHESIS_POOL)))
     coeffs = draw(st.lists(st.integers(-2, 3), min_size=t.count, max_size=t.count))
-    values = [sum((row[j].scale(c) for c, row in zip(coeffs, t.values) if c), Cyclo.from_rational(0))
+    values = [sum((row[j] * c for c, row in zip(coeffs, t.values) if c), Cyclo.from_rational(0))
               for j in range(t.count)]
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, t.count - 1))
         c = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 12]))
         q = draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
-        values[j] = values[j] + zeta(c, draw(st.integers(0, c - 1))).scale(q)
+        values[j] = values[j] + zeta(c, draw(st.integers(0, c - 1))) * q
     return t, [v.to_conductor(v.conductor * draw(st.sampled_from([1, 2, 3, 5]))) for v in values]
 
 
@@ -554,3 +557,68 @@ def test_tensor_matches_the_reference():
         a, b = (rep_from_mults(t, tuple(rng.randrange(0, 3) for _ in range(t.count)))
                 for _ in range(2))
         assert tensor(a, b) == _reference_tensor(a, b)
+
+
+def test_operands_on_different_tables_are_refused():
+    a, b = regular_rep(table_for("cyclic:3")), regular_rep(table_for("symmetric:3"))
+    with pytest.raises(SpecError, match=r"^tensor operands must share a character table$"):
+        tensor(a, b)
+    with pytest.raises(SpecError, match=r"^direct sum operands must share a character table$"):
+        dsum(a, b)
+
+
+# ---------------------------------------------------------------------------
+# `Rep.character` as it was before it summed the table's integer terms: a
+# Cyclo sum per class of the rows scaled by their multiplicities. Kept
+# verbatim as a function of the rep (renamed `_reference_character`), with
+# its sum and `scale` on the arithmetic oracles of test_cyclo.
+
+
+def _reference_character(rep: Rep) -> tuple[Cyclo, ...]:
+    vals = []
+    for j in range(rep.table.count):
+        acc = Cyclo.from_rational(0)
+        for i, m in enumerate(rep.mults):
+            if m:
+                acc = _reference_add(acc, _reference_scale(rep.table.values[i][j], m))
+        vals.append(acc)
+    return tuple(vals)
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(ALL_SMALL_SPECS + PIPELINE_SPECS)))
+def test_character_matches_the_cyclo_sum(spec):
+    t = table_for(spec)
+    rng = random.Random(f"character {spec}")
+    cases = [(0,) * t.count, t.dims] + [tuple(rng.randrange(0, 4) for _ in range(t.count))
+                                        for _ in range(4)]
+    for mults in cases:
+        got, want = rep_from_mults(t, mults).character(), _reference_character(rep_from_mults(t, mults))
+        assert got == want, (spec, mults)
+        assert [v.text() for v in got] == [v.text() for v in want], (spec, mults)
+
+
+def test_character_matches_the_cyclo_sum_on_fractional_rows():
+    # A verified table has integer coefficients, so every row's D_i is 1;
+    # rows scaled by 1/2, 1/3, ... exercise the common denominator.
+    t = table_for("cyclic:6")
+    t = t._replace(values=tuple(tuple(v * Fraction(1, i + 2) for v in row)
+                                for i, row in enumerate(t.values)))
+    rng = random.Random(20261020)
+    for _ in range(20):
+        rep = Rep(t, tuple(rng.randrange(0, 4) for _ in range(t.count)))
+        assert [v.text() for v in rep.character()] == [v.text() for v in _reference_character(rep)]
+
+
+def test_a_table_builds_its_integer_terms_once(monkeypatch):
+    calls = []
+    real = chartable._integer_terms
+    monkeypatch.setattr(chartable, "_integer_terms", lambda values: calls.append(values) or real(values))
+    tables = [character_table(construct_group(spec)) for spec in ("symmetric:4", "dihedral:12")]
+    tables.append(chartable.load_table(chartable.format_table(tables[0])))
+    for t in tables:
+        reg = regular_rep(t)
+        assert decompose(t, reg.character()) == t.dims
+        assert tensor(reg, reg).dim == t.group.order ** 2
+        assert rep_from_mults(t, (0,) * t.count).character() == (0,) * t.count
+    assert len(calls) == len(tables)
+    assert all(values is t.values for values, t in zip(calls, tables))

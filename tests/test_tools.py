@@ -70,7 +70,7 @@ def test_table_times_prints_one_json_line_per_group():
     lines = [json.loads(line) for line in r.stdout.splitlines()]
     assert [(line["group"], line["classes"]) for line in lines] == [("symmetric:3", 3), ("cyclic:4", 4)]
     calls = ("construct_group", "conjugacy", "character_table", "verify_table", "format_table",
-             "load_table")
+             "load_table", "regular_character", "tensor_regular")
     assert all(set(line) == {"group", "classes", *calls} for line in lines)
     assert all(line[call] >= 0 for line in lines for call in calls)
 
