@@ -45,7 +45,20 @@ __all__ = [
     "load_table",
     "format_table",
     "tables_equal_up_to_row_order",
+    "MAX_TABLE_CLASSES",
 ]
+
+# A table's split, lift and check grow with the class count r, which the
+# order cap does not bound (an abelian group has one class per element), so
+# r is checked right after `conjugacy`, before any class matrix is built.
+MAX_TABLE_CLASSES = 256
+
+
+def _check_class_count(cd: ClassData) -> None:
+    if cd.count > MAX_TABLE_CLASSES:
+        raise SpecError(f"group has {cd.count} conjugacy classes; character tables are "
+                        f"capped at {MAX_TABLE_CLASSES}")
+
 
 @record
 class CharTable:
@@ -385,6 +398,7 @@ def character_table(g: Group, cd: ClassData | None = None, seed: int = 0) -> Cha
     """
     if cd is None:
         cd = conjugacy(g)
+    _check_class_count(cd)
     r = cd.count
     e = cd.exponent
     n = g.order
@@ -651,6 +665,7 @@ def load_table(text: str) -> CharTable:
         raise SpecError("table document must declare group, classes and zeta")
     g = construct_group(header["group"])
     cd = conjugacy(g)
+    _check_class_count(cd)
     try:
         declared_classes = int(header["classes"])
         zeta_order = int(header["zeta"])

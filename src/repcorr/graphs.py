@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import re
 from collections.abc import Iterable
-from fractions import Fraction
 from math import lcm
 
 from . import corrgraph, intlinalg
@@ -90,16 +89,17 @@ def ktheory_graph(g: MultiGraph) -> intlinalg.KGroups:
 
     The presentation matrix is (a^t - I) with the columns of the vertices
     that receive nothing (zero rows of a, the sinks after reversal) removed;
-    K_0 is its cokernel and K_1 its kernel.
+    K_0 is its cokernel and K_1 its kernel. Column j is row v of a less
+    e_v, for v the j-th kept vertex. So one zip over the kept rows of a
+    gives every entry but those at (v, j), which are then lowered by 1, one
+    row at a time: the presentation is the one dense matrix built, and no
+    row of a is copied.
     """
-    cols = []
-    for v in range(g.n):
-        if any(g.a[v]):  # column v of a^t - I is row v of a, less e_v
-            col = list(g.a[v])
-            col[v] -= 1
-            cols.append(col)
-    entries = tuple(zip(*cols)) if cols else ((),) * g.n
-    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(cols), entries))
+    kept = [v for v in range(g.n) if any(g.a[v])]
+    entries = list(zip(*(g.a[v] for v in kept))) or [()] * g.n
+    for j, v in enumerate(kept):
+        entries[v] = entries[v][:j] + (entries[v][j] - 1,) + entries[v][j + 1:]
+    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(kept), tuple(entries)))
 
 
 @record
@@ -279,7 +279,9 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
         Stub(s, t, c)
         for (s, t), c in sorted(stub_counts.items())
     )
-    return MultiGraph(n=nn, a=tuple(tuple(r) for r in a), names=names, stubs=stubs)
+    for v, row in enumerate(a):  # freeze in place, row by row: one n x n matrix is held
+        a[v] = tuple(row)
+    return MultiGraph(n=nn, a=tuple(a), names=names, stubs=stubs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +302,10 @@ _FREQ_SYM_RE = re.compile(r"([+-]?)([A-Za-z_]\w*)")
 
 
 def parse_frequency(text: str) -> Frequency:
+    """Parse `q`, `q*name` or `[-]name`, q an integer or a fraction.
+    `fractions` is imported here, so the other graph tasks never load it."""
+    from fractions import Fraction
+
     s = text.strip()
     m = _FREQ_NUM_RE.fullmatch(s)
     if m:

@@ -21,6 +21,7 @@ from test_table_golden import PIPELINE_SPECS
 
 from repcorr import chartable
 from repcorr.chartable import (
+    MAX_TABLE_CLASSES,
     CharTable,
     _kernel_mod,
     _least_prime,
@@ -1409,3 +1410,39 @@ def test_a_corrupted_datum_at_a_moved_class_fails_the_lift():
             bad[c] = (bad[c] + 1) % p
             with pytest.raises(VerificationError, match="failed to lift"):
                 chartable._lift(g, cd, p, rows[:i] + [(dim, bad)] + rows[i + 1:])
+
+
+def _refuse_class_matrices(*args):
+    raise AssertionError("a class matrix was built")
+
+
+def test_the_class_cap_refuses_a_table_right_after_conjugacy(monkeypatch):
+    # Above the cap neither call builds a class matrix: the refusal comes
+    # right after conjugacy. cyclic:5040 is under the order cap.
+    assert MAX_TABLE_CLASSES == 256
+    monkeypatch.setattr(chartable, "_omega_vectors", _refuse_class_matrices)
+    for spec, r in (("cyclic:257", 257), ("dihedral:508", 257), ("cyclic:5040", 5040)):
+        with pytest.raises(SpecError, match=f"has {r} conjugacy classes; .* capped at 256"):
+            character_table(construct_group(spec))
+        with pytest.raises(SpecError, match=f"has {r} conjugacy classes"):
+            load_table(f"group {spec}\nclasses {r}\nzeta 1\nirrep chi0 dim 1 : 1\n")
+    # At the cap both go on: character_table to its first class matrix, and
+    # load_table to the document's class count.
+    with pytest.raises(AssertionError, match="class matrix"):
+        character_table(construct_group("cyclic:256"))
+    with pytest.raises(VerificationError, match="declares 255 classes, group has 256"):
+        load_table("group cyclic:256\nclasses 255\nzeta 1\nirrep chi0 dim 1 : 1\n")
+
+
+def test_the_class_cap_boundary(monkeypatch):
+    # The cap is read on each call: at the cap a table is built and loaded,
+    # one class more is refused.
+    monkeypatch.setattr(chartable, "MAX_TABLE_CLASSES", 4)
+    t = character_table(construct_group("cyclic:4"))
+    assert load_table(format_table(t)) == t
+    for spec in ("cyclic:5", "product:[5]"):
+        with pytest.raises(SpecError, match="has 5 conjugacy classes; .* capped at 4"):
+            character_table(construct_group(spec))
+    with pytest.raises(SpecError, match="capped at 4"):
+        load_table(format_table(character_table(construct_group("symmetric:3")))
+                   .replace("group symmetric:3", "group cyclic:5"))

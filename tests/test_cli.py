@@ -9,8 +9,9 @@ import tracemalloc
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repcorr import cli, graphs
+from repcorr import chartable, cli, graphs
 from repcorr.chartable import character_table, load_table, tables_equal_up_to_row_order
+from repcorr.errors import VerificationError
 from repcorr.graphs import MAX_EDGE_COPIES
 from repcorr.groups import MAX_PERM_POINTS, construct_group
 
@@ -348,6 +349,33 @@ def test_edge_copy_cap_boundary(monkeypatch):
         assert code == 0 and out.count(" -> ") == 10
         code, out, err = run_in_process([*argv, "mult:[11]"])
         assert (code, out) == (2, "") and "capped at 10" in err
+
+
+def test_class_cap_exits_2(monkeypatch):
+    # One class above the cap exits 2 for every task that needs the table.
+    r = run_cli("--group", "cyclic:257", "--task", "table")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "257 conjugacy classes; character tables are capped at 256" in r.stderr
+    for argv in (["--group", "cyclic:5040", "--task", "table"],
+                 ["--group", "dihedral:508", "--rep", "r=regular", "--task", "decompose"]):
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (2, "") and "capped at 256" in err, argv
+    # At the cap the run goes past the check, to the first class matrix.
+
+    def reached(*args):
+        raise VerificationError("reached the split")
+
+    monkeypatch.setattr(chartable, "_omega_vectors", reached)
+    code, _, err = run_in_process(["--group", "cyclic:256", "--task", "table"])
+    assert code == 3 and "reached the split" in err
+
+
+def test_class_cap_boundary(monkeypatch):
+    monkeypatch.setattr(chartable, "MAX_TABLE_CLASSES", 4)
+    code, out, _ = run_in_process(["--group", "cyclic:4", "--task", "table"])
+    assert code == 0 and out.count("irrep") == 4
+    code, out, err = run_in_process(["--group", "cyclic:5", "--task", "table"])
+    assert (code, out) == (2, "") and "5 conjugacy classes; character tables are capped at 4" in err
 
 
 def test_runs_build_only_the_renderings_they_emit(monkeypatch):

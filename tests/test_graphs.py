@@ -314,28 +314,34 @@ def _character_sums(spec: SkewSpec) -> tuple[int, int | None]:
 
 
 def test_finite_dual_kgroups_match_the_character_sums():
-    # The finite duals of the ktheory_skew bench, with two to four characters:
-    # with three, some g of order 2 nearly always has lambda_g = 1 + 1 - 1.
+    # The finite duals of the ktheory_skew bench, with two to four characters
+    # and with three drawn as its dual_12x12 jobs draw them: with three, some
+    # g of order 2 nearly always has lambda_g = 1 + 1 - 1.
     rng = random.Random(16)
     specs = []
-    for _ in range(8):
-        cocycle = tuple((rng.randrange(12), rng.randrange(12)) for _ in range(rng.randint(2, 4)))
+    for size in (2, 2, 3, 3, 4, 4, 3, 3, 3, 3):
+        cocycle = tuple((rng.randrange(12), rng.randrange(12)) for _ in range(size))
         specs.append(SkewSpec(cocycle=cocycle, orders=(12, 12)))
-    for n in (2, 5, 6, 7, 9, 12, 16):
+    for _ in range(6):
+        cocycle = tuple((rng.randrange(4), rng.randrange(6)) for _ in range(rng.randint(1, 4)))
+        specs.append(SkewSpec(cocycle=cocycle, orders=(4, 6)))
+    for n in range(2, 31):
         cocycle = tuple((rng.randrange(n),) for _ in range(rng.randint(1, 4)))
         specs.append(SkewSpec(cocycle=cocycle, orders=(n,)))
     # A zero factor: over Z/4, lambda_g = 1 + i^g + i^-g is 1 at g = 1, 3.
     specs.append(SkewSpec(cocycle=((0,), (1,), (3,)), orders=(4,)))
     seen = set()
     for spec in specs:
-        k = ktheory_graph(skew_product(spec))
+        g = skew_product(spec)
+        assert sources_sinks(g)[0] == (), spec  # every vertex receives an edge
+        k = ktheory_graph(g)
         ones, det = _character_sums(spec)
         assert k.k1_rank == k.k0_free_rank == ones, spec
         if not ones:
             assert prod(k.k0_torsion) == det, spec
-        seen.add((spec.orders == (12, 12), ones > 0))
-    # Both branches run, on the Z/12 x Z/12 duals and on the Z/n ones.
-    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+        seen.add((spec.orders if len(spec.orders) == 2 else "Z/n", ones > 0))
+    # Both branches run, on the Z/12 x Z/12, the Z/4 x Z/6 and the Z/n duals.
+    assert seen == {(d, b) for d in ((12, 12), (4, 6), "Z/n") for b in (False, True)}
     assert _character_sums(specs[-1])[0] == 2
 
 

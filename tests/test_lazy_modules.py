@@ -64,3 +64,16 @@ def test_every_module_is_registered_and_reading_its_namespace_runs_it():
 
 def test_the_cli_conventions_are_the_graph_layers():
     assert cli._CONVENTIONS == corrgraph.CONVENTIONS
+
+
+def test_a_skew_kgroup_run_loads_no_fraction_module():
+    # `fractions` (with `decimal` and `numbers`) serves the circle parser
+    # alone, so building a skew product and reading its K-groups and
+    # simplicity leave it unloaded.
+    loaded_and_run(
+        "import sys\n"
+        "from repcorr.graphs import SkewSpec, ktheory_graph, simplicity_check, skew_product\n"
+        "g = skew_product(SkewSpec(cocycle=((1, 0), (0, 1), (-1, -1)), rank=2, window=3))\n"
+        "ktheory_graph(g), simplicity_check(g)\n"
+        "assert 'fractions' not in sys.modules, sorted(sys.modules)\n"
+    )

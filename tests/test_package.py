@@ -29,7 +29,7 @@ def test_package_exports_each_module_all():
         concatenated += module.__all__
     concatenated.append("__version__")
     assert list(repcorr.__all__) == concatenated
-    assert len(set(repcorr.__all__)) == len(repcorr.__all__) == 70
+    assert len(set(repcorr.__all__)) == len(repcorr.__all__) == 71
     assert len(EXPORTED_BEFORE) == 58
     assert set(EXPORTED_BEFORE) <= set(repcorr.__all__)
     assert type(repcorr.smith_normal_form(repcorr.IntMatrix.identity(2))) is repcorr.SmithForm

@@ -47,15 +47,17 @@ def test_kgroup_times_prints_one_json_line_per_input():
     lines = [json.loads(line) for line in r.stdout.splitlines()]
     names = ["skew_z2_w3", "skew_z2_w8", "rank29_30x30", "rank39_40x40"]
     assert [line["name"] for line in lines] == names
-    assert all(line["seconds"] >= 0 and line["peak_mib"] > 0 for line in lines)
+    assert all(line["seconds"] >= 0 and line["peak_mib"] > 0 and line["build_mib"] > 0
+               for line in lines)
     spec = importlib.util.spec_from_file_location("kgroup_times", _TOOLS / "kgroup_times.py")
     times = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(times)
-    for line, (_, call) in zip(lines, times.inputs([3, 8])):
-        k = call()
+    for line, (_, build, kgroups) in zip(lines, times.inputs([3, 8])):
+        k = kgroups(build())
         assert (line["k0"], line["k1"]) == (k.k0_pretty(), k.k1_pretty())
     assert [line["k1"] for line in lines] == ["Z", "0", "Z", "Z"]
-    keys = {"name", "seconds", "peak_mib", "k0", "k1", "remainder", "d_bits", "n_bits"}
+    keys = {"name", "build_mib", "seconds", "peak_mib", "k0", "k1", "remainder", "d_bits",
+            "n_bits"}
     assert all(set(line) == keys for line in lines)
     # What the reduction did: window 8 runs the loop modulo a 5-bit N; the
     # other remainders are singular, so their loop runs exactly.

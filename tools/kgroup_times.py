@@ -4,15 +4,17 @@ Inputs: skew products of the one-vertex three-edge graph over Z^2 with the
 cocycle ((1,0),(0,1),(-1,-1)), one per window radius, then two seeded
 rank-deficient squares, a 30x30 of rank at most 29 and a 40x40 of rank at
 most 39 (the product of n x (n-1) and (n-1) x n factors with entries in
-[-3, 3]). Each line holds the input's name, the least wall time over the
-repeats of the K-group call alone (skew_product is built outside the clock),
-the tracemalloc peak in MiB of one more call, made after the timed repeats
-so that the tracing slows none of them, and the K-groups as
-KGroups.k0_pretty and k1_pretty print them. It also reports what the Smith
-reduction did, from one more _reduce of the matrix that the memory call
-handed to smith_normal_form: the shape [rows, cols] of the remainder B left
-after the unit pivots, and the bit lengths of D = |det B| and of the modulus
-N of the remainder loop, both 0 where the loop ran exactly.
+[-3, 3]). Each line holds the input's name, the tracemalloc peak in MiB
+of building it (`skew_product`, or the seeded product) as `build_mib`, the
+least wall time over the repeats of the K-group call alone (the input is
+built outside the clock), the tracemalloc peak in MiB of one more call, made
+after the timed repeats so that the tracing slows none of them, and the
+K-groups as KGroups.k0_pretty and k1_pretty print them. It also reports
+what the Smith reduction did, from one more _reduce of the matrix that the
+memory call handed to smith_normal_form: the shape [rows, cols] of the
+remainder B left after the unit pivots, and the bit lengths of D = |det B|
+and of the modulus N of the remainder loop, both 0 where the loop ran
+exactly.
 
     python3 tools/kgroup_times.py [--windows 12 14 18] [--repeat 1]
 
@@ -48,13 +50,23 @@ def rank_deficient(n: int, seed: int) -> IntMatrix:
 
 
 def inputs(windows: list[int]):
-    """(name, zero-argument K-group call) per input."""
+    """(name, zero-argument build of the input, its K-group call) per input."""
     for w in windows:
-        g = skew_product(SkewSpec(cocycle=COCYCLE, rank=2, window=w))
-        yield f"skew_z2_w{w}", lambda g=g: ktheory_graph(g)
+        yield (f"skew_z2_w{w}", lambda w=w: skew_product(SkewSpec(cocycle=COCYCLE, rank=2, window=w)),
+               ktheory_graph)
     for n in (30, 40):
-        a = rank_deficient(n, n)
-        yield f"rank{n - 1}_{n}x{n}", lambda a=a: coker_ker(a)
+        yield f"rank{n - 1}_{n}x{n}", lambda n=n: rank_deficient(n, n), coker_ker
+
+
+def traced_peak_mib(call) -> tuple[float, object]:
+    """(the tracemalloc peak in MiB of call(), its result)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 2**20, 2), out
 
 
 def reduction(a: IntMatrix) -> dict:
@@ -69,25 +81,24 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--windows", type=int, nargs="*", default=[12, 14, 18])
     ap.add_argument("--repeat", type=int, default=1)
     args = ap.parse_args(argv)
-    for name, call in inputs(args.windows):
+    for name, build, kgroups in inputs(args.windows):
+        build_mib, x = traced_peak_mib(build)
         best = None
         for _ in range(max(args.repeat, 1)):
             t0 = time.perf_counter()
-            k = call()
+            k = kgroups(x)
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         seen = []
         snf = intlinalg.smith_normal_form
         intlinalg.smith_normal_form = lambda a: seen.append(a) or snf(a)
-        tracemalloc.start()
         try:
-            call()
-            peak = tracemalloc.get_traced_memory()[1]
+            peak_mib, _ = traced_peak_mib(lambda: kgroups(x))
         finally:
-            tracemalloc.stop()
             intlinalg.smith_normal_form = snf
-        print(json.dumps({"name": name, "seconds": round(best, 4), "peak_mib": round(peak / 2**20, 2),
-                          "k0": k.k0_pretty(), "k1": k.k1_pretty(), **reduction(*seen)}), flush=True)
+        print(json.dumps({"name": name, "build_mib": build_mib, "seconds": round(best, 4),
+                          "peak_mib": peak_mib, "k0": k.k0_pretty(), "k1": k.k1_pretty(),
+                          **reduction(*seen)}), flush=True)
     return 0
 
 
