@@ -144,7 +144,7 @@ def pimsner_matrices(rep: reps.Rep) -> PimsnerData:
         [[rep.mults[i] * dims[j] for i in range(r)] for j in range(r)]
     )
     j_cols = tuple(i for i in range(r) if rep.mults[i] > 0)
-    reduced = [[(i == j) - row[i] for i in j_cols] for j, row in enumerate(m.entries)]
+    reduced = [[(i == j) - rep.mults[i] * dims[j] for i in j_cols] for j in range(r)]
     return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=intlinalg.IntMatrix.from_rows(reduced))
 
 

@@ -90,16 +90,19 @@ def ktheory_graph(g: MultiGraph) -> intlinalg.KGroups:
     The presentation matrix is (a^t - I) with the columns of the vertices
     that receive nothing (zero rows of a, the sinks after reversal) removed;
     K_0 is its cokernel and K_1 its kernel. Column j is row v of a less
-    e_v, for v the j-th kept vertex. So one zip over the kept rows of a
-    gives every entry but those at (v, j), which are then lowered by 1, one
-    row at a time: the presentation is the one dense matrix built, and no
-    row of a is copied.
+    e_v, for v the j-th kept vertex. So the presentation's rows are filled
+    from the nonzero entries of the kept rows of a, one column at a time,
+    and the entry at (v, j) is lowered by 1: no dense matrix is built, and
+    no row of a is copied.
     """
     kept = [v for v in range(g.n) if any(g.a[v])]
-    entries = list(zip(*(g.a[v] for v in kept))) or [()] * g.n
+    rows: list[dict[int, int]] = [{} for _ in range(g.n)]
     for j, v in enumerate(kept):
-        entries[v] = entries[v][:j] + (entries[v][j] - 1,) + entries[v][j + 1:]
-    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(kept), tuple(entries)))
+        for i in itertools.compress(range(g.n), g.a[v]):
+            rows[i][j] = g.a[v][i]
+        rows[v][j] = rows[v].get(j, 0) - 1
+    nz = tuple(tuple((j, x) for j, x in row.items() if x) for row in rows)
+    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(kept), nz))
 
 
 @record

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
@@ -61,30 +61,41 @@ __all__ = [
 
 @record
 class IntMatrix:
-    """Immutable integer matrix, row-major. Zero rows or columns are legal."""
+    """Immutable integer matrix held as its nonzero entries: nz[i] is the
+    tuple of row i's (column, value) pairs with value != 0, in increasing
+    column order. So two matrices are equal, and hash equal, exactly when
+    their entries are, however they were built. Zero rows or columns are
+    legal."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    nz: tuple[tuple[tuple[int, int], ...], ...]
 
     @staticmethod
     def from_rows(rows: list[list[int]] | tuple) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = [tuple(map(int, row)) for row in rows]
         ncols = len(data[0]) if data else 0
-        for row in data:
-            if len(row) != ncols:
-                raise SpecError("ragged matrix rows")
-        return IntMatrix(len(data), ncols, data)
+        if any(len(row) != ncols for row in data):
+            raise SpecError("ragged matrix rows")
+        nz = tuple(tuple(zip(compress(range(ncols), row), compress(row, row))) for row in data)
+        return IntMatrix(len(data), ncols, nz)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(
-            n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        )
+        return IntMatrix(n, n, tuple(((i, 1),) for i in range(n)))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built the first time they are read."""
+        out = [[0] * self.cols for _ in self.nz]
+        for full, row in zip(out, self.nz):
+            for j, x in row:
+                full[j] = x
+        return tuple(map(tuple, out))
 
     def __getitem__(self, pos: tuple[int, int]) -> int:
         i, j = pos
@@ -217,7 +228,7 @@ def _axpy(dst: dict[int, int], c: int, src: dict[int, int], mod: int = 0) -> dic
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:
-    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    return [dict(row) for row in m.nz]
 
 
 def _nearest(x: int, p: int) -> int:
@@ -397,16 +408,6 @@ def _transpose(vecs: list[dict[int, int]], order: list[int], n: int) -> list[dic
     return out
 
 
-def _dense(rows: list[dict[int, int]], ncols: int) -> IntMatrix:
-    out = []
-    for row in rows:
-        full = [0] * ncols
-        for j, x in row.items():
-            full[j] = x
-        out.append(tuple(full))
-    return IntMatrix(len(rows), ncols, tuple(out))
-
-
 def _pivot_order(pivots: list[tuple], n: int, side: int) -> list[int]:
     """Rows (side 0) or columns (side 1) in pivot order: the pivots' in the
     order they were retired, then the rest by index."""
@@ -449,7 +450,7 @@ def _reduce(a: list[dict[int, int]], ncols: int) -> _Reduction:
     one = _eliminate(a, ncols, units_only=True)
     k = len(one.pivots)
     b = IntMatrix(len(a) - k, ncols - k, tuple(
-        tuple(row.get(j, 0) for j in one.cols) for row in one.rows.values()
+        tuple((t, x) for t, j in enumerate(one.cols) if (x := row.get(j))) for row in one.rows.values()
     ))
     d, ys = b._bareiss if b.rows == b.cols > 0 else (0, ())
     mod = gcd(d, *chain(*ys))  # 0 when d is 0
@@ -569,8 +570,8 @@ class SmithForm:
     @cached_property
     def s(self) -> IntMatrix:
         """The diagonal, padded with zeros to the shape rows x cols."""
-        diag = [{t: d} for t, d in enumerate(self.diagonal)]
-        return _dense(diag + [{}] * (self.rows - len(diag)), self.cols)
+        diag = tuple(((t, d),) for t, d in enumerate(self.diagonal))
+        return IntMatrix(self.rows, self.cols, diag + ((),) * (self.rows - len(diag)))
 
     def __iter__(self) -> Iterator[IntMatrix]:
         """Yield s alone. The one reader is bench/job.py's counter hook,
@@ -599,10 +600,10 @@ def _replays_to(a: list[dict[int, int]], ncols: int, log: list[tuple],
     _replay(log, work, "row", mod)
     cols = _transpose(work, list(range(nr)), ncols)
     _replay(log, cols, "col", mod)
-    rest_cols = list(zip(*rest.entries)) if rest.rows else [()] * rest.cols
-    want = [{i: d} for i, _, d in pivots] + [
-        {row_order[k + t]: x for t, x in enumerate(col) if x} for col in rest_cols
-    ]
+    want = [{i: d} for i, _, d in pivots] + [{} for _ in range(rest.cols)]
+    for t, row in enumerate(rest.nz):
+        for j, x in row:
+            want[k + j][row_order[k + t]] = x
     return [cols[j] for j in col_order] == want
 
 

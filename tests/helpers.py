@@ -1,7 +1,8 @@
 """Operations that only the tests use, kept out of the package so that no run
-of it compiles them: integer matrix products, transposes and column
-deletion, the abelian test on a group's generators, powers and orders of a
-group element, and a cyclotomic number from its coefficient list."""
+of it compiles them: a matrix from dense rows of a given shape, integer
+matrix products, transposes and column deletion, the abelian test on a
+group's generators, powers and orders of a group element, and a cyclotomic
+number from its coefficient list."""
 
 from fractions import Fraction
 from math import lcm
@@ -13,6 +14,13 @@ from repcorr.groups import Group
 from repcorr.intlinalg import IntMatrix
 
 
+def dense_matrix(rows: int, cols: int, entries) -> IntMatrix:
+    """The rows x cols matrix with the dense rows entries. Unlike
+    IntMatrix.from_rows, it keeps cols when there are no rows."""
+    nz = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in entries)
+    return IntMatrix(rows, cols, nz)
+
+
 def matmul(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
     """The product first * rest[0] * rest[1] * ..."""
     for other in rest:
@@ -22,19 +30,19 @@ def matmul(first: IntMatrix, *rest: IntMatrix) -> IntMatrix:
             )
         cols = tuple(zip(*other.entries)) or ((),) * other.cols
         out = tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in first.entries)
-        first = IntMatrix(first.rows, other.cols, out)
+        first = dense_matrix(first.rows, other.cols, out)
     return first
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(
+    return dense_matrix(
         a.cols, a.rows, tuple(tuple(a.entries[i][j] for i in range(a.rows)) for j in range(a.cols))
     )
 
 
 def delete_columns(a: IntMatrix, drop: set[int]) -> IntMatrix:
     keep = [j for j in range(a.cols) if j not in drop]
-    return IntMatrix(a.rows, len(keep), tuple(tuple(row[j] for j in keep) for row in a.entries))
+    return dense_matrix(a.rows, len(keep), tuple(tuple(row[j] for j in keep) for row in a.entries))
 
 
 def is_abelian(g: Group) -> bool:

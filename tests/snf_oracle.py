@@ -17,13 +17,12 @@ checks that modular route against an independent algorithm.
 from math import prod
 from typing import NamedTuple
 
-from helpers import matmul
+from helpers import dense_matrix, matmul
 
 from repcorr.errors import VerificationError
 from repcorr.intlinalg import (
     IntMatrix,
     _axpy,
-    _dense,
     _nearest,
     _sparse_rows,
     _transpose,
@@ -85,9 +84,15 @@ def _hermite_mod(b: IntMatrix, d: int) -> IntMatrix:
                 w[j][: i + 1] = [(s - q * t) % d for s, t in zip(w[j], wi)]
         w[i] = wi
         r //= g
-    return IntMatrix(m, m, tuple(
+    return dense_matrix(m, m, tuple(
         tuple(w[c][i] if i <= c else 0 for c in range(m)) for i in range(m)
     ))
+
+
+def _dense(rows: list[dict[int, int]], ncols: int) -> IntMatrix:
+    """The matrix with the sparse rows rows and ncols columns."""
+    return IntMatrix(len(rows), ncols, tuple(tuple(sorted((j, x) for j, x in row.items() if x))
+                                            for row in rows))
 
 
 def _sparse_mul(x: list[dict[int, int]], y: list[dict[int, int]]) -> list[dict[int, int]]:
@@ -254,16 +259,16 @@ class _CarriedReduction(NamedTuple):
         w = self.v2 if self.hermite is None else matmul(self.hermite[0], self.v2)
         u = _dense(self.u1[:k] + _sparse_mul(_sparse_rows(self.u2), self.u1[k:]), nr).entries
         v1 = _dense(self.v1, nc).entries
-        v_right = matmul(IntMatrix(nc, nc - k, tuple(row[k:] for row in v1)), w)
+        v_right = matmul(dense_matrix(nc, nc - k, tuple(row[k:] for row in v1)), w)
         s = [[0] * nc for _ in range(nr)]
         for t in range(k):
             s[t][t] = 1
         for t, row in enumerate(self.s2.entries):
             s[k + t][k:] = row
         return (
-            IntMatrix(nr, nr, u),
-            IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
-            IntMatrix(nc, nc, tuple(row[:k] + rest for row, rest in zip(v1, v_right.entries))),
+            dense_matrix(nr, nr, u),
+            dense_matrix(nr, nc, tuple(tuple(row) for row in s)),
+            dense_matrix(nc, nc, tuple(row[:k] + rest for row, rest in zip(v1, v_right.entries))),
         )
 
 
@@ -274,7 +279,7 @@ def _carried_reduce(a: IntMatrix) -> _CarriedReduction:
     k = len(one.pivots)
     row_order = [i for i, _, _ in one.pivots] + list(one.rows)
     col_order = [j for _, j, _ in one.pivots] + list(one.cols)
-    b = IntMatrix(nr - k, nc - k, tuple(
+    b = dense_matrix(nr - k, nc - k, tuple(
         tuple(one.rows[i].get(j, 0) for j in col_order[k:]) for i in row_order[k:]
     ))
     hermite = None
@@ -298,7 +303,7 @@ def _carried_reduce(a: IntMatrix) -> _CarriedReduction:
         b=b,
         hermite=hermite,
         u2=_dense([two.u[i] for i in rows2], m.rows),
-        s2=IntMatrix(m.rows, m.cols, tuple(tuple(row) for row in s2)),
+        s2=dense_matrix(m.rows, m.cols, tuple(tuple(row) for row in s2)),
         v2=_dense(_transpose(two.v, cols2, m.cols), m.cols),
     )
 
@@ -338,7 +343,7 @@ def _carried_solve(b: IntMatrix, h: IntMatrix) -> IntMatrix:
         y[i] = [s // row[i] for s in acc]
     if any(s % prev for row in y for s in row):
         raise VerificationError("SNF check failed: Hermite transform not integral")
-    return IntMatrix(m, m, tuple(tuple(s // prev for s in row) for row in y))
+    return dense_matrix(m, m, tuple(tuple(s // prev for s in row) for row in y))
 
 
 def _carried_check_snf(a: IntMatrix, r: _CarriedReduction) -> None:

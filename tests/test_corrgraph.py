@@ -1,10 +1,14 @@
 import random
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import delete_columns, transpose
+from test_groups import ALL_SMALL_SPECS
 
 from repcorr import corrgraph
 from repcorr.chartable import character_table
@@ -17,7 +21,7 @@ from repcorr.corrgraph import (
     pimsner_matrices,
 )
 from repcorr.errors import SpecError, VerificationError
-from repcorr.graphs import cap_edge_copies
+from repcorr.graphs import cap_edge_copies, from_corr, ktheory_graph
 from repcorr.groups import construct_group
 from repcorr.intlinalg import IntMatrix
 from repcorr.reps import Rep, decompose, dsum, parse_rep_spec, regular_rep, rep_from_mults, trivial_rep
@@ -154,6 +158,34 @@ def test_mckay_graph_of_trivial_rep_is_identity():
         t = table_for(spec)
         d = build_d_graph(trivial_rep(t))
         assert d.b_matrix == IntMatrix.identity(t.count)
+
+
+def test_mckay_kgroups_match_the_character_oracle():
+    # For B = build_d_graph(rep), sum_k B[k][j]*chi_k(g_c) = chi(g_c)*chi_j(g_c)
+    # with chi = rep.character(), so B^t = X*diag(chi)*X^-1 for the table X,
+    # and a^t - I is similar over Q to diag(chi(g_c) - 1). Every vertex
+    # receives an edge, so ktheory_graph drops no column: K0's free rank and
+    # K1's rank are z = #{c : chi(g_c) = 1}, and for z = 0 K0 is finite of
+    # order |det(a^t - I)| = |prod_c (1 - chi(g_c))|. The oracle uses no Smith form.
+    rng = random.Random(33)
+    for spec in ALL_SMALL_SPECS:
+        t = table_for(spec)
+        reps = [regular_rep(t)]
+        reps += [rep_from_mults(t, [int(i == k) for i in range(t.count)]) for k in range(t.count)]
+        for _ in range(2):
+            mults = [rng.randrange(3) for _ in range(t.count)]
+            mults[rng.randrange(t.count)] += 1  # never the zero representation
+            reps.append(rep_from_mults(t, mults))
+        for rep in reps:
+            g = from_corr(build_d_graph(rep))
+            assert all(map(any, g.a)), (spec, rep.mults)
+            chi = rep.character()
+            z = sum(1 for x in chi if x == 1)
+            k = ktheory_graph(g)
+            assert (k.k0_free_rank, k.k1_rank) == (z, z), (spec, rep.mults)
+            if z == 0:
+                order = reduce(mul, (1 - x for x in chi)).as_integer()
+                assert order is not None and prod(k.k0_torsion) == abs(order), (spec, rep.mults)
 
 
 def test_mckay_graph_has_no_empty_columns():

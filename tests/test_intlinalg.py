@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import delete_columns, matmul
+from helpers import delete_columns, dense_matrix, matmul
 from snf_oracle import (
     _carried_check_snf,
     _carried_reduce,
@@ -273,9 +273,9 @@ def _parent_reduce(a: IntMatrix) -> _ParentReduction:
     for t, (_, _, d) in enumerate(pivots):
         s[t][t] = d
     return _ParentReduction(
-        u=IntMatrix(nr, nr, tuple(tuple(u[i].get(m, 0) for m in range(nr)) for i in row_order)),
-        s=IntMatrix(nr, nc, tuple(tuple(row) for row in s)),
-        v=IntMatrix(nc, nc, tuple(tuple(v[j].get(m, 0) for j in col_order) for m in range(nc))),
+        u=dense_matrix(nr, nr, tuple(tuple(u[i].get(m, 0) for m in range(nr)) for i in row_order)),
+        s=dense_matrix(nr, nc, tuple(tuple(row) for row in s)),
+        v=dense_matrix(nc, nc, tuple(tuple(v[j].get(m, 0) for j in col_order) for m in range(nc))),
         units=len(pivots) if units is None else units,
         u1_inv=w_rows,
         v1_inv=[v1_inv[j] for j in col_order],
@@ -290,7 +290,7 @@ def _parent_is_unit_block(m: list[dict[int, int]], k: int) -> bool:
     ):
         return False
     b = tuple(tuple(row.get(c, 0) for c in range(k, n)) for row in m[k:])
-    return IntMatrix(n - k, n - k, b).det() in (1, -1)
+    return dense_matrix(n - k, n - k, b).det() in (1, -1)
 
 
 def _parent_check_snf(a: IntMatrix, r: _ParentReduction) -> None:
@@ -771,7 +771,7 @@ def test_unit_pivot_rule_is_least_markowitz_cost_then_lowest_row():
 
 def _matrices_of(nr, nc, entries):
     return st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr).map(
-        lambda rows: IntMatrix(nr, nc, tuple(tuple(r) for r in rows))
+        lambda rows: dense_matrix(nr, nc, tuple(tuple(r) for r in rows))
     )
 
 
@@ -783,6 +783,8 @@ def _matrices(max_rows, max_cols, entries):
 
 _SPARSE_UNIT = st.sampled_from([0, 0, 0, 0, 0, 1, -1, 1, -1, 2])
 _DENSE = st.integers(-9, 9)
+# Entries in [-3, 3], mostly 0, for the canonical form on shapes up to 6 x 6.
+_MOSTLY_ZERO = st.sampled_from([0] * 8 + [-3, -2, -1, 1, 2, 3])
 
 
 # Square with rank below the size: an n x r times an r x n factor, r < n.
@@ -795,7 +797,7 @@ _RANK_DEFICIENT = st.integers(2, 8).flatmap(
 )
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=360, deadline=None)
 @given(
     st.one_of(
         _matrices(15, 15, _SPARSE_UNIT),
@@ -803,10 +805,24 @@ _RANK_DEFICIENT = st.integers(2, 8).flatmap(
         _matrices(3, 3, st.just(0)),
         _matrices_of(12, 12, _DENSE).filter(lambda a: a.det() != 0),
         _RANK_DEFICIENT,
+        _matrices(6, 6, _MOSTLY_ZERO),
     )
 )
 def test_snf_matches_reference_oracles(a):
+    # The canonical form: a is built from its nonzero entries, and equals,
+    # and hashes equal to, the matrix from_rows builds from its dense view.
+    nr, nc, dense = a.rows, a.cols, a.entries
+    assert len(dense) == nr and all(len(row) == nc for row in dense)
+    assert a.nz == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in dense)
+    same = IntMatrix.from_rows(dense) if nr else IntMatrix.zeros(0, nc)
+    assert same == a and hash(same) == hash(a) and same.entries == dense
+    # zeros and identity give the dense views the dense constructors gave.
+    assert IntMatrix.zeros(nr, nc).entries == tuple((0,) * nc for _ in range(nr))
+    eye = tuple(tuple(1 if i == j else 0 for j in range(nc)) for i in range(nc))
+    assert IntMatrix.identity(nc).entries == eye
     f = smith_normal_form(a)
+    diag = f.diagonal + (0,) * min(nr, nc)
+    assert f.s.entries == tuple(tuple(diag[i] if i == j else 0 for j in range(nc)) for i in range(nr))
     carried = _carried_reduce(a)
     _carried_check_snf(a, carried)
     u, s, v = carried.factors()
@@ -940,6 +956,9 @@ def test_kgroups_never_assemble_transforms(monkeypatch):
         raise AssertionError("a K-group built s")
 
     monkeypatch.setattr(intlinalg.SmithForm, "s", property(refuse))
+    seen = []
+    smith = intlinalg.smith_normal_form
+    monkeypatch.setattr(intlinalg, "smith_normal_form", lambda a: seen.append(a) or smith(a))
     # The seeded inputs of test_kgroups_go_through_smith_normal_form.
     rng = random.Random(13)
     specs = [SkewSpec(cocycle=((1,), (2,), (3,)), rank=1, window=20)]
@@ -953,7 +972,13 @@ def test_kgroups_never_assemble_transforms(monkeypatch):
     specs.append(SkewSpec(cocycle=cocycle, orders=(12, 12)))
     for spec in specs:
         g = skew_product(spec)
-        assert ktheory_graph(g) == _carried_kgroups(_dense_presentation(g)), spec
+        seen.clear()
+        k = ktheory_graph(g)
+        # The presentation reaches the Smith form as its nonzero entries
+        # alone: a K-group never builds its dense view.
+        [pres] = seen
+        assert "entries" not in vars(pres), spec
+        assert k == _carried_kgroups(_dense_presentation(g)), spec
     squares = [
         IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
         for n in (20, 30, 40)

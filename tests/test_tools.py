@@ -1,13 +1,15 @@
 """The tools: the line counter in tools/src_lines.py, the K-group timing
-harness in tools/kgroup_times.py, the table timing harness in
-tools/table_times.py and the start-up timing harness in
-tools/import_times.py."""
+harness in tools/kgroup_times.py, the skew K-group memory harness in
+tools/skew_memory.py, the table timing harness in tools/table_times.py and
+the start-up timing harness in tools/import_times.py."""
 
 import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from repcorr.graphs import SkewSpec, ktheory_graph, skew_product
 
 _TOOLS = Path(__file__).resolve().parents[1] / "tools"
 _TOOL = _TOOLS / "src_lines.py"
@@ -63,6 +65,23 @@ def test_kgroup_times_prints_one_json_line_per_input():
     # other remainders are singular, so their loop runs exactly.
     reduced = [(line["remainder"], line["d_bits"], line["n_bits"]) for line in lines]
     assert reduced == [([7, 7], 0, 0), ([22, 22], 152, 5), ([26, 26], 0, 0), ([38, 38], 0, 0)]
+
+
+def test_skew_memory_prints_one_json_line():
+    r = subprocess.run([sys.executable, str(_TOOLS / "skew_memory.py"), "3"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    [line] = [json.loads(line) for line in r.stdout.splitlines()]
+    calls = ("skew_product", "ktheory_graph", "simplicity_check")
+    assert set(line) == {"window", "vertices", "k0", "k1", *calls}
+    assert (line["window"], line["vertices"]) == (3, 49)
+    k = ktheory_graph(skew_product(SkewSpec(cocycle=((1, 0), (0, 1), (-1, -1)), rank=2, window=3)))
+    assert (line["k0"], line["k1"]) == (k.k0_pretty(), k.k1_pretty())
+    for call in calls:
+        assert set(line[call]) == {"seconds", "vmhwm_mib"} and line[call]["seconds"] >= 0
+        assert line[call]["vmhwm_mib"] is None or line[call]["vmhwm_mib"] > 0
+    peaks = [line[call]["vmhwm_mib"] for call in calls]
+    assert None in peaks or peaks == sorted(peaks)  # the peak never falls
 
 
 def test_table_times_prints_one_json_line_per_group():
