@@ -24,7 +24,8 @@ __version__ = "0.1.0"
 # matrix and graph layers before the table layers. A lookup runs every module
 # before the one that holds the name, so a job on integer matrices and skew
 # products runs no table layer. `__all__` lists the names by module name.
-_MODULES = ("errors", "intlinalg", "graphs", "corrgraph", "cyclo", "groups", "chartable", "reps")
+_MODULES = ("errors", "matrix", "intlinalg", "graphs", "corrgraph", "cyclo", "groups", "chartable",
+            "reps")
 
 
 def _register(name: str):

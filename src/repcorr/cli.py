@@ -393,7 +393,7 @@ def _skew_results(inputs: _Inputs) -> list:
             "vertices": [
                 {"index": i, "name": name} for i, name in enumerate(sk.names)
             ],
-            "A": [list(row) for row in sk.a],
+            "A": [list(row) for row in sk.a.entries],
             "stubs": [
                 {"src": s.src, "target": s.target, "count": s.count}
                 for s in sk.stubs
@@ -407,7 +407,7 @@ def _skew_results(inputs: _Inputs) -> list:
             f"skew product of the {len(values)}-edge rose by {cname} over {dual}",
             f"vertices: {sk.n}, edges: {edge_count}, stubs: {len(sk.stubs)}",
             "A matrix (A[v][w] = edges w->v):",
-            *("  " + " ".join(map(str, row)) for row in sk.a),
+            *("  " + " ".join(map(str, row)) for row in sk.a.entries),
             *(f"  stub: {sk.names[s.src]} -> {s.target} x{s.count}" for s in sk.stubs),
         ]) + "\n"
 

@@ -35,6 +35,7 @@ from math import prod
 
 from . import intlinalg, reps
 from .errors import SpecError, VerificationError
+from .matrix import IntMatrix
 from .record import record
 
 __all__ = [
@@ -74,12 +75,8 @@ class CorrGraph:
     edge carries the rectangular block its convention's label rule gives."""
 
     dims: tuple[int, ...]
-    b_matrix: intlinalg.IntMatrix  # b[k][i] = number of edges i -> k
+    b_matrix: IntMatrix  # b[k][i] = number of edges i -> k
     convention: str
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.dims)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -115,7 +112,7 @@ def build_e_graph(rep: reps.Rep, convention: str = "paper-min") -> CorrGraph:
             raise VerificationError(
                 f"dimension bookkeeping failed at vertex {i}: {x} != {rep.dim * ni ** 2}"
             )
-    return CorrGraph(dims=dims, b_matrix=intlinalg.IntMatrix.from_rows(b), convention=convention)
+    return CorrGraph(dims=dims, b_matrix=IntMatrix.from_rows(b), convention=convention)
 
 
 def build_d_graph(rep: reps.Rep) -> CorrGraph:
@@ -126,26 +123,24 @@ def build_d_graph(rep: reps.Rep) -> CorrGraph:
     table = rep.table
     chi = rep.character()
     cols = [reps.decompose(table, [x * y for x, y in zip(chi, row)]) for row in table.values]
-    b = intlinalg.IntMatrix.from_rows(list(zip(*cols)))
+    b = IntMatrix.from_rows(list(zip(*cols)))
     return CorrGraph(dims=table.dims, b_matrix=b, convention="mckay")
 
 
 @record
 class PimsnerData:
-    m_matrix: intlinalg.IntMatrix  # action on classes of block projections
+    m_matrix: IntMatrix  # action on classes of block projections
     j_cols: tuple[int, ...]  # blocks where the left action is injective
-    reduced: intlinalg.IntMatrix  # (I - M) restricted to those columns
+    reduced: IntMatrix  # (I - M) restricted to those columns
 
 
 def pimsner_matrices(rep: reps.Rep) -> PimsnerData:
     dims = rep.table.dims
     r = len(dims)
-    m = intlinalg.IntMatrix.from_rows(
-        [[rep.mults[i] * dims[j] for i in range(r)] for j in range(r)]
-    )
+    m = IntMatrix.from_rows([[rep.mults[i] * dims[j] for i in range(r)] for j in range(r)])
     j_cols = tuple(i for i in range(r) if rep.mults[i] > 0)
     reduced = [[(i == j) - rep.mults[i] * dims[j] for i in j_cols] for j in range(r)]
-    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=intlinalg.IntMatrix.from_rows(reduced))
+    return PimsnerData(m_matrix=m, j_cols=j_cols, reduced=IntMatrix.from_rows(reduced))
 
 
 def ktheory_corr(rep: reps.Rep) -> intlinalg.KGroups:

@@ -1,11 +1,12 @@
 """Directed multigraphs and the operator-algebra bookkeeping attached to them.
 
-The convention throughout: a MultiGraph stores its adjacency with
-a[v][w] = number of edges from w to v, matching the incidence matrices of the
-correspondence layer (B[k][i] counts edges i -> k). Everything downstream
-reads the matrix in that orientation; the K-theory and simplicity tests work
-on the reversed graph, whose ordinary row-to-column adjacency is exactly the
-stored matrix.
+The convention throughout: a MultiGraph stores its adjacency as an
+IntMatrix with a[v, w] = number of edges from w to v, matching the incidence
+matrices of the correspondence layer (B[k][i] counts edges i -> k), and
+every reader walks its nonzero entries. Everything downstream reads the
+matrix in that orientation; the K-theory and simplicity tests work on the
+reversed graph, whose ordinary row-to-column adjacency is exactly the stored
+matrix.
 
 Also here: skew products of the one-vertex n-edge graph by a cocycle with
 values in an abelian dual group (finite targets in full, free abelian targets
@@ -18,11 +19,13 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from collections.abc import Iterable
 from math import lcm
 
 from . import corrgraph, intlinalg
 from .errors import SpecError, too_long
+from .matrix import IntMatrix
 from .record import record
 
 __all__ = [
@@ -59,28 +62,32 @@ class Stub:
 
 @record
 class MultiGraph:
-    n: int
-    a: tuple[tuple[int, ...], ...]  # a[v][w] = number of edges w -> v
+    a: IntMatrix  # a[v, w] = number of edges w -> v
     names: tuple[str, ...]
     stubs: tuple[Stub, ...] = ()
 
+    @property
+    def n(self) -> int:
+        return self.a.rows
+
     def __post_init__(self):
-        if len(self.a) != self.n or any(len(row) != self.n for row in self.a):
-            raise SpecError("adjacency matrix shape does not match vertex count")
-        if len(self.names) != self.n:
+        if self.a.cols != self.a.rows:
+            raise SpecError("adjacency matrix is not square")
+        if len(self.names) != self.a.rows:
             raise SpecError("vertex name count does not match vertex count")
-        if any(min(row) < 0 for row in self.a):
+        if any(x < 0 for row in self.a.nz for _, x in row):
             raise SpecError("edge multiplicities must be nonnegative")
 
 
 def from_corr(corr: corrgraph.CorrGraph) -> MultiGraph:
-    return MultiGraph(n=corr.vertex_count, a=corr.b_matrix.entries, names=corr.names)
+    return MultiGraph(a=corr.b_matrix, names=corr.names)
 
 
 def sources_sinks(g: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Vertices receiving no edges (zero rows), emitting none (zero columns)."""
-    sources = tuple(v for v, row in enumerate(g.a) if not any(row))
-    sinks = tuple(v for v, col in enumerate(zip(*g.a)) if not any(col))
+    emitting = {w for row in g.a.nz for w, _ in row}
+    sources = tuple(v for v, row in enumerate(g.a.nz) if not row)
+    sinks = tuple(v for v in range(g.n) if v not in emitting)
     return sources, sinks
 
 
@@ -92,17 +99,16 @@ def ktheory_graph(g: MultiGraph) -> intlinalg.KGroups:
     K_0 is its cokernel and K_1 its kernel. Column j is row v of a less
     e_v, for v the j-th kept vertex. So the presentation's rows are filled
     from the nonzero entries of the kept rows of a, one column at a time,
-    and the entry at (v, j) is lowered by 1: no dense matrix is built, and
-    no row of a is copied.
+    and the entry at (v, j) is lowered by 1: no dense matrix is built.
     """
-    kept = [v for v in range(g.n) if any(g.a[v])]
+    kept = [(v, row) for v, row in enumerate(g.a.nz) if row]
     rows: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for j, v in enumerate(kept):
-        for i in itertools.compress(range(g.n), g.a[v]):
-            rows[i][j] = g.a[v][i]
+    for j, (v, row) in enumerate(kept):
+        for i, x in row:
+            rows[i][j] = x
         rows[v][j] = rows[v].get(j, 0) - 1
     nz = tuple(tuple((j, x) for j, x in row.items() if x) for row in rows)
-    return intlinalg.coker_ker(intlinalg.IntMatrix(g.n, len(kept), nz))
+    return intlinalg.coker_ker(IntMatrix(g.n, len(kept), nz))
 
 
 @record
@@ -142,24 +148,27 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
     reaches no cycle; if every vertex emits an edge, a walk never stops, so
     it closes a cycle.
     """
-    n, rev = g.n, g.a
+    # the reversed graph: heads[v] lists the vertices v has edges to, and
+    # degree[v] counts those edges with multiplicity
+    heads = [[w for w, _ in row] for row in g.a.nz]
+    degree = [sum(x for _, x in row) for row in g.a.nz]
     # low[v]: None until v is seen; then the least stack position known to be
     # reachable from v while v is on the stack; n once its component closed
-    low: list[int | None] = [None] * n
+    low: list[int | None] = [None] * g.n
     stack: list[int] = []
     exitless, targets = False, 0
-    for root in range(n):
+    for root in range(g.n):
         if low[root] is not None:
             continue
         low[root] = 0  # the stack is empty between roots
         stack.append(root)
-        path = [(root, 0, itertools.compress(range(n), rev[root]))]
+        path = [(root, 0, iter(heads[root]))]
         while path:
             v, pos, succ = path[-1]
             for w in succ:
                 if low[w] is None:
                     low[w] = len(stack)
-                    path.append((w, len(stack), itertools.compress(range(n), rev[w])))
+                    path.append((w, len(stack), iter(heads[w])))
                     stack.append(w)
                     break
                 low[v] = min(low[v], low[w])
@@ -169,10 +178,10 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
                     component = stack[pos:]
                     del stack[pos:]
                     for w in component:
-                        low[w] = n
-                    cycle = len(component) > 1 or rev[v][v] > 0
-                    exitless |= cycle and all(sum(rev[w]) == 1 for w in component)
-                    targets += cycle or not any(rev[v])
+                        low[w] = g.n
+                    cycle = len(component) > 1 or v in heads[v]
+                    exitless |= cycle and all(degree[w] == 1 for w in component)
+                    targets += cycle or not heads[v]
                 if path:
                     u = path[-1][0]
                     low[u] = min(low[u], low[v])
@@ -181,7 +190,7 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
         every_cycle_has_exit=not exitless,
         cofinal=targets <= 1,
         simple=simple,
-        purely_infinite_simple=simple and all(map(any, rev)),
+        purely_infinite_simple=simple and all(heads),
     )
 
 
@@ -189,8 +198,9 @@ def simplicity_check(g: MultiGraph) -> SimplicityReport:
 # skew products
 
 
-# Skew products build a dense vertex-by-vertex adjacency matrix; the vertex
-# count is checked against this before anything is allocated.
+# A skew product's vertex count is checked against this before anything is
+# allocated. The build holds only the nonzero counts, so the cap bounds the
+# dense vertex-by-vertex A that the CLI prints in text and JSON.
 MAX_SKEW_VERTICES = 2500
 
 
@@ -266,25 +276,25 @@ def skew_product(spec: SkewSpec) -> MultiGraph:
     index = {h: t for t, h in enumerate(elements)}
     nn = len(elements)
     names = tuple(_name_of(h) for h in elements)
-    a = [[0] * nn for _ in range(nn)]
-    stub_counts: dict[tuple[int, str], int] = {}
+    # into[v] counts the edges into v by source, filled in increasing source
+    # order, so its items are row v of the adjacency matrix
+    into: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(nn)]
+    stub_counts: defaultdict[tuple[int, str], int] = defaultdict(int)
     for src, h in enumerate(elements):
         for c in spec.cocycle:
             h2 = tuple(x + y for x, y in zip(h, c))
             if orders is not None:
                 h2 = tuple(x % o for x, o in zip(h2, orders))
             if h2 in index:
-                a[index[h2]][src] += 1
+                into[index[h2]][src] += 1
             else:
-                key = (src, _name_of(h2))
-                stub_counts[key] = stub_counts.get(key, 0) + 1
+                stub_counts[src, _name_of(h2)] += 1
     stubs = tuple(
         Stub(s, t, c)
         for (s, t), c in sorted(stub_counts.items())
     )
-    for v, row in enumerate(a):  # freeze in place, row by row: one n x n matrix is held
-        a[v] = tuple(row)
-    return MultiGraph(n=nn, a=tuple(a), names=names, stubs=stubs)
+    a = IntMatrix(nn, nn, tuple(tuple(row.items()) for row in into))
+    return MultiGraph(a=a, names=names, stubs=stubs)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +400,8 @@ MAX_EDGE_COPIES = 10**6
 
 def cap_edge_copies(obj: corrgraph.CorrGraph | MultiGraph) -> int:
     """The number of edge copies in obj; SpecError above MAX_EDGE_COPIES."""
-    counts = obj.a if isinstance(obj, MultiGraph) else obj.b_matrix.entries
-    copies = sum(map(sum, counts))
+    counts = obj.a if isinstance(obj, MultiGraph) else obj.b_matrix
+    copies = sum(x for row in counts.nz for _, x in row)
     if copies > MAX_EDGE_COPIES:
         raise SpecError(
             f"graph has {copies:,} edge copies; listing them is capped at {MAX_EDGE_COPIES:,}"
@@ -406,10 +416,9 @@ def dot_export(obj: corrgraph.CorrGraph | MultiGraph, graph_name: str = "g") -> 
     lines = [f"digraph {graph_name} {{", "  rankdir=LR;"]
     lines += [f'  v{i} [label="{name}"];' for i, name in enumerate(obj.names)]
     if isinstance(obj, MultiGraph):
-        for w in range(obj.n):
-            for v in range(obj.n):
-                for _ in range(obj.a[v][w]):
-                    lines.append(f"  v{w} -> v{v};")
+        for w, v, count in sorted((w, v, x) for v, row in enumerate(obj.a.nz) for w, x in row):
+            for _ in range(count):
+                lines.append(f"  v{w} -> v{v};")
         for t, s in enumerate(obj.stubs):
             lines.append(f'  stub{t} [label="{s.target}", shape=plaintext];')
             lines.append(f'  v{s.src} -> stub{t} [style=dashed, label="{s.count}"];')

@@ -185,7 +185,7 @@ def test_criterion_6_truncated_rotation_family_skew(capfd):
             )
             n = 2 * w + 1
             assert sk.n == n
-            assert all(x == 1 for row in sk.a for x in row)
+            assert all(x == 1 for row in sk.a.entries for x in row)
             # the remaining characters leave the window as boundary stubs
             assert sum(s.count for s in sk.stubs) == n * len(c) - n * n
 

@@ -178,7 +178,7 @@ def test_mckay_kgroups_match_the_character_oracle():
             reps.append(rep_from_mults(t, mults))
         for rep in reps:
             g = from_corr(build_d_graph(rep))
-            assert all(map(any, g.a)), (spec, rep.mults)
+            assert all(map(any, g.a.entries)), (spec, rep.mults)
             chi = rep.character()
             z = sum(1 for x in chi if x == 1)
             k = ktheory_graph(g)

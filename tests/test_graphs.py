@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense_dot, dense_skew_product, dense_sources_sinks, graph
 from repcorr.chartable import character_table
 from repcorr.corrgraph import build_d_graph, build_e_graph
 from repcorr.cyclo import zeta
@@ -20,6 +21,7 @@ from repcorr.graphs import (
     MultiGraph,
     SimplicityReport,
     SkewSpec,
+    cap_edge_copies,
     circle_analysis,
     dot_export,
     from_corr,
@@ -43,15 +45,6 @@ def table_for(spec):
     return _TABLES[spec]
 
 
-def mg(rows, names=None):
-    n = len(rows)
-    return MultiGraph(
-        n=n,
-        a=tuple(tuple(r) for r in rows),
-        names=tuple(names) if names else tuple(f"v{i}" for i in range(n)),
-    )
-
-
 def kt(g):
     k = ktheory_graph(g)
     return (k.k0_free_rank, k.k0_torsion, k.k1_rank)
@@ -62,7 +55,7 @@ def test_sym3_natural_rep_graph_matches_bimodule_matrix_and_ktheory():
     rho = parse_rep_spec(t, "perm:[(1 2), (1 2 3)]")
     g = from_corr(build_e_graph(rho, "paper-min"))
     # the multigraph stores the same from-w-to-v matrix as the builder
-    assert [list(r) for r in g.a] == [[1, 1, 1], [0, 0, 0], [1, 1, 2]]
+    assert [list(r) for r in g.a.entries] == [[1, 1, 1], [0, 0, 0], [1, 1, 2]]
     assert kt(g) == (1, (), 0)
     sources, sinks = sources_sinks(g)
     assert sources == (1,)
@@ -71,12 +64,12 @@ def test_sym3_natural_rep_graph_matches_bimodule_matrix_and_ktheory():
 
 def test_edgeless_graph_gives_free_k0():
     for k in (1, 2, 5):
-        g = mg([[0] * k for _ in range(k)])
+        g = graph([[0] * k for _ in range(k)])
         assert kt(g) == (k, (), 0)
 
 
 def test_single_loop_is_circle_algebra():
-    g = mg([[1]])
+    g = graph([[1]])
     assert kt(g) == (1, (), 1)
     rep = simplicity_check(g)
     assert not rep.every_cycle_has_exit
@@ -84,7 +77,7 @@ def test_single_loop_is_circle_algebra():
 
 
 def test_two_loops_is_cuntz_algebra():
-    g = mg([[2]])
+    g = graph([[2]])
     assert kt(g) == (0, (), 0)
     rep = simplicity_check(g)
     assert rep.every_cycle_has_exit and rep.cofinal
@@ -92,13 +85,13 @@ def test_two_loops_is_cuntz_algebra():
 
 
 def test_three_loops_torsion():
-    g = mg([[3]])
+    g = graph([[3]])
     assert kt(g) == (0, (2,), 0)
 
 
 def test_single_edge_is_matrix_algebra():
     # one edge 1 -> 0, so vertex 1 receives nothing
-    g = mg([[0, 1], [0, 0]])
+    g = graph([[0, 1], [0, 0]])
     assert sources_sinks(g) == ((1,), (0,))
     assert kt(g) == (1, (), 0)
     rep = simplicity_check(g)
@@ -107,13 +100,13 @@ def test_single_edge_is_matrix_algebra():
 
 
 def test_disjoint_vertices_not_simple():
-    g = mg([[0, 0], [0, 0]])
+    g = graph([[0, 0], [0, 0]])
     rep = simplicity_check(g)
     assert not rep.cofinal and not rep.simple
 
 
 def test_plain_cycle_not_simple():
-    g = mg([[0, 1], [1, 0]])
+    g = graph([[0, 1], [1, 0]])
     rep = simplicity_check(g)
     assert not rep.every_cycle_has_exit
     assert not rep.simple
@@ -137,7 +130,7 @@ def test_regular_rep_graph_is_simple_and_purely_infinite():
 
 def test_sources_sinks_chain():
     # edges 2 -> 1 and 1 -> 0 in the stored from-w-to-v convention
-    g = mg([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    g = graph([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     sources, sinks = sources_sinks(g)
     assert sources == (2,)
     assert sinks == (0,)
@@ -146,7 +139,7 @@ def test_sources_sinks_chain():
 def test_skew_by_order_two_doubles_cuntz_graph():
     sk = skew_product(SkewSpec(cocycle=((1,), (1,)), orders=(2,)))
     assert sk.n == 2
-    assert [list(r) for r in sk.a] == [[0, 2], [2, 0]]
+    assert [list(r) for r in sk.a.entries] == [[0, 2], [2, 0]]
     assert sk.names == ("(0)", "(1)")
     assert sk.stubs == ()
 
@@ -163,7 +156,7 @@ def test_skew_trivial_cocycle_gives_loop_multiple_of_identity():
             expect = [
                 [n_edges if i == j else 0 for j in range(k)] for i in range(k)
             ]
-            assert [list(r) for r in sk.a] == expect
+            assert [list(r) for r in sk.a.entries] == expect
 
 
 def test_skew_free_rank_one_line_with_stub():
@@ -172,7 +165,7 @@ def test_skew_free_rank_one_line_with_stub():
     assert sk.names == ("(-2)", "(-1)", "(0)", "(1)", "(2)")
     for t in range(4):
         # the edge leaving lattice point t lands one step up
-        assert sk.a[t + 1][t] == 1
+        assert sk.a[t + 1, t] == 1
     assert len(sk.stubs) == 1
     assert sk.stubs[0].src == 4
     assert sk.stubs[0].target == "(3)"
@@ -187,7 +180,7 @@ def test_skew_symmetric_band_on_window():
     for v in range(5):
         for w in range(5):
             expect = 1 if abs(vals[v] - vals[w]) <= 2 else 0
-            assert sk.a[v][w] == expect
+            assert sk.a[v, w] == expect
     assert sum(s.count for s in sk.stubs) == 6
 
 
@@ -199,7 +192,7 @@ def test_skew_window_consistency():
     li = {name: t for t, name in enumerate(large.names)}
     for name_a, sa in si.items():
         for name_b, sb in si.items():
-            assert small.a[sa][sb] == large.a[li[name_a]][li[name_b]]
+            assert small.a[sa, sb] == large.a[li[name_a], li[name_b]]
 
 
 @st.composite
@@ -231,11 +224,11 @@ def test_window_agrees_with_the_finite_skew_product(case):
            for name in win.names]
     assert len(set(res)) == win.n and fin.n == m**rank
     for v in range(win.n):
-        assert list(win.a[v]) == [fin.a[res[v]][res[u]] for u in range(win.n)]
+        assert list(win.a.entries[v]) == [fin.a[res[v], res[u]] for u in range(win.n)]
     outside = set(range(fin.n)) - set(res)
     for u in range(win.n):
         stubs = sum(s.count for s in win.stubs if s.src == u)
-        assert stubs == sum(fin.a[r][res[u]] for r in outside)
+        assert stubs == sum(fin.a[r, res[u]] for r in outside)
 
 
 # The abelian bridge: over a finite abelian group G with dual G^, the skew
@@ -285,7 +278,7 @@ def test_finite_skew_product_is_the_d_graph_of_the_cocycle_characters(case):
     assert sorted(pi) == list(range(t.count)) and sk.stubs == ()
     # Both store a[v][w] = number of edges w -> v, so this pins the direction.
     for v in range(sk.n):
-        assert [sk.a[v][w] for w in range(sk.n)] == [d.a[pi[v]][pi[w]] for w in range(sk.n)]
+        assert [sk.a[v, w] for w in range(sk.n)] == [d.a[pi[v], pi[w]] for w in range(sk.n)]
     assert kt(sk) == kt(d)
 
 
@@ -428,7 +421,7 @@ def _reference_simplicity(g):
     only vertices that emit one edge; cofinal when every vertex reaches every
     vertex on a cycle and every sink; purely infinite when, in addition,
     every vertex reaches a cycle."""
-    n, rev = g.n, g.a
+    n, rev = g.n, g.a.entries
     succ = [[w for w in range(n) if rev[v][w]] for v in range(n)]
     reach = _reachability(succ)
     on_cycle = {v for v in range(n) if any(v in reach[w] for w in succ[v])}
@@ -448,8 +441,9 @@ def _reference_simplicity(g):
 def _reference_every_cycle_has_exit(g):
     """The functional-graph walk `simplicity_check` used before: a cycle with
     no exit lives inside the part where every vertex emits exactly one edge."""
-    succ = [[w for w in range(g.n) if g.a[v][w]] for v in range(g.n)]
-    next_of = {v: succ[v][0] for v in range(g.n) if sum(g.a[v]) == 1}
+    rev = g.a.entries
+    succ = [[w for w in range(g.n) if rev[v][w]] for v in range(g.n)]
+    next_of = {v: succ[v][0] for v in range(g.n) if sum(rev[v]) == 1}
     state = {v: 0 for v in next_of}  # 0 unseen, 1 in progress, 2 done
     for v in next_of:
         if state[v]:
@@ -471,7 +465,7 @@ def _reference_every_cycle_has_exit(g):
 def _multigraphs(draw):
     n = draw(st.integers(1, 8))
     rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=n, max_size=n), min_size=n, max_size=n))
-    return mg(rows)
+    return graph(rows)
 
 
 @st.composite
@@ -509,19 +503,19 @@ def test_simplicity_on_long_path_and_cycle():
     # limit: v -> v + 1 in the reversed graph, then the same closed up.
     n = 2401
     unit = [(0,) * w + (1,) + (0,) * (n - w - 1) for w in range(n)]
-    path = mg(unit[1:] + [(0,) * n])
+    path = graph(unit[1:] + [(0,) * n])
     assert simplicity_check(path) == SimplicityReport(True, True, True, False)
-    cycle = mg(unit[1:] + unit[:1])
+    cycle = graph(unit[1:] + unit[:1])
     assert simplicity_check(cycle) == SimplicityReport(False, True, False, False)
 
 
 def test_cycle_exit_cases():
     # an exitless 2-cycle fed by a vertex off the cycle
-    assert not simplicity_check(mg([[0, 1, 0], [0, 0, 1], [0, 1, 0]])).every_cycle_has_exit
+    assert not simplicity_check(graph([[0, 1, 0], [0, 0, 1], [0, 1, 0]])).every_cycle_has_exit
     # a doubled edge on the cycle is an exit
-    assert simplicity_check(mg([[0, 2], [1, 0]])).every_cycle_has_exit
+    assert simplicity_check(graph([[0, 2], [1, 0]])).every_cycle_has_exit
     # a 2-cycle one of whose vertices also feeds a sink
-    assert simplicity_check(mg([[0, 1, 0], [1, 0, 1], [0, 0, 0]])).every_cycle_has_exit
+    assert simplicity_check(graph([[0, 1, 0], [1, 0, 1], [0, 0, 0]])).every_cycle_has_exit
 
 
 def test_parse_frequency_forms():
@@ -605,10 +599,59 @@ def test_dot_export_multigraph_with_stubs():
     assert dot == dot_export(skew_product(SkewSpec(cocycle=((1,),), rank=1, window=1)))
 
 
+def test_graph_readers_build_no_dense_adjacency():
+    # IntMatrix.entries is a cached property, so a dense view, once built,
+    # sits in the matrix's instance dict: no reader may put it there.
+    specs = [SkewSpec(cocycle=((1, 0), (0, 1), (-1, -1)), rank=2, window=6),
+             SkewSpec(cocycle=((1, 0), (0, 5), (11, 7)), orders=(12, 12))]
+    for spec in specs:
+        g = skew_product(spec)
+        ktheory_graph(g), simplicity_check(g), sources_sinks(g)
+        cap_edge_copies(g), dot_export(g)
+        assert "entries" not in vars(g.a), spec
+
+
+@st.composite
+def _oracle_skew_specs(draw):
+    """Finite duals Z/m (m <= 12) and Z/a x Z/b (a, b <= 6), and windows of
+    rank 1-2 and radius 1-4 whose characters may leave the window (stubs),
+    with a repeated character (multi-edges) and the zero character (loops)
+    drawn half the time each."""
+    kind = draw(st.sampled_from(("Z/m", "Z/a x Z/b", "window")))
+    rank = window = 0
+    if kind == "window":
+        rank, window = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+        orders = None
+        chars = st.tuples(*[st.integers(-2 * window - 1, 2 * window + 1)] * rank)
+    else:
+        orders = (draw(st.integers(1, 12)),) if kind == "Z/m" else (
+            draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        chars = st.tuples(*(st.integers(0, o - 1) for o in orders))
+    cocycle = draw(st.lists(chars, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        cocycle.append(cocycle[0])
+    if draw(st.booleans()):
+        cocycle.append((0,) * len(cocycle[0]))
+    return SkewSpec(cocycle=tuple(cocycle), orders=orders, rank=rank, window=window or 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_oracle_skew_specs())
+def test_sparse_skew_product_matches_the_dense_build(spec):
+    rows, stubs = dense_skew_product(spec)
+    g = skew_product(spec)
+    assert g.stubs == stubs
+    assert sources_sinks(g) == dense_sources_sinks(rows)
+    assert dot_export(g, "skew") == dense_dot(rows, g.names, stubs, "skew")
+    assert cap_edge_copies(g) == sum(map(sum, rows))
+    assert g.a.entries == rows
+
+
 def test_multigraph_validation():
     with pytest.raises(SpecError):
-        MultiGraph(n=2, a=((0,),), names=("a", "b"))
+        graph([[0, 0]], names=("a",))
     with pytest.raises(SpecError):
-        MultiGraph(n=1, a=((-1,),), names=("a",))
+        graph([[-1]], names=("a",))
     with pytest.raises(SpecError):
-        MultiGraph(n=1, a=((0,),), names=())
+        graph([[0]], names=())
+    assert graph([[0, 2], [1, 0]]).n == 2 and MultiGraph._fields == ("a", "names", "stubs")

@@ -899,9 +899,9 @@ def test_modular_route_gives_the_skew_window_k_groups():
 def _dense_presentation(g) -> IntMatrix:
     """a^t - I without the columns of vertices that receive no edge, built
     densely as ktheory_graph once did."""
-    n = g.n
-    t = IntMatrix.from_rows([[g.a[j][i] - (i == j) for j in range(n)] for i in range(n)])
-    return delete_columns(t, {v for v in range(n) if not any(g.a[v])})
+    n, a = g.n, g.a.entries
+    t = IntMatrix.from_rows([[a[j][i] - (i == j) for j in range(n)] for i in range(n)])
+    return delete_columns(t, {v for v in range(n) if not any(a[v])})
 
 
 def test_kgroups_go_through_smith_normal_form(monkeypatch):

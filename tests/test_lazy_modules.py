@@ -13,7 +13,8 @@ import sys
 from repcorr import cli, corrgraph
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-MODULES = ("chartable", "corrgraph", "cyclo", "errors", "graphs", "groups", "intlinalg", "reps")
+MODULES = ("chartable", "corrgraph", "cyclo", "errors", "graphs", "groups", "intlinalg", "matrix",
+           "reps")
 
 # Prints the repcorr modules in sys.modules, and those of them that have run.
 _REPORT = """
@@ -45,6 +46,19 @@ def test_the_cli_runs_only_the_modules_its_task_calls():
         "import repcorr.cli\nrepcorr.cli.main(['--rep', 'c=zcocycle:[0,1,-1]', '--task', 'skew'])"
     )
     assert "graphs" in ran and not ran & {"chartable", "corrgraph", "cyclo", "reps", "intlinalg"}
+
+
+def test_graph_runs_build_matrices_without_the_smith_layer(tmp_path):
+    # Every graph holds its counts as an IntMatrix from `matrix`, so a run
+    # that prints, draws or writes graphs never runs `intlinalg`.
+    s3 = ["--group", "symmetric:3", "--rep", "rho=perm:[(1 2), (1 2 3)]"]
+    runs = [s3 + ["--task", "egraph"], s3 + ["--task", "dgraph", "--format", "dot"],
+            s3 + ["--task", "export", "--out", str(tmp_path)],
+            ["--rep", "c=zcocycle:[0,1,-1]", "--task", "skew", "--format", "json"]]
+    for argv in runs:
+        _, ran = loaded_and_run(f"import repcorr.cli\nrepcorr.cli.main({argv!r})")
+        assert "matrix" in ran and "intlinalg" not in ran, argv
+    assert {p.name for p in tmp_path.iterdir()} == {"table.txt", "egraph_rho.json", "egraph_rho.dot"}
 
 
 def test_package_names_from_the_matrix_and_graph_layers_run_no_table_layer():

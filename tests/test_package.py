@@ -4,7 +4,8 @@ import importlib
 
 import repcorr
 
-MODULES = ("chartable", "corrgraph", "cyclo", "errors", "graphs", "groups", "intlinalg", "reps")
+MODULES = ("chartable", "corrgraph", "cyclo", "errors", "graphs", "groups", "intlinalg", "matrix",
+           "reps")
 
 # The names the package exported while it listed them by hand.
 EXPORTED_BEFORE = """

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import repcorr
+from helpers import graph
 from repcorr import record as record_module
 from repcorr.chartable import CharTable, character_table
 from repcorr.corrgraph import CorrEdge, CorrGraph, PimsnerData, build_e_graph, pimsner_matrices
@@ -34,7 +35,8 @@ from repcorr.graphs import (
     Stub,
 )
 from repcorr.groups import ClassData, Group, conjugacy, construct_group
-from repcorr.intlinalg import IntMatrix, KGroups, SmithForm, parse_matrix, smith_normal_form
+from repcorr.intlinalg import KGroups, SmithForm, parse_matrix, smith_normal_form
+from repcorr.matrix import IntMatrix
 from repcorr.reps import MAX_REP_DIM, Rep, regular_rep, trivial_rep
 
 _SRC = Path(repcorr.__file__).resolve().parents[1]
@@ -50,8 +52,8 @@ def _samples() -> dict[type, list]:
     half = Frequency(Fraction(1, 2))
     return {
         Stub: [Stub(0, "(1)", 2), Stub(1, "(1)", 2)],
-        MultiGraph: [MultiGraph(2, ((0, 1), (1, 0)), ("a", "b")),
-                     MultiGraph(1, ((2,),), ("v",), (Stub(0, "w", 1),))],
+        MultiGraph: [graph(((0, 1), (1, 0)), ("a", "b")),
+                     graph(((2,),), ("v",), (Stub(0, "w", 1),))],
         SimplicityReport: [SimplicityReport(True, False, True, False),
                            SimplicityReport(True, True, True, True)],
         SkewSpec: [SkewSpec(((1, 0), (0, 1))), SkewSpec(((1,),), None, 1, 3)],
@@ -217,14 +219,14 @@ def test_post_init_checks_run_on_every_path():
             build()
     assert reg.renamed("r") == Rep(reg.table, reg.mults, "r")
     bad_graphs = [
-        ((2, ((0, 1),), ("a", "b")), "shape does not match"),
-        ((1, ((0, 1),), ("a",)), "shape does not match"),
-        ((1, ((0,),), ("a", "b")), "name count"),
-        ((1, ((-1,),), ("a",)), "nonnegative"),
+        ((IntMatrix.zeros(2, 1), ("a", "b")), "not square"),
+        ((IntMatrix(1, 2, (((1, 1),),)), ("a",)), "not square"),
+        ((IntMatrix.zeros(1, 1), ("a", "b")), "name count"),
+        ((IntMatrix(1, 1, (((0, -1),),)), ("a",)), "nonnegative"),
     ]
-    for (n, a, names), message in bad_graphs:
-        for build in (lambda: MultiGraph(n, a, names), lambda: MultiGraph(n=n, a=a, names=names),
-                      lambda: SAMPLES[MultiGraph][0]._replace(n=n, a=a, names=names)):
+    for (a, names), message in bad_graphs:
+        for build in (lambda: MultiGraph(a, names), lambda: MultiGraph(a=a, names=names),
+                      lambda: SAMPLES[MultiGraph][0]._replace(a=a, names=names)):
             with pytest.raises(SpecError, match=message):
                 build()
 

@@ -111,5 +111,6 @@ def test_import_times_prints_one_json_line():
     assert all(us > 0 for us in line["self_us"].values())
     assert line["repeat"] == 2
     assert set(line["compile_us"]) >= {"repcorr", "repcorr.cli", "repcorr.record"}
+    assert "repcorr.matrix" in line["self_us"] and "repcorr.matrix" in line["compile_us"]
     assert all(us > 0 for us in line["compile_us"].values())
     assert isinstance(line["pycache"], int) and line["pycache"] >= 0
