@@ -17,13 +17,17 @@ the maps zeta_N -> omega^(+-1): every other map is discharged by the class
 power map g -> g^u, which reads its image off those, or summed in full when
 the table does not allow it (the proofs are in `verify_table`).
 
-The split is deterministic and needs one F_p routine, `_kernel_mod`. Pieces
-are split by one class matrix at a time, each built only when a piece still
-needs it (`_omega_vectors`). A piece is kept reduced at pivot coordinates,
-which gives the matrix of a class matrix on it, an exact invariance check,
-and eigenvalue candidates as the roots of one annihilating polynomial
-(`_split_piece`). No random number is drawn; `seed` is accepted for
-compatibility and has no effect.
+The split is deterministic and runs on sparse rows and vectors, {index:
+residue} with residues in (-p/2, p/2], through the package's one sparse row
+update, `matrix._axpy`, taken modulo p; its one elimination is
+`_kernel_mod`. Pieces are split by one class matrix at a time, each built
+only when a piece still needs it and read by its sparse columns
+(`_omega_vectors`, which normalizes each result to a dense list of residues
+in [0, p)). A piece is kept reduced at pivot coordinates, which gives the
+matrix of a class matrix on it, an exact invariance check, and eigenvalue
+candidates as the roots of one annihilating polynomial (`_split_piece`). No
+random number is drawn; `seed` is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from operator import mul
 from .cyclo import Cyclo, _factor, parse_cyclo
 from .errors import SpecError, VerificationError, too_long
 from .groups import ClassData, Group, _power_path, class_mult_coeffs, conjugacy, construct_group
+from .matrix import _axpy
 from .record import record
 
 __all__ = [
@@ -121,53 +126,54 @@ def _integer_terms(values) -> tuple[int, list[int], list[list[int]], list[_Terms
 
 
 # ---------------------------------------------------------------------------
-# modular linear algebra helpers (dense, tiny matrices)
+# sparse linear algebra mod p: vectors are {index: residue} dicts (`matrix`)
 
 
-def _mat_vec(m, v: list[int], p: int) -> list[int]:
-    """m v mod p, reading only the nonzero entries of v."""
-    nz = [(k, x) for k, x in enumerate(v) if x]
-    return [sum(row[k] * x for k, x in nz) % p for row in m]
+def _kernel_mod(rows: list[dict[int, int]], ncols: int, p: int) -> list[dict[int, int]]:
+    """Basis of {x : m x = 0} over F_p for the matrix m with ncols columns
+    and the given sparse rows, one sparse vector per free column, its
+    entries residues in (-p/2, p/2]. The rows may hold any integers: they
+    are read modulo p and left unchanged.
 
-
-def _kernel_mod(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : m x = 0} over F_p, one vector per free column.
-
-    Forward elimination brings m to row echelon form. Each free column then
-    gets one vector, found by back-substitution with that free variable 1
-    and the others 0: the basis read off the reduced echelon form, which
-    depends only on the kernel. Every variable above that free column is 0
-    (the later free ones by choice, the later pivot ones by induction), so
-    each pivot row is read only up to it. A matrix of full column rank costs
-    one forward pass.
+    Forward elimination brings m to row echelon form: for each column, the
+    shortest active row holding it, scaled to 1 there, is its pivot row and
+    clears the column from every other active row, so a pivot row is 0 left
+    of its column. Each free column then gets one vector, found by
+    back-substitution with that free variable 1 and the others 0: the basis
+    read off the reduced echelon form, which depends only on the kernel.
+    Every variable above that free column is 0 (the later free ones by
+    choice, the later pivot ones by induction), so only the pivot rows left
+    of it are read.
     """
-    rows = [[x % p for x in row] for row in m]
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
+    active = [_axpy({}, 1, row, p) for row in rows]
+    echelon: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
+        holders = [row for row in active if c in row]
+        if not holders:
             continue
-        inv = pow(rows[sel][c], -1, p)
-        piv = [x * inv % p for x in rows[sel]]
-        rows[sel], rows[r] = rows[r], piv
-        pivots.append(c)
-        if c + 1 == ncols:
-            break  # no column is left to clear below the pivot
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], piv)]
+        sel = min(holders, key=len)
+        piv = _axpy({}, pow(sel[c], -1, p), sel, p)
+        for row in holders:
+            if row is not sel:
+                _axpy(row, -row[c], piv, p)
+        active = [row for row in active if row and row is not sel]
+        echelon.append((c, piv))
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        vec = [0] * ncols
-        vec[fc] = 1
-        for row, pc in reversed(list(zip(rows, pivots))):
+    for fc in sorted(set(range(ncols)) - {c for c, _ in echelon}):
+        vec = {fc: 1}
+        for pc, row in reversed(echelon):
             if pc < fc:
-                vec[pc] = -sum(map(mul, row[pc + 1:fc + 1], vec[pc + 1:fc + 1])) % p
+                _axpy(vec, -sum(x * vec.get(j, 0) for j, x in row.items()), {pc: 1}, p)
         basis.append(vec)
     return basis
+
+
+def _combine(coeffs: dict[int, int], vecs, p: int) -> dict[int, int]:
+    """sum_t coeffs[t] vecs[t] over F_p, a sparse vector of residues."""
+    out: dict[int, int] = {}
+    for t, c in coeffs.items():
+        _axpy(out, c, vecs[t], p)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +209,20 @@ def _primitive_root(p: int) -> int:
     raise VerificationError(f"no primitive root mod {p}")
 
 
-_Piece = tuple[list[int], list[list[int]]]  # (pivots, basis)
+_Piece = tuple[list[int], list[dict[int, int]]]  # (pivots, sparse basis)
 
 
-def _split_piece(pivots: list[int], basis: list[list[int]], amat, p: int) -> list[_Piece]:
-    """Split the piece span(basis) into the eigenspaces of amat it contains.
+def _split_piece(pivots: list[int], basis: list[dict[int, int]], acols: list[dict[int, int]],
+                 p: int) -> list[_Piece]:
+    """Split the piece span(basis) into the eigenspaces it contains of the
+    class matrix A with sparse columns acols. Vectors are sparse, their
+    entries residues in (-p/2, p/2] (`_omega_vectors` normalizes the last).
 
     The basis is reduced at `pivots`: b_t[pivots[s]] = delta_ts. So the
     coordinates of a vector v of the span are v read at the pivots, and the
-    k x k matrix C of amat on the piece has column j equal to amat b_j read
-    there. Checking amat b_j = sum_t C[t][j] b_t at every other coordinate
-    proves the piece invariant under amat.
+    k x k matrix C of A on the piece has column j equal to A b_j read there.
+    Checking A b_j = sum_t C[t][j] b_t, as sparse vectors, proves the piece
+    invariant under A.
 
     The eigenvalue candidates are the roots in F_p of the annihilating
     polynomial of the functional f(v) = v[0] under C: the first kernel
@@ -231,34 +240,27 @@ def _split_piece(pivots: list[int], basis: list[list[int]], amat, p: int) -> lis
     identity class; neither can give a table, so a shortfall raises.
     """
     k = len(basis)
-    pivot_set = set(pivots)
-    images = [_mat_vec(amat, b, p) for b in basis]
-    cols = [[im[c] for c in pivots] for im in images]
-    rest = [c for c in range(len(basis[0])) if c not in pivot_set]
-    basis_at = [[b[c] for b in basis] for c in rest]
-    for im, col in zip(images, cols):
-        if any((im[c] - sum(map(mul, col, row))) % p for c, row in zip(rest, basis_at)):
-            raise VerificationError("class matrix does not preserve an eigenspace")
-    krylov = [[b[0] for b in basis]]
-    for _ in range(k):
-        krylov.append([sum(map(mul, col, krylov[-1])) % p for col in cols])
-    poly = _kernel_mod(list(zip(*krylov)), p)[0]
-    crows = [list(row) for row in zip(*cols)]
-    by_coord = list(zip(*basis))
+    images = [_combine(b, acols, p) for b in basis]
+    cols = [{s: im[c] for s, c in enumerate(pivots) if c in im} for im in images]
+    if any(im != _combine(col, basis, p) for im, col in zip(images, cols)):
+        raise VerificationError("class matrix does not preserve an eigenspace")
+    crows = [{j: im[c] for j, im in enumerate(images) if c in im} for c in pivots]
+    kry_rows: list[dict[int, int]] = [{} for _ in range(k)]  # the columns (C^t)^i f, by rows
+    v = {t: b[0] for t, b in enumerate(basis) if 0 in b}
+    for i in range(k + 1):
+        for t, x in v.items():
+            kry_rows[t][i] = x
+        v = _combine(v, crows, p)
+    poly = _kernel_mod(kry_rows, k + 1, p)[0]
     pieces = []
     for lam in range(p):
         acc = 0
-        for c in reversed(poly):
-            acc = (acc * lam + c) % p
+        for d in range(max(poly), -1, -1):
+            acc = (acc * lam + poly.get(d, 0)) % p
         if acc:
             continue
-        for t in range(k):
-            crows[t][t] -= lam
-        kern = _kernel_mod(crows, p)
-        for t in range(k):
-            crows[t][t] += lam
-        pieces.append(([pivots[max(s for s, c in enumerate(w) if c)] for w in kern],
-                       [[sum(map(mul, w, at)) % p for at in by_coord] for w in kern]))
+        kern = _kernel_mod([{**row, t: row.get(t, 0) - lam} for t, row in enumerate(crows)], k, p)
+        pieces.append(([pivots[max(w)] for w in kern], [_combine(w, basis, p) for w in kern]))
     if sum(len(b) for _, b in pieces) != k:
         raise VerificationError("class matrix failed to diagonalize over F_p")
     return pieces
@@ -273,28 +275,30 @@ def _omega_vectors(g: Group, cd: ClassData, p: int) -> list[list[int]]:
     piece still needs it: the classes of the generators first, then the
     others by (size, index). M_0 is the identity and is never built. Distinct
     central characters differ on some class, so for consistent data every
-    piece ends one-dimensional; a piece left over raises.
+    piece ends one-dimensional; a piece left over raises. The split runs on
+    sparse vectors of balanced residues; each omega is returned dense, its
+    entries in [0, p).
     """
     r = cd.count
     gen_classes = [c for c in dict.fromkeys(cd.class_of[x] for x in g.generators) if c]
     others = sorted(set(range(1, r)) - set(gen_classes), key=lambda i: (cd.sizes[i], i))
-    pieces = [(list(range(r)), [[int(i == j) for j in range(r)] for i in range(r)])]
+    pieces = [(list(range(r)), [{i: 1} for i in range(r)])]
     for i in gen_classes + others:
         if all(len(basis) == 1 for _, basis in pieces):
             break
-        amat = class_mult_coeffs(g, cd, i)
+        acols = [{j: x for j, x in enumerate(col) if x} for col in zip(*class_mult_coeffs(g, cd, i))]
         pieces = [sub for piece in pieces for sub in
-                  (_split_piece(*piece, amat, p) if len(piece[1]) > 1 else [piece])]
+                  (_split_piece(*piece, acols, p) if len(piece[1]) > 1 else [piece])]
     if any(len(basis) > 1 for _, basis in pieces):
         raise VerificationError(
             "eigenspace splitting did not converge; class algebra is inconsistent"
         )
     out = []
     for _, (v,) in pieces:
-        if v[0] % p == 0:
+        if 0 not in v:
             raise VerificationError("central character vanishes on the identity class")
         inv = pow(v[0], -1, p)
-        out.append([x * inv % p for x in v])
+        out.append([v.get(j, 0) * inv % p for j in range(r)])
     return out
 
 

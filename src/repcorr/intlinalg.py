@@ -4,7 +4,8 @@ Everything here runs on arbitrary-precision Python integers. Intermediate
 entries in a Smith reduction can blow up well past machine words, so there is
 deliberately no fixed-width fast path. The matrices are
 `matrix.IntMatrix`, whose Bareiss determinant and probe solutions the
-certificate below reads.
+certificate below reads. The sparse rows are reduced and the logs replayed
+by `matrix._axpy`, the row update the character-table split shares.
 
 The Smith reduction is one elimination loop over the sparse rows of an
 active block. It pivots on the entry of least (|x|, Markowitz cost, row,
@@ -48,7 +49,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import SpecError, VerificationError
-from .matrix import IntMatrix, _probes
+from .matrix import IntMatrix, _axpy, _probes
 from .record import record
 
 __all__ = [
@@ -108,26 +109,6 @@ def parse_matrix(text: str) -> IntMatrix:
 
 def format_matrix(a: IntMatrix) -> str:
     return "; ".join(" ".join(str(x) for x in row) for row in a.entries)
-
-
-# Sparse vectors and matrices: a vector is {index: nonzero entry}, a matrix a
-# list of such rows (or columns, where a comment says so).
-
-
-def _axpy(dst: dict[int, int], c: int, src: dict[int, int], mod: int = 0) -> dict[int, int]:
-    """dst += c * src, dropping entries that cancel; return dst. Unless mod is
-    0, this runs modulo mod, and the entries it writes are residues in
-    (-mod/2, mod/2]; so _axpy({}, 1, v, mod) is v reduced."""
-    h = mod // 2
-    for key, x in src.items():
-        y = dst.get(key, 0) + c * x
-        if mod:
-            y = h - (h - y) % mod
-        if y:
-            dst[key] = y
-        else:
-            dst.pop(key, None)
-    return dst
 
 
 def _sparse_rows(m: IntMatrix) -> list[dict[int, int]]:

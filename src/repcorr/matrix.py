@@ -1,10 +1,16 @@
-"""Integer matrices held as their nonzero entries.
+"""Integer matrices held as their nonzero entries, and the one sparse row
+update.
 
 `IntMatrix` is the one storage format for every count and presentation
 matrix in the package: the correspondence graphs' B and the Pimsner
 matrices, a multigraph's adjacency, and the Smith layer's input. Dense rows
 are built only when `entries` is read, and the exact determinant (with the
 two probe solutions the Smith certificate reads) only when `det` is called.
+
+`_axpy` adds a multiple of one sparse vector to another, over the integers
+or modulo m. Both eliminations in the package run on it: the Smith layer
+over Z or modulo N (`intlinalg`), and the F_p eigenspace split of a
+character table (`chartable`), so a table run needs no Smith layer.
 """
 
 from functools import cached_property
@@ -113,3 +119,23 @@ class IntMatrix:
 def _probes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two fixed probe vectors of length n that _bareiss solves for."""
     return (1,) * n, tuple(range(1, n + 1))
+
+
+# Sparse vectors and matrices: a vector is {index: nonzero entry}, a matrix a
+# list of such rows (or columns, where a comment says so).
+
+
+def _axpy(dst: dict[int, int], c: int, src: dict[int, int], mod: int = 0) -> dict[int, int]:
+    """dst += c * src, dropping entries that cancel; return dst. Unless mod is
+    0, this runs modulo mod, and the entries it writes are residues in
+    (-mod/2, mod/2]; so _axpy({}, 1, v, mod) is v reduced."""
+    h = mod // 2
+    for key, x in src.items():
+        y = dst.get(key, 0) + c * x
+        if mod:
+            y = h - (h - y) % mod
+        if y:
+            dst[key] = y
+        else:
+            dst.pop(key, None)
+    return dst

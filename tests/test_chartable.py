@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import cyclo_from_coeffs, element_order, is_abelian, power
+from helpers import _dense_split_piece, cyclo_from_coeffs, element_order, is_abelian, power
 from published_tables import expected_doc
 from test_groups import ALL_SMALL_SPECS
 from test_table_golden import PIPELINE_SPECS
@@ -314,6 +314,16 @@ def test_character_values_lie_in_declared_cyclotomic_field():
         assert t.zeta_order == cd.exponent
 
 
+def _sparse(rows) -> list[dict[int, int]]:
+    """Dense rows as the split's sparse vectors."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _densify(vecs, n: int, p: int) -> list[list[int]]:
+    """Sparse vectors as dense residue lists in [0, p)."""
+    return [[v.get(j, 0) % p for j in range(n)] for v in vecs]
+
+
 def _class_data(spec):
     g = construct_group(spec)
     cd = conjugacy(g)
@@ -330,6 +340,30 @@ def test_omega_vectors_match_reference_split():
         assert got == sorted(_random_omega_vectors(mats, p, 0)), spec
         if spec in ALL_SMALL_SPECS:
             assert got == sorted(_random_omega_vectors(mats, p, 0, _reference_split_subspace)), spec
+
+
+def test_sparse_split_matches_the_dense_split_piece_by_piece(monkeypatch):
+    # Each piece `_omega_vectors` splits is split again by the dense split
+    # that the sparse one replaced, on the same piece and class matrix made
+    # dense: equal pivots and equal bases mod p at every step.
+    sparse_split = chartable._split_piece
+    steps = []
+
+    def both(pivots, basis, acols, p):
+        r = len(acols)
+        amat = [[col.get(j, 0) for col in acols] for j in range(r)]
+        got = sparse_split(pivots, basis, acols, p)
+        want = _dense_split_piece(pivots, _densify(basis, r, p), amat, p)
+        assert [(piv, _densify(b, r, p)) for piv, b in got] == want, (spec, pivots)
+        steps.append(spec)
+        return got
+
+    monkeypatch.setattr(chartable, "_split_piece", both)
+    specs = SPEC_POOL + ["dihedral:60", "cyclic:30", "product:[6,6]"]
+    for spec in specs:
+        g, cd, _, p = _class_data(spec)
+        _omega_vectors(g, cd, p)
+    assert set(steps) == set(specs) - {"cyclic:1"}  # one class: nothing to split
 
 
 def test_corrupted_class_matrix_fails_like_the_reference(monkeypatch):
@@ -366,16 +400,16 @@ def test_split_rejects_a_piece_that_is_not_an_eigenbasis():
     jordan = [[1, 1], [0, 1]]  # invariant but not diagonalizable
     for basis, amat in (([[1, 0]], shift), ([[1, 0], [0, 1]], jordan)):
         with pytest.raises(VerificationError):
-            _split_piece(list(range(len(basis))), basis, amat, p)
+            _split_piece(list(range(len(basis))), _sparse(basis), _sparse(zip(*amat)), p)
         for split in (_scan_split_subspace, _reference_split_subspace):
             with pytest.raises(VerificationError):
                 split(basis, amat, p)
     # The eigenvector e1 is 0 at coordinate 0, where every central character
     # is 1, so its eigenvalue 5 is no root of the functional's polynomial.
     with pytest.raises(VerificationError):
-        _split_piece([0, 1], [[1, 0], [0, 1]], [[2, 0], [0, 5]], p)
-    assert _split_piece([0, 1], [[1, 0], [0, 1]], [[2, 3], [0, 5]], p) == \
-        [([0], [[1, 0]]), ([1], [[1, 1]])]
+        _split_piece([0, 1], [{0: 1}, {1: 1}], [{0: 2}, {1: 5}], p)
+    assert _split_piece([0, 1], [{0: 1}, {1: 1}], [{0: 2}, {0: 3, 1: 5}], p) == \
+        [([0], [{0: 1}]), ([1], [{0: 1, 1: 1}])]
     assert _scan_split_subspace([[1, 0], [0, 1]], [[2, 0], [0, 5]], p) == [[[1, 0]], [[0, 1]]]
 
 
@@ -422,8 +456,10 @@ _ENTRIES = st.one_of(st.just(0), st.integers(-40, 40))
     ),
 )
 def test_kernel_mod_is_a_null_space_basis(p, m):
-    basis = _kernel_mod(m, p)
     ncols = len(m[0])
+    sparse = _kernel_mod(_sparse(m), ncols, p)
+    assert all(x and -p < 2 * x <= p for v in sparse for x in v.values())
+    basis = _densify(sparse, ncols, p)
     assert basis == _reference_kernel_mod(m, p)
     for x in basis:
         assert len(x) == ncols and all(0 <= c < p for c in x)
@@ -439,7 +475,9 @@ def test_kernel_mod_is_a_null_space_basis(p, m):
 # The split as it was before it became deterministic: random combinations of
 # the class matrices, each piece split by a scan over every lam in F_p, and a
 # fallback pass over every class matrix. Kept verbatim (renamed, with the
-# piece splitter a parameter) as the oracle for `_omega_vectors`.
+# piece splitter a parameter and `_reference_kernel_mod` as its kernel, so
+# that the oracle runs none of the code it checks) as the oracle for
+# `_omega_vectors`.
 
 
 def _scan_split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) -> list[list[list[int]]]:
@@ -461,7 +499,7 @@ def _scan_split_subspace(basis: list[list[int]], amat: list[list[int]], p: int) 
     total = 0
     for lam in range(p):
         shifted = [[a[i] - lam * b[i] for a, b in zip(images, basis)] for i in range(r)]
-        kern = _kernel_mod(shifted, p)
+        kern = _reference_kernel_mod(shifted, p)
         if not kern:
             continue
         total += len(kern)

@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 
-from repcorr import cli, corrgraph
+from repcorr import cli, corrgraph, intlinalg, matrix
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 MODULES = ("chartable", "corrgraph", "cyclo", "errors", "graphs", "groups", "intlinalg", "matrix",
@@ -40,7 +40,7 @@ def test_the_cli_runs_only_the_modules_its_task_calls():
     _, ran = loaded_and_run(
         "import repcorr.cli\nrepcorr.cli.main(['--group', 'symmetric:3', '--task', 'table'])"
     )
-    assert {"chartable", "cyclo", "groups"} <= ran
+    assert {"chartable", "cyclo", "groups", "matrix"} <= ran
     assert not ran & {"intlinalg", "graphs", "corrgraph", "reps"}
     _, ran = loaded_and_run(
         "import repcorr.cli\nrepcorr.cli.main(['--rep', 'c=zcocycle:[0,1,-1]', '--task', 'skew'])"
@@ -74,6 +74,12 @@ def test_every_module_is_registered_and_reading_its_namespace_runs_it():
     assert loaded >= set(MODULES) and not ran & set(MODULES)
     loaded, ran = loaded_and_run("import sys, repcorr\nvars(sys.modules['repcorr.intlinalg'])")
     assert loaded >= set(MODULES) and "intlinalg" in ran
+
+
+def test_the_smith_layer_and_the_table_split_share_one_row_update():
+    # The table's split runs `_axpy` modulo p from `matrix`, so a table run
+    # needs no Smith layer (see the table run above).
+    assert intlinalg._axpy is matrix._axpy
 
 
 def test_the_cli_conventions_are_the_graph_layers():

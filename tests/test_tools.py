@@ -90,8 +90,8 @@ def test_table_times_prints_one_json_line_per_group():
     assert r.returncode == 0, r.stderr
     lines = [json.loads(line) for line in r.stdout.splitlines()]
     assert [(line["group"], line["classes"]) for line in lines] == [("symmetric:3", 3), ("cyclic:4", 4)]
-    calls = ("construct_group", "conjugacy", "character_table", "verify_table", "format_table",
-             "load_table", "regular_character", "tensor_regular")
+    calls = ("construct_group", "conjugacy", "split", "character_table", "verify_table",
+             "format_table", "load_table", "regular_character", "tensor_regular")
     assert all(set(line) == {"group", "classes", *calls} for line in lines)
     assert all(line[call] >= 0 for line in lines for call in calls)
 

@@ -2,7 +2,8 @@
 
 For each group spec a line holds the spec, the number of classes r and the
 least wall time over the repeats of each call: `construct_group`,
-`conjugacy` of that group, `character_table`, `verify_table` of the
+`conjugacy` of that group, the eigenspace split (`_omega_vectors` at the
+prime `character_table` picks), `character_table`, `verify_table` of the
 computed table, `format_table` of it, `load_table` of that document
 (which rebuilds the group and its classes, then parses and verifies the
 table again), `Rep.character()` of the regular representation and
@@ -27,7 +28,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repcorr.chartable import character_table, format_table, load_table, verify_table  # noqa: E402
+from repcorr.chartable import (  # noqa: E402
+    _least_prime, _omega_vectors, character_table, format_table, load_table, verify_table,
+)
 from repcorr.groups import conjugacy, construct_group  # noqa: E402
 from repcorr.reps import regular_rep, tensor  # noqa: E402
 
@@ -56,6 +59,8 @@ def main(argv: list[str] | None = None) -> int:
         classes_s, cd = best_of(args.repeat, lambda: conjugacy(g))
         line = {"group": spec, "classes": cd.count,
                 "construct_group": group_s, "conjugacy": classes_s}
+        p = _least_prime(cd.exponent, g.order)
+        line["split"], _ = best_of(args.repeat, lambda: _omega_vectors(g, cd, p))
         line["character_table"], t = best_of(args.repeat, lambda: character_table(g, cd))
         line["verify_table"], _ = best_of(args.repeat, lambda: verify_table(t))
         line["format_table"], doc = best_of(args.repeat, lambda: format_table(t))
